@@ -82,15 +82,11 @@ def width_bound(t, n, delta, hdim):
 
 # -- assembly helpers ---------------------------------------------------------
 
-def _relabel(td, ids):
-    """Map a decomposition's bags through the local-id -> outer-id table."""
+def _relabel(td, table):
+    """Map a decomposition's bags through an id lookup table: the
+    local -> outer list from Graph.induced, or its inverse dict."""
     return TreeDecomposition(
-        [frozenset(ids[x] for x in bag) for bag in td.bags], td.edges)
-
-
-def _to_local(td, inv):
-    return TreeDecomposition(
-        [frozenset(inv[x] for x in bag) for bag in td.bags], td.edges)
+        [frozenset(table[x] for x in bag) for bag in td.bags], td.edges)
 
 
 def _chain(decomps):
@@ -251,7 +247,7 @@ def _atom(g, t, caps, report, depth):
 
     # shrink through central bags, one stable hub layer at a time
     beta = frozenset(g.vertices())
-    levels = []  # (beta_before, sprime) for each shrinking step
+    levels = []  # (beta_before, central_bag triple) per shrinking step
     balanced_pick = None
     hub_final = frozenset()
     for idx, layer in enumerate(hp.layers):
@@ -286,11 +282,11 @@ def _atom(g, t, caps, report, depth):
             report.levels.append({"beta": len(beta), "sprime": len(sprime),
                                   "branch": "balanced"})
             break
-        b_local, _, _ = central_bag(sub, [inv[v] for v in sorted(sprime)])
-        levels.append((beta, frozenset(sprime)))
+        central = central_bag(sub, [inv[v] for v in sorted(sprime)])
+        levels.append((beta, central))
         report.levels.append({"beta": len(beta), "sprime": len(sprime),
                               "branch": "shrink"})
-        beta = frozenset(ids[x] for x in b_local)
+        beta = frozenset(ids[x] for x in central[0])
 
     # decompose the final central bag
     sub, ids = g.induced(beta)
@@ -314,22 +310,22 @@ def _atom(g, t, caps, report, depth):
     beta_cur = beta
 
     # unwind: extend each central bag's tree over the components it cut off
-    for beta_prev, sprime in reversed(levels):
+    for beta_prev, central in reversed(levels):
         csub, cids = g.induced(beta_cur)
         cinv = {v: i for i, v in enumerate(cids)}
         td_struct = _relabel(
-            _structured(csub, _to_local(td_cur, cinv), caps, report), cids)
+            _structured(csub, _relabel(td_cur, cinv), caps, report), cids)
+        # psub is the graph central_bag ran on, so central is in its ids
         psub, pids = g.induced(beta_prev)
         pinv = {v: i for i, v in enumerate(pids)}
-        t_beta = _to_local(td_struct, pinv)
-        s_local = [pinv[v] for v in sorted(sprime)]
+        t_beta = _relabel(td_struct, pinv)
         part_tds = []
-        for comp in psub.components(removed={pinv[v] for v in beta_cur}):
+        for comp in psub.components(removed=central[0]):
             dsub, dids = psub.induced(comp)
             ptd = _structured(dsub, _any(dsub, t, caps, report, depth + 1),
                               caps, report)
             part_tds.append(_relabel(ptd, dids))
-        td_cur = _relabel(extend_tree(psub, s_local, t_beta, part_tds), pids)
+        td_cur = _relabel(extend_tree(psub, central, t_beta, part_tds), pids)
         beta_cur = beta_prev
     return td_cur  # beta_0 was all of g, so these are g's ids already
 

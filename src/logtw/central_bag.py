@@ -157,21 +157,18 @@ def extend_neighborhood(g, cg, t0, part_tds):
     return TreeDecomposition(bags, edges)
 
 
-def extend_tree(g, s, t_beta, part_tds, use_core_roots=True):
-    """Tree decomposition of g from one of the central bag beta(s) (bags
-    in g ids) and one of each component of g minus beta(s) (in g ids).
+def extend_tree(g, central, t_beta, part_tds):
+    """Tree decomposition of g from one of the central bag beta (bags in
+    g ids) and one of each component of g minus beta (in g ids), where
+    central is the (beta, core_set, stars) triple that central_bag
+    returned for g.
 
     Central-bag nodes absorb C(v) for every core vertex v they hold; the
     tree over component D absorbs C(r(D)) where r(D) is the smallest-id
     core vertex whose A-side contains D, and hangs off a central-bag node
     holding r(D).
     """
-    s = sorted(s)
-    stars = {v: star_separation(g, v) for v in s}
-    core_set = core(g, s, stars)
-    beta = set(g.vertices())
-    for v in sorted(core_set):
-        beta &= stars[v].b | stars[v].c
+    beta, core_set, stars = central
     comps = g.components(removed=beta)
     assert len(comps) == len(part_tds)
 
@@ -183,10 +180,9 @@ def extend_tree(g, s, t_beta, part_tds, use_core_roots=True):
         bags.append(frozenset(bag))
     edges = list(t_beta.edges)
     for d, td in zip(comps, part_tds):
-        candidates = core_set if use_core_roots else frozenset(s)
-        roots = [v for v in sorted(candidates) if d <= stars[v].a]
+        roots = [v for v in sorted(core_set) if d <= stars[v].a]
         if not roots:
-            raise ValueError("component not inside any candidate A-side")
+            raise ValueError("component not inside any core A-side")
         r = roots[0]
         anchor = next(u for u, bag0 in enumerate(t_beta.bags)
                       if r in bag0)

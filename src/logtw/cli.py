@@ -8,6 +8,7 @@ cap exceeded, 5 forbidden structure without --uncertified-ok.
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import detect, generators
 from .builder import Caps, ClassViolation, decompose, width_bound
@@ -56,7 +57,7 @@ def _parse_caps(text):
         if not item:
             continue
         key, _, value = item.partition("=")
-        if key not in ("detect", "hole", "exact", "structure"):
+        if key not in {f.name for f in fields(Caps)}:
             raise ValueError(f"unknown cap {key!r}")
         caps[key] = int(value)
     return Caps(**caps)

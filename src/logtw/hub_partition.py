@@ -7,7 +7,7 @@ the width bound as the hub-dimension term.
 
 from dataclasses import dataclass
 
-from .graph import strict_degeneracy, degeneracy_order
+from .graph import greedy_color_by_degeneracy, strict_degeneracy
 from . import detect
 
 
@@ -105,19 +105,11 @@ def _greedy_color_classes(g, vertices):
     """Color g[vertices] greedily along the reverse degeneracy order;
     returns the nonempty color classes in color order."""
     sub, ids = g.induced(vertices)
-    order, _ = degeneracy_order(sub)
-    color = {}
-    for v in reversed(order):
-        used = {color[w] for w in sub.adj[v] if w in color}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-    k = max(color.values(), default=-1) + 1
-    classes = [[] for _ in range(k)]
-    for v, c in color.items():
-        classes[c].append(ids[v])
-    return [frozenset(c) for c in classes if c]
+    color = greedy_color_by_degeneracy(sub)
+    classes = [set() for _ in range(max(color, default=-1) + 1)]
+    for v, c in enumerate(color):
+        classes[c].add(ids[v])
+    return [frozenset(c) for c in classes]
 
 
 def is_balanced(g, v):

@@ -86,10 +86,6 @@ def brute_contains_induced(g, pattern_kind):
     return False
 
 
-def _degrees_in(g, s):
-    return {v: len(g.adj[v] & s) for v in s}
-
-
 def _comps_in(g, s):
     remaining = set(s)
     out = []

@@ -121,59 +121,61 @@ def minimal_triangulation(g):
     return fill, order
 
 
+def _madj(adj, order):
+    """madj(x) for every x: the neighbours of x (under adj) that come
+    after x in the elimination order."""
+    pos = {v: i for i, v in enumerate(order)}
+    return {v: frozenset(w for w in adj[v] if pos[w] > pos[v])
+            for v in order}
+
+
 def find_clique_cutset(g):
     """A clique whose removal disconnects g, with the component list, or
-    None. Prefers small cutsets.
-
-    Every clique cutset contains a clique minimal separator, and every
-    clique minimal separator survives as a minimal separator of any
-    minimal triangulation; so it suffices to scan the adjacent-bag
-    intersections of a clique tree of one minimal completion.
-    """
+    None when g is disconnected or has no clique cutset: the first glue
+    clique of clique_cutset_atoms."""
     if g.n == 0 or not g.is_connected():
         return None
-    fill, _ = minimal_triangulation(g)
-    completed = g.with_edges(tuple(sorted(e)) for e in fill)
-    t = clique_tree(completed)
-    candidates = {t.bags[i] & t.bags[j] for i, j in t.edges}
-    for x in sorted(candidates, key=lambda s: (len(s), sorted(s))):
-        if g.is_clique(x):
-            sides = g.components(removed=x)
-            if len(sides) >= 2:
-                return frozenset(x), sides
-    return None
+    _, glue = clique_cutset_atoms(g)
+    if not glue:
+        return None
+    clique = glue[0][2]
+    return clique, g.components(removed=clique)
 
 
 def clique_cutset_atoms(g):
-    """Recursive clique-cutset decomposition of a connected graph.
+    """Clique minimal separator decomposition of a connected graph, read
+    off one MCS-M elimination order (Berry, Pogorelcnik and Simonet 2010).
 
     Returns (atoms, glue_tree): atoms are vertex sets with no clique
     cutset; glue_tree is a list of (i, j, clique) entries meaning atoms i
     and j were split along that clique. Gluing the atoms back along the
     recorded cliques reproduces g.
+
+    x generates the minimal separator madj(x) of the completion when
+    |madj(x)| <= |madj(next vertex)|, the MCS-M weight test. Walking the
+    order, each generator whose separator S is a clique of g cuts off the
+    component of what is left that holds x, together with S, as an atom.
     """
     if not g.is_connected():
         raise ValueError("clique-cutset decomposition expects a connected "
                          "graph; decompose components separately")
+    fill, order = minimal_triangulation(g)
+    madj = _madj(g.with_edges(tuple(sorted(e)) for e in fill).adj, order)
+    removed = set()
     atoms = []
-    glue = []
-
-    def split(vertex_set):
-        sub, ids = g.induced(vertex_set)
-        cut = find_clique_cutset(sub)
-        if cut is None:
-            atoms.append(frozenset(vertex_set))
-            return len(atoms) - 1
-        k, sides = cut
-        clique = frozenset(ids[v] for v in k)
-        first_side = set(ids[v] for v in sides[0]) | clique
-        rest = set(vertex_set) - set(ids[v] for v in sides[0])
-        i = split(first_side)
-        j = split(rest)
-        glue.append((i, j, clique))
-        return i
-
-    split(sorted(g.vertices()))
+    cuts = []
+    for x, y in zip(order, order[1:]):
+        s = madj[x]
+        if len(s) <= len(madj[y]) and g.is_clique(s):
+            comp = next(c for c in g.components(removed=removed | s)
+                        if x in c)
+            atoms.append(comp | s)
+            cuts.append(s)
+            removed |= comp
+    atoms.append(frozenset(g.vertices()) - removed)
+    # atom i hangs off the first later atom that holds its separator
+    glue = [(i, next(j for j in range(i + 1, len(atoms)) if s <= atoms[j]),
+             s) for i, s in enumerate(cuts)]
     return atoms, glue
 
 
@@ -216,11 +218,8 @@ def perfect_elimination_order(g):
         for w in g.adj[v] & remaining:
             weight[w] += 1
     order.reverse()  # eliminate in this order
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = {w for w in g.adj[v] if pos[w] > pos[v]}
-        if not g.is_clique(later):
-            return None
+    if not all(g.is_clique(s) for s in _madj(g.adj, order).values()):
+        return None
     return order
 
 
@@ -248,51 +247,39 @@ def minimalize_fill(g, fill):
     return fill
 
 
-def maximal_cliques(g):
-    """All maximal cliques (Bron-Kerbosch with pivoting)."""
-    out = []
-
-    def bk(r, p, x):
-        if not p and not x:
-            out.append(frozenset(r))
-            return
-        pivot = max(sorted(p | x), key=lambda u: len(g.adj[u] & p))
-        for v in sorted(p - g.adj[pivot]):
-            bk(r | {v}, p & g.adj[v], x & g.adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    bk(set(), set(g.vertices()), set())
-    return out
-
-
 def clique_tree(g):
     """A tree decomposition of a chordal graph whose bags are exactly its
-    maximal cliques (a junction tree, via maximum-weight spanning tree on
-    bag intersections)."""
+    maximal cliques, read off a maximum cardinality search (Blair and
+    Peyton 1993).
+
+    Walking the search, a vertex v with |madj(v)| no larger than its
+    predecessor's starts a new bag madj(v) + {v}, hung off the bag of the
+    most recently searched vertex of madj(v); any other vertex joins the
+    current bag. A bag with empty madj starts a new component and hangs
+    off bag 0.
+    """
     from .treedec import TreeDecomposition
-    if not is_chordal(g):
+    order = perfect_elimination_order(g)
+    if order is None:
         raise ValueError("clique_tree requires a chordal graph")
-    bags = sorted(maximal_cliques(g), key=sorted)
-    k = len(bags)
-    if k == 0:
+    if not order:
         return TreeDecomposition([frozenset()], [])
-    # Prim, maximizing |bag_i & bag_j|; any maximum-weight spanning tree
-    # of the clique intersection graph has the junction property
-    in_tree = {0}
+    pos = {v: i for i, v in enumerate(order)}
+    madj = _madj(g.adj, order)
+    bags = []
     edges = []
-    while len(in_tree) < k:
-        best = None
-        for i in sorted(in_tree):
-            for j in range(k):
-                if j in in_tree:
-                    continue
-                w = len(bags[i] & bags[j])
-                if best is None or w > best[0]:
-                    best = (w, i, j)
-        _, i, j = best
-        in_tree.add(j)
-        edges.append((i, j))
+    bag_of = {}
+    prev = 0
+    for v in reversed(order):
+        s = madj[v]
+        if len(s) <= prev:
+            if bags:
+                edges.append((bag_of[min(s, key=pos.get)] if s else 0,
+                              len(bags)))
+            bags.append(set(s))
+        bags[-1].add(v)
+        bag_of[v] = len(bags) - 1
+        prev = len(s)
     return TreeDecomposition(bags, edges)
 
 

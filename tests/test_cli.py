@@ -109,6 +109,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_caps_accepts_every_caps_field(tmp_path, capsys):
+    gpath = tmp_path / "g.gr"
+    main(["gen", "cycle", "12", "--out", str(gpath)])
+    assert main(["decompose", "--in", str(gpath), "--t", "3",
+                 "--caps", "hub_budget=10"]) == 0
+    assert main(["decompose", "--in", str(gpath), "--t", "3",
+                 "--caps", "nonsense=10"]) == 2
+    capsys.readouterr()
+
+
 def test_cli_verify_rejects_wrong_decomposition(tmp_path, capsys):
     g1 = tmp_path / "g1.gr"
     g2 = tmp_path / "g2.gr"

@@ -5,7 +5,9 @@ cutsets — each checked against brute force where one exists."""
 import pytest
 
 from logtw import generators, oracle, separators, treedec
+from logtw.builder import glue_at_clique
 from logtw.graph import Graph
+from logtw.treedec import TreeDecomposition
 
 from conftest import random_corpus
 
@@ -73,8 +75,12 @@ def test_clique_tree_is_valid_decomposition():
         h = g.with_edges(fill)
         t = separators.clique_tree(h)
         assert treedec.validate(h, t) is None
+        assert len(set(t.bags)) == len(t.bags)
         for bag in t.bags:
             assert h.is_clique(bag)
+            # maximal: no outside vertex sees the whole bag
+            assert not any(bag <= h.adj[v] for v in h.vertices()
+                           if v not in bag)
 
 
 def _brute_has_clique_cutset(g):
@@ -110,15 +116,33 @@ def test_find_clique_cutset_matches_brute():
             assert len(g.components(removed=cut)) >= 2
 
 
+def _brute_atoms(g):
+    """Atoms of a connected graph by brute force: split at any clique
+    minimal separator S into the pieces C + N(C), one per component C of
+    g minus S, and recurse. The atoms do not depend on the choice of S
+    (Leimer 1993)."""
+    for x in oracle.brute_minimal_separators(g):
+        if g.is_clique(x):
+            atoms = set()
+            for c in g.components(removed=x):
+                sub, ids = g.induced(c | g.open_neighborhood(c))
+                atoms |= {frozenset(ids[v] for v in a)
+                          for a in _brute_atoms(sub)}
+            return atoms
+    return {frozenset(g.vertices())}
+
+
 def test_clique_cutset_atoms():
-    for g in random_corpus(9, 20, p=0.25, seed_base=1010):
+    for g in [*random_corpus(9, 20, p=0.25, seed_base=1010),
+              *random_corpus(10, 30, p=0.3, seed_base=1050)]:
         if not g.is_connected():
             continue
         atoms, glue = separators.clique_cutset_atoms(g)
+        assert len(set(atoms)) == len(atoms)
+        assert set(atoms) == _brute_atoms(g)
+        assert not any(a < b for a in atoms for b in atoms)
         covered = set()
         for a in atoms:
-            sub, ids = g.induced(a)
-            assert separators.find_clique_cutset(sub) is None
             covered |= set(a)
         assert covered == set(g.vertices())
         # every original edge lives inside some atom
@@ -126,6 +150,14 @@ def test_clique_cutset_atoms():
             assert any(u in a and v in a for a in atoms)
         for i, j, clique in glue:
             assert g.is_clique(clique)
+        # gluing any decompositions of the atoms gives one of g
+        decomps = []
+        for a in atoms:
+            sub, ids = g.induced(a)
+            td = treedec.greedy_fill_decomposition(sub)
+            decomps.append(TreeDecomposition(
+                [frozenset(ids[v] for v in b) for b in td.bags], td.edges))
+        assert treedec.validate(g, glue_at_clique(decomps, glue)) is None
 
 
 def test_make_structured_preserves_width_and_gives_pmcs():
