@@ -35,6 +35,10 @@ class Caps:
                              # fall back to the partial hub set
 
 
+class BuildCheckFailed(Exception):
+    """A check on the builder's own output or invariants failed."""
+
+
 class ClassViolation(Exception):
     """The input contains one of the forbidden structures."""
 
@@ -156,7 +160,8 @@ def decompose(g, t, caps=None, uncertified_ok=False):
     Class membership is verified up front when g fits under the detection
     cap; a violation raises ClassViolation unless uncertified_ok, in which
     case the build still runs but the report is marked uncertified.  On
-    certified runs the achieved width is asserted against width_bound.
+    certified runs the achieved width is checked against width_bound; a
+    failed output check raises BuildCheckFailed.
     """
     caps = caps or Caps()
     report = BuildReport(t=t, n=g.n)
@@ -176,9 +181,11 @@ def decompose(g, t, caps=None, uncertified_ok=False):
     report.bound = width_bound(t, max(g.n, 1), report.delta_used,
                                report.hdim_used)
     bad = validate(g, td)
-    assert bad is None, bad
-    if report.certified:
-        assert td.width <= report.bound, (td.width, report.bound)
+    if bad is not None:
+        raise BuildCheckFailed(f"output decomposition invalid: {bad}")
+    if report.certified and td.width > report.bound:
+        raise BuildCheckFailed(f"certified width {td.width} exceeds bound "
+                               f"{report.bound}")
     return td, report
 
 
@@ -249,7 +256,8 @@ def _atom(g, t, caps, report, depth):
     beta = frozenset(g.vertices())
     levels = []  # (beta_before, central_bag triple) per shrinking step
     balanced_pick = None
-    hub_final = frozenset()
+    # hubs of g[beta] as last searched; None once beta has shrunk since
+    hub_final = hp.hub_set
     for idx, layer in enumerate(hp.layers):
         sub, ids = g.induced(beta)
         inv = {v: i for i, v in enumerate(ids)}
@@ -269,10 +277,15 @@ def _atom(g, t, caps, report, depth):
             # consumed layers must already be clear of the surviving hub
             # set, and surviving layer vertices stay low-degree towards it
             for j in range(idx):
-                assert not (hp.layers[j] & hub_g), (depth, idx, j)
+                if hp.layers[j] & hub_g:
+                    raise BuildCheckFailed(
+                        f"depth {depth}, layer {idx}: consumed layer {j} "
+                        f"meets the surviving hub set")
             for v in sorted(layer & beta):
-                assert len(sub.adj[inv[v]] & hub_local) <= 4 * hp.delta, (
-                    depth, idx, v)
+                if len(sub.adj[inv[v]] & hub_local) > 4 * hp.delta:
+                    raise BuildCheckFailed(
+                        f"depth {depth}, layer {idx}: vertex {v} has more "
+                        f"than {4 * hp.delta} hub neighbours")
         sprime = layer & hub_g
         if not sprime:
             continue
@@ -287,14 +300,20 @@ def _atom(g, t, caps, report, depth):
         report.levels.append({"beta": len(beta), "sprime": len(sprime),
                               "branch": "shrink"})
         beta = frozenset(ids[x] for x in central[0])
+        hub_final = None
 
     # decompose the final central bag
     sub, ids = g.induced(beta)
     inv = {v: i for i, v in enumerate(ids)}
     if balanced_pick is None:
         if report.certified:
-            assert not detect.hubs(sub, hole_cap=caps.hole,
-                                   budget=caps.hub_budget), (depth, len(beta))
+            if hub_final is None:
+                hub_final = detect.hubs(sub, hole_cap=caps.hole,
+                                        budget=caps.hub_budget)
+            if hub_final:
+                raise BuildCheckFailed(
+                    f"depth {depth}: final central bag of {len(beta)} "
+                    f"vertices still has hubs")
         td_local = _hub_free(sub, t, caps, report)
         report.trace.append(
             {"depth": depth, "n": g.n, "beta": len(beta),

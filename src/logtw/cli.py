@@ -2,8 +2,9 @@
 verify decompositions, run the tree-decomposition solvers, and benchmark
 width against graph size.
 
-Exit codes: 0 success, 2 parse error, 3 validation failure, 4 exact-search
-cap exceeded, 5 forbidden structure without --uncertified-ok.
+Exit codes: 0 success, 2 parse error, 3 validation failure (including a
+failed internal output check), 4 exact-search cap exceeded, 5 forbidden
+structure without --uncertified-ok.
 """
 
 import argparse
@@ -11,7 +12,8 @@ import sys
 from dataclasses import fields
 
 from . import detect, generators
-from .builder import Caps, ClassViolation, decompose, width_bound
+from .builder import (BuildCheckFailed, Caps, ClassViolation, decompose,
+                      width_bound)
 from .formats import (FormatError, read_graph, read_td, write_graph,
                       write_report, write_td)
 from .graph import SizeCapExceeded
@@ -267,6 +269,9 @@ def main(argv=None):
     except SizeCapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return EXIT_CAP
+    except BuildCheckFailed as e:
+        print(f"internal check failed: {e}", file=sys.stderr)
+        return EXIT_INVALID
     except ClassViolation as e:
         cert = e.certificate
         print(f"forbidden structure: {cert.kind} "

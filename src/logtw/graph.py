@@ -179,11 +179,6 @@ class Graph:
                  if v in pos and u < v]
         return Graph(len(old_ids), edges), old_ids
 
-    def complement(self):
-        edges = [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
-                 if v not in self.adj[u]]
-        return Graph(self.n, edges)
-
     def with_edges(self, extra):
         return Graph(self.n, list(self.edges()) + list(extra))
 

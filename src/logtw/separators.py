@@ -89,23 +89,25 @@ def minimal_triangulation(g):
     is chordal with minimal fill and order is a perfect elimination
     order of the completion."""
     weight = {v: 0 for v in g.vertices()}
-    numbered = set()
+    remaining = set(g.vertices())
     order = []
     fill = set()
-    for _ in range(g.n):
-        v = max(sorted(set(g.vertices()) - numbered), key=lambda u: weight[u])
+    while remaining:
+        # heaviest unnumbered vertex, smallest id on ties
+        v = max(remaining, key=lambda u: (weight[u], -u))
+        remaining.discard(v)
         # u joins S(v) when some path v..u runs through unnumbered
         # vertices all lighter than u; minimax search over path weights
         dist = {}
         heap = []
-        for w in sorted(g.adj[v] - numbered):
+        for w in sorted(g.adj[v] & remaining):
             dist[w] = -1
             heapq.heappush(heap, (-1, w))
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist.get(u, float("inf")):
                 continue
-            for z in sorted(g.adj[u] - numbered - {v}):
+            for z in sorted(g.adj[u] & remaining):
                 nd = max(d, weight[u])
                 if nd < dist.get(z, float("inf")):
                     dist[z] = nd
@@ -115,7 +117,6 @@ def minimal_triangulation(g):
             weight[u] += 1
             if not g.has_edge(u, v):
                 fill.add(frozenset((u, v)))
-        numbered.add(v)
         order.append(v)
     order.reverse()  # eliminate in this order
     return fill, order
@@ -212,7 +213,7 @@ def perfect_elimination_order(g):
     order = []
     remaining = set(g.vertices())
     while remaining:
-        v = max(sorted(remaining), key=lambda u: weight[u])
+        v = max(remaining, key=lambda u: (weight[u], -u))
         order.append(v)
         remaining.discard(v)
         for w in g.adj[v] & remaining:
@@ -225,26 +226,6 @@ def perfect_elimination_order(g):
 
 def is_chordal(g):
     return perfect_elimination_order(g) is not None
-
-
-def minimalize_fill(g, fill):
-    """Shrink a chordal fill to an inclusion-minimal one.
-
-    Scans fill edges in sorted order, removing any edge whose removal
-    keeps the completion chordal, repeating until no edge can go.
-    """
-    fill = {frozenset(e) for e in fill}
-    if not is_chordal(g.with_edges(tuple(sorted(e)) for e in fill)):
-        raise ValueError("g plus fill must be chordal")
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(fill, key=sorted):
-            trial = fill - {e}
-            if is_chordal(g.with_edges(tuple(sorted(f)) for f in trial)):
-                fill = trial
-                changed = True
-    return fill
 
 
 def clique_tree(g):
@@ -287,20 +268,36 @@ def make_structured(g, t):
     """Rebuild a valid tree decomposition so that every bag is a potential
     maximal clique, without increasing the width.
 
-    Completes each bag into a clique, shrinks that fill to an inclusion
-    minimal one, and returns the clique tree of the resulting chordal
-    completion.
+    Completes each bag into a clique, which gives a chordal completion,
+    shrinks that fill to an inclusion-minimal one and returns the clique
+    tree of the result. Fill edges are scanned in sorted order, sweep
+    after sweep until none goes. A fill edge uv goes when the common
+    neighbourhood of u and v in the current completion is a clique: then
+    uv lies in exactly one maximal clique, which is exactly when the
+    completion minus uv stays chordal (Rose, Tarjan and Lueker 1976).
     """
     from .treedec import validate
     report = validate(g, t)
     if report is not None:
         raise ValueError(f"invalid input decomposition: {report}")
+    adj = [set(nb) for nb in g.adj]
     fill = set()
     for bag in t.bags:
-        for u in sorted(bag):
-            for v in sorted(bag):
-                if u < v and not g.has_edge(u, v):
-                    fill.add(frozenset((u, v)))
-    fill = minimalize_fill(g, fill)
-    completed = g.with_edges(tuple(sorted(e)) for e in fill)
-    return clique_tree(completed)
+        for u in bag:
+            for v in bag:
+                if u < v and v not in adj[u]:
+                    fill.add((u, v))
+    for u, v in fill:
+        adj[u].add(v)
+        adj[v].add(u)
+    changed = True
+    while changed:
+        changed = False
+        for u, v in sorted(fill):
+            common = adj[u] & adj[v]
+            if all(common <= adj[w] | {w} for w in common):
+                adj[u].discard(v)
+                adj[v].discard(u)
+                fill.discard((u, v))
+                changed = True
+    return clique_tree(g.with_edges(fill))

@@ -28,58 +28,55 @@ class TreeDecomposition:
     def width(self):
         return max((len(b) for b in self.bags), default=0) - 1
 
-    def neighbors(self, i):
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return out
-
 
 def validate(g, t):
     """None if t is a valid tree decomposition of g, else a string naming
-    the first violated condition with a witness."""
+    the first violated condition with a witness.
+
+    One pass over a vertex -> bags index. Once the bag graph is known to
+    be a tree, the bags holding v induce a subforest, whose component
+    count is its node count minus its edge count; so they are connected
+    exactly when (bags holding v) - (tree edges with v in both end bags)
+    equals 1.
+    """
     n_nodes = len(t.bags)
     if n_nodes == 0:
         return "no bags"
     if len(t.edges) != n_nodes - 1:
         return f"not a tree: {n_nodes} bags, {len(t.edges)} edges"
+    adj = [[] for _ in range(n_nodes)]
+    for a, b in t.edges:
+        if a < 0 or b >= n_nodes:
+            return f"tree edge out of range: {a},{b}"
+        adj[a].append(b)
+        adj[b].append(a)
     seen = {0}
     stack = [0]
-    adj = {i: t.neighbors(i) for i in range(n_nodes)}
     while stack:
-        u = stack.pop()
-        for w in adj[u]:
+        for w in adj[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
     if len(seen) != n_nodes:
         return "not a tree: disconnected"
-    covered = set()
-    for b in t.bags:
-        covered |= b
+    holding = [set() for _ in range(g.n)]
+    for i, b in enumerate(t.bags):
         if b and (min(b) < 0 or max(b) >= g.n):
             return f"bag contains non-vertices: {sorted(b)}"
+        for v in b:
+            holding[v].add(i)
     for v in g.vertices():
-        if v not in covered:
+        if not holding[v]:
             return f"vertex {v} in no bag"
     for u, v in g.edges():
-        if not any(u in b and v in b for b in t.bags):
+        if holding[u].isdisjoint(holding[v]):
             return f"edge {u},{v} in no bag"
+    inner = [0] * g.n
+    for a, b in t.edges:
+        for v in t.bags[a] & t.bags[b]:
+            inner[v] += 1
     for v in g.vertices():
-        nodes = {i for i, b in enumerate(t.bags) if v in b}
-        start = min(nodes)
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in nodes and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        if comp != nodes:
+        if len(holding[v]) - inner[v] != 1:
             return f"bags containing vertex {v} are not connected in the tree"
     return None
 
@@ -121,16 +118,35 @@ def decomposition_from_elimination(g, order):
 def exact_treewidth(g, cap=EXACT_TW_CAP):
     """Exact treewidth with an optimal witness decomposition.
 
-    Dynamic program over subsets of eliminated vertices (as bitmasks): the
-    cost of eliminating v after the set S is the number of vertices
-    outside S reachable from v through S, which is order-independent.
+    Treewidth is the maximum over connected components, so each component
+    gets its own subset DP and the optimal orders are concatenated;
+    decomposition_from_elimination chains the component roots.
     """
     if g.n > cap:
         raise SizeCapExceeded(f"exact treewidth capped at n <= {cap}, "
                               f"got n = {g.n}")
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return 0, TreeDecomposition([frozenset()], [])
+    tw = 0
+    order = []
+    for comp in g.components():
+        sub, ids = g.induced(comp)
+        sub_tw, sub_order = _optimal_order(sub)
+        tw = max(tw, sub_tw)
+        order.extend(ids[v] for v in sub_order)
+    t = decomposition_from_elimination(g, order)
+    assert t.width == tw
+    return tw, t
+
+
+def _optimal_order(g):
+    """(treewidth, optimal elimination order) of a nonempty graph.
+
+    Dynamic program over subsets of eliminated vertices (as bitmasks): the
+    cost of eliminating v after the set S is the number of vertices
+    outside S reachable from v through S, which is order-independent.
+    """
+    n = g.n
     nbr_mask = [0] * n
     for v in g.vertices():
         for w in g.adj[v]:
@@ -183,9 +199,7 @@ def exact_treewidth(g, cap=EXACT_TW_CAP):
         order.append(v)
         mask &= ~(1 << v)
     order.reverse()
-    t = decomposition_from_elimination(g, order)
-    assert t.width == tw
-    return tw, t
+    return tw, order
 
 
 def greedy_fill_decomposition(g):
@@ -248,16 +262,6 @@ class NiceDecomposition:
     def width(self):
         return max(len(n.bag) for n in self.postorder()) - 1
 
-    def node_count(self):
-        return len(self.postorder())
-
-    def to_tree_decomposition(self):
-        nodes = self.postorder()
-        index = {id(n): i for i, n in enumerate(nodes)}
-        edges = [(index[id(n)], index[id(c)])
-                 for n in nodes for c in n.children]
-        return TreeDecomposition([n.bag for n in nodes], edges)
-
 
 def _chain_down_to(bag, child_node):
     """Introduce/forget chain transforming child_node's bag into `bag`."""
@@ -286,8 +290,10 @@ def make_nice(t, g=None):
         report = validate(g, t)
         if report is not None:
             raise ValueError(f"invalid input decomposition: {report}")
-    n_nodes = len(t.bags)
-    adj = {i: t.neighbors(i) for i in range(n_nodes)}
+    adj = [[] for _ in t.bags]
+    for a, b in t.edges:
+        adj[a].append(b)
+        adj[b].append(a)
 
     def build(i, parent):
         children = [build(j, i) for j in adj[i] if j != parent]
@@ -360,48 +366,10 @@ def _update(tab, key, val, wit):
 
 
 def solve_vertex_cover(g, t):
-    """(minimum vertex cover size, witness set)."""
-    nice = _prep(g, t)
-    tables = {}
-    for node in nice.postorder():
-        bag = node.bag
-        if node.kind == "leaf":
-            tab = {frozenset(): (0, frozenset())}
-        elif node.kind == "introduce":
-            v = node.vertex
-            child = tables[id(node.children[0])]
-            tab = {}
-            for s, (val, wit) in child.items():
-                # v outside the cover: all bag edges at v must be covered
-                if g.adj[v] & (bag - {v}) <= s:
-                    _update_min(tab, s, val, wit)
-                _update_min(tab, s | {v}, val + 1, wit | {v})
-        elif node.kind == "forget":
-            v = node.vertex
-            child = tables[id(node.children[0])]
-            tab = {}
-            for s, (val, wit) in child.items():
-                _update_min(tab, s - {v}, val, wit)
-        else:
-            left = tables[id(node.children[0])]
-            right = tables[id(node.children[1])]
-            tab = {}
-            for s, (lv, lw) in left.items():
-                if s in right:
-                    rv, rw = right[s]
-                    _update_min(tab, s, lv + rv - len(s), lw | rw)
-        tables[id(node)] = tab
-        for c in node.children:
-            del tables[id(c)]
-    val, wit = tables[id(nice.root)][frozenset()]
-    assert all(u in wit or v in wit for u, v in g.edges()) and len(wit) == val
-    return val, wit
-
-
-def _update_min(tab, key, val, wit):
-    key = frozenset(key)
-    if key not in tab or val < tab[key][0]:
-        tab[key] = (val, frozenset(wit))
+    """(minimum vertex cover size, witness set): the complement of a
+    maximum stable set, since tau = n - alpha (Gallai)."""
+    alpha, stable = solve_stable_set(g, t)
+    return g.n - alpha, frozenset(g.vertices()) - stable
 
 
 IN, DOM, WAIT = 2, 1, 0

@@ -107,3 +107,16 @@ def test_caps_respected():
     from logtw.graph import SizeCapExceeded
     with pytest.raises(SizeCapExceeded):
         decompose(g, 3, caps=Caps(detect=40, hole=30))
+
+
+def test_failed_output_check_raises_and_exits_invalid(monkeypatch, tmp_path,
+                                                      capsys):
+    from logtw.cli import EXIT_INVALID, main
+    monkeypatch.setattr(builder, "validate", lambda g, td: "forced failure")
+    with pytest.raises(builder.BuildCheckFailed):
+        decompose(generators.cycle(8), 3)
+    gpath = tmp_path / "c8.gr"
+    main(["gen", "cycle", "8", "--out", str(gpath)])
+    capsys.readouterr()
+    assert main(["decompose", "--in", str(gpath), "--t", "3"]) == EXIT_INVALID
+    assert "forced failure" in capsys.readouterr().err

@@ -170,6 +170,19 @@ def test_make_structured_preserves_width_and_gives_pmcs():
             assert separators.is_pmc(g, bag)
 
 
+def test_make_structured_fill_is_minimal():
+    # the completion is g plus every pair sharing a bag; dropping any
+    # single one of its fill edges breaks chordality
+    for g in [*random_corpus(12, 10, p=0.3, seed_base=1040),
+              generators.wall(3), generators.cycle(9)]:
+        s = separators.make_structured(g, treedec.greedy_fill_decomposition(g))
+        fill = {(u, v) for bag in s.bags for u in bag for v in bag
+                if u < v and not g.has_edge(u, v)}
+        assert separators.is_chordal(g.with_edges(fill))
+        for e in fill:
+            assert not separators.is_chordal(g.with_edges(fill - {e}))
+
+
 def test_perfect_elimination_order():
     assert separators.perfect_elimination_order(generators.cycle(5)) is None
     tree = Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])

@@ -15,20 +15,32 @@ def test_validate_accepts_and_rejects():
     good = TreeDecomposition([{0, 1}, {1, 2}], [(0, 1)])
     assert treedec.validate(g, good) is None
     # missing vertex
-    assert treedec.validate(g, TreeDecomposition([{0, 1}], [])) is not None
+    assert treedec.validate(g, TreeDecomposition([{0, 1}], [])) == \
+        "vertex 2 in no bag"
     # missing edge
     assert treedec.validate(
-        g, TreeDecomposition([{0, 1}, {2}], [(0, 1)])) is not None
+        g, TreeDecomposition([{0, 1}, {2}], [(0, 1)])) == "edge 1,2 in no bag"
     # connectivity broken: vertex 1 in two non-adjacent bags only
     bad = TreeDecomposition([{0, 1}, {0, 2}, {1, 2}], [(0, 1), (1, 2)])
-    assert treedec.validate(g, bad) is not None
+    assert treedec.validate(g, bad) == \
+        "bags containing vertex 1 are not connected in the tree"
     # not a tree (cycle among bags)
     cyc = TreeDecomposition([{0, 1}, {1, 2}, {0, 1, 2}],
                             [(0, 1), (1, 2), (0, 2)])
-    assert treedec.validate(g, cyc) is not None
+    assert treedec.validate(g, cyc) == "not a tree: 3 bags, 3 edges"
     # disconnected bag-tree
     assert treedec.validate(
-        g, TreeDecomposition([{0, 1}, {1, 2}], [])) is not None
+        g, TreeDecomposition([{0, 1}, {1, 2}], [])) == \
+        "not a tree: 2 bags, 0 edges"
+    assert treedec.validate(
+        g, TreeDecomposition([{0, 1}, {1, 2}, {2}], [(0, 1), (0, 1)])) == \
+        "not a tree: disconnected"
+    # tree edges naming bags that do not exist
+    three = [{0, 1}, {1, 2}, {2}]
+    assert treedec.validate(g, TreeDecomposition(three, [(0, 1), (0, 5)])) \
+        == "tree edge out of range: 0,5"
+    assert treedec.validate(g, TreeDecomposition(three, [(0, 1), (0, -1)])) \
+        == "tree edge out of range: -1,0"
     # trivial decompositions
     assert treedec.validate(Graph(0), TreeDecomposition([frozenset()],
                                                         [])) is None
@@ -94,6 +106,8 @@ def test_solvers_match_brute_force():
         assert g.is_stable(ss_wit) and len(ss_wit) == ss
         vc, vc_wit = treedec.solve_vertex_cover(g, t)
         assert vc == oracle.brute_vertex_cover(g)
+        assert len(vc_wit) == vc
+        assert all(u in vc_wit or v in vc_wit for u, v in g.edges())
         assert ss + vc == g.n
         ds, ds_wit = treedec.solve_dominating_set(g, t)
         assert ds == oracle.brute_dominating_set(g)
