@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from . import detect
 from .central_bag import (build_contraction, central_bag,
                           extend_neighborhood, extend_tree)
+from .graph import BuildCheckFailed
 from .hub_partition import build_hub_partition, is_balanced
 from .separators import clique_cutset_atoms, make_structured, ramsey
 from .treedec import (TreeDecomposition, exact_treewidth,
@@ -33,10 +34,6 @@ class Caps:
     hub_budget: int = 5000   # holes examined per hub search; certified
                              # runs fail loudly past it, uncertified runs
                              # fall back to the partial hub set
-
-
-class BuildCheckFailed(Exception):
-    """A check on the builder's own output or invariants failed."""
 
 
 class ClassViolation(Exception):

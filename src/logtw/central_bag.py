@@ -5,7 +5,7 @@ decomposition)."""
 
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import BuildCheckFailed, Graph
 from .treedec import TreeDecomposition
 from .hub_partition import big_component
 
@@ -170,7 +170,9 @@ def extend_tree(g, central, t_beta, part_tds):
     """
     beta, core_set, stars = central
     comps = g.components(removed=beta)
-    assert len(comps) == len(part_tds)
+    if len(comps) != len(part_tds):
+        raise BuildCheckFailed(f"{len(part_tds)} component decompositions "
+                               f"for {len(comps)} components")
 
     bags = []
     for bag0 in t_beta.bags:

@@ -3,8 +3,8 @@ verify decompositions, run the tree-decomposition solvers, and benchmark
 width against graph size.
 
 Exit codes: 0 success, 2 parse error, 3 validation failure (including a
-failed internal output check), 4 exact-search cap exceeded, 5 forbidden
-structure without --uncertified-ok.
+failed check on the builder's or a solver's output), 4 exact-search cap
+exceeded, 5 forbidden structure without --uncertified-ok.
 """
 
 import argparse
@@ -12,11 +12,10 @@ import sys
 from dataclasses import fields
 
 from . import detect, generators
-from .builder import (BuildCheckFailed, Caps, ClassViolation, decompose,
-                      width_bound)
+from .builder import Caps, ClassViolation, decompose, width_bound
 from .formats import (FormatError, read_graph, read_td, write_graph,
                       write_report, write_td)
-from .graph import SizeCapExceeded
+from .graph import BuildCheckFailed, SizeCapExceeded
 from .treedec import (solve_chromatic, solve_dominating_set, solve_q_coloring,
                       solve_stable_set, solve_vertex_cover, validate)
 

@@ -16,6 +16,10 @@ class SizeCapExceeded(Exception):
     """An operation was asked to run beyond its configured exact-search cap."""
 
 
+class BuildCheckFailed(Exception):
+    """A check on the program's own output or invariants failed."""
+
+
 class Graph:
     """Undirected simple graph on vertex set {0..n-1}.
 

@@ -7,7 +7,8 @@ the width bound as the hub-dimension term.
 
 from dataclasses import dataclass
 
-from .graph import greedy_color_by_degeneracy, strict_degeneracy
+from .graph import (BuildCheckFailed, greedy_color_by_degeneracy,
+                    strict_degeneracy)
 from . import detect
 
 
@@ -28,21 +29,26 @@ class HubPartition:
         return len(self.layers)
 
     def check(self, g):
-        """Raise AssertionError if any invariant fails; g is the host
+        """Raise BuildCheckFailed if any invariant fails; g is the host
         graph whose hub set was partitioned."""
         union = set()
         for s in self.layers:
-            assert s, "empty layer"
-            assert not (union & s), "layers overlap"
-            assert g.is_stable(s), "layer not stable"
+            if not s:
+                raise BuildCheckFailed("empty layer")
+            if union & s:
+                raise BuildCheckFailed("layers overlap")
+            if not g.is_stable(s):
+                raise BuildCheckFailed("layer not stable")
             union |= s
-        assert union == set(self.hub_set), "layers do not cover the hub set"
+        if union != set(self.hub_set):
+            raise BuildCheckFailed("layers do not cover the hub set")
         removed = set()
         for s in self.layers:
             for v in sorted(s):
                 deg = len((g.adj[v] & self.hub_set) - removed)
-                assert deg <= 4 * self.delta, \
-                    f"vertex {v} keeps degree {deg} > {4 * self.delta}"
+                if deg > 4 * self.delta:
+                    raise BuildCheckFailed(
+                        f"vertex {v} keeps degree {deg} > {4 * self.delta}")
             removed |= s
 
 
@@ -72,7 +78,8 @@ def layered_halving(g, delta=None):
         take = (len(remaining) + 1) // 2
         low = sorted(ids[v] for v in sub.vertices()
                      if sub.degree(v) <= 4 * delta)
-        assert len(low) >= take, "low-degree half smaller than half"
+        if len(low) < take:
+            raise BuildCheckFailed("low-degree half smaller than half")
         layer = frozenset(low[:take])
         layers.append(layer)
         remaining -= layer

@@ -1,10 +1,14 @@
 """Tree decompositions: data type, validation, exact small-n treewidth,
-nice normal form, and the dynamic-programming solvers that run in
-2^O(width) time per node."""
+and the dynamic-programming solvers that run in 2^O(width) time per bag.
+
+All solvers share one table walk over the decomposition (_dp); each
+supplies only its per-bag state and its introduce, forget and join
+transitions.
+"""
 
 from dataclasses import dataclass
 
-from .graph import Graph, SizeCapExceeded
+from .graph import BuildCheckFailed, SizeCapExceeded, strict_degeneracy
 
 EXACT_TW_CAP = 14
 Q_COLORING_CAP = 8
@@ -135,7 +139,9 @@ def exact_treewidth(g, cap=EXACT_TW_CAP):
         tw = max(tw, sub_tw)
         order.extend(ids[v] for v in sub_order)
     t = decomposition_from_elimination(g, order)
-    assert t.width == tw
+    if t.width != tw:
+        raise BuildCheckFailed(f"elimination order gives width {t.width}, "
+                               f"not the optimum {tw}")
     return tw, t
 
 
@@ -228,141 +234,106 @@ def greedy_fill_decomposition(g):
     return decomposition_from_elimination(g, order)
 
 
-# -- nice decompositions ------------------------------------------------------
+# -- solvers ------------------------------------------------------------------
 
-@dataclass
-class NiceNode:
-    kind: str  # leaf | introduce | forget | join
-    bag: frozenset
-    vertex: int | None
-    children: list
+def _dp(g, t, introduce, forget, join_key, merge, empty):
+    """Run one table DP over t, rooted at bag 0; returns the (value,
+    witness) of the empty state at the root, or None if no state survives.
 
+    A table maps a state of the current bag to (value, witness), the
+    witness being a frozenset. Along each tree edge the child-only
+    vertices are forgotten, largest id first, then the parent-only
+    vertices are introduced, smallest id first; a leaf introduces its bag
+    from the empty state, the arms of a bag's children are joined left to
+    right in t.edges order, and the root bag is forgotten at the end.
 
-class NiceDecomposition:
-    """Rooted binary normal form: leaves have empty bags; introduce and
-    forget nodes change the bag by one vertex; join nodes duplicate it."""
-
-    def __init__(self, root):
-        self.root = root
-
-    def postorder(self):
-        out = []
-        stack = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                out.append(node)
-            else:
-                stack.append((node, True))
-                for c in node.children:
-                    stack.append((c, False))
-        return out
-
-    @property
-    def width(self):
-        return max(len(n.bag) for n in self.postorder()) - 1
-
-
-def _chain_down_to(bag, child_node):
-    """Introduce/forget chain transforming child_node's bag into `bag`."""
-    node = child_node
-    current = set(node.bag)
-    for v in sorted(current - bag, reverse=True):
-        current.discard(v)
-        node = NiceNode("forget", frozenset(current), v, [node])
-    for v in sorted(bag - current):
-        current.add(v)
-        node = NiceNode("introduce", frozenset(current), v, [node])
-    return node
-
-
-def _leaf_chain(bag):
-    node = NiceNode("leaf", frozenset(), None, [])
-    return _chain_down_to(bag, node)
-
-
-def make_nice(t, g=None):
-    """Equivalent nice decomposition with the same width.
-
-    If g is given, the input is validated first.
+    introduce(state, v, bag) gives (state', gain, item) candidates, item
+    being added to the witness unless None; forget(state, v) gives state'
+    or None to drop the state; at a join, the states of both sides with
+    equal join_key(state) pair up, and merge(left, right) gives (state',
+    gain). A candidate replaces a table entry only when its value is
+    strictly larger, so the first of equal-valued candidates is kept.
     """
-    if g is not None:
-        report = validate(g, t)
-        if report is not None:
-            raise ValueError(f"invalid input decomposition: {report}")
+    report = validate(g, t)
+    if report is not None:
+        raise ValueError(f"invalid decomposition: {report}")
     adj = [[] for _ in t.bags]
     for a, b in t.edges:
         adj[a].append(b)
         adj[b].append(a)
+    order = [0]
+    children = [[] for _ in t.bags]
+    seen = {0}
+    for i in order:
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                children[i].append(j)
+                order.append(j)
 
-    def build(i, parent):
-        children = [build(j, i) for j in adj[i] if j != parent]
+    def move(tab, bag, target):
+        for v in sorted(bag - target, reverse=True):
+            out = {}
+            for s, (val, wit) in tab.items():
+                s2 = forget(s, v)
+                if s2 is not None and (s2 not in out or val > out[s2][0]):
+                    out[s2] = (val, wit)
+            tab = out
+        bag = bag & target
+        for v in sorted(target - bag):
+            bag = bag | {v}
+            out = {}
+            for s, (val, wit) in tab.items():
+                for s2, gain, item in introduce(s, v, bag):
+                    old = out.get(s2)
+                    if old is None or val + gain > old[0]:
+                        out[s2] = (val + gain,
+                                   wit if item is None else wit | {item})
+            tab = out
+        return tab
+
+    def join(left, right):
+        buckets = {}
+        for s, entry in right.items():
+            buckets.setdefault(join_key(s), []).append((s, entry))
+        out = {}
+        for ls, (lv, lw) in left.items():
+            for rs, (rv, rw) in buckets.get(join_key(ls), ()):
+                s, gain = merge(ls, rs)
+                old = out.get(s)
+                if old is None or lv + rv + gain > old[0]:
+                    out[s] = (lv + rv + gain, lw | rw)
+        return out
+
+    tables = {}
+    for i in reversed(order):
         bag = t.bags[i]
-        if not children:
-            return _leaf_chain(bag)
-        arms = [_chain_down_to(bag, c) for c in children]
-        node = arms[0]
-        for arm in arms[1:]:
-            node = NiceNode("join", bag, None, [node, arm])
-        return node
-
-    root = build(0, None)
-    # forget everything at the top so the root bag is empty
-    root = _chain_down_to(frozenset(), root)
-    return NiceDecomposition(root)
-
-
-# -- solvers ------------------------------------------------------------------
-
-def _prep(g, t):
-    report = validate(g, t)
-    if report is not None:
-        raise ValueError(f"invalid decomposition: {report}")
-    return make_nice(t)
+        tab = None
+        for j in children[i]:
+            arm = move(tables.pop(j), t.bags[j], bag)
+            tab = arm if tab is None else join(tab, arm)
+        if tab is None:
+            tab = move({empty: (0, frozenset())}, frozenset(), bag)
+        tables[i] = tab
+    return move(tables[0], t.bags[0], frozenset()).get(empty)
 
 
 def solve_stable_set(g, t):
-    """(maximum stable set size, witness set)."""
-    nice = _prep(g, t)
-    tables = {}
-    for node in nice.postorder():
-        bag = node.bag
-        if node.kind == "leaf":
-            tab = {frozenset(): (0, frozenset())}
-        elif node.kind == "introduce":
-            v = node.vertex
-            child = tables[id(node.children[0])]
-            tab = {}
-            for s, (val, wit) in child.items():
-                _update(tab, s, val, wit)
-                if not (g.adj[v] & s):
-                    _update(tab, s | {v}, val + 1, wit | {v})
-        elif node.kind == "forget":
-            v = node.vertex
-            child = tables[id(node.children[0])]
-            tab = {}
-            for s, (val, wit) in child.items():
-                _update(tab, s - {v}, val, wit)
-        else:  # join
-            left = tables[id(node.children[0])]
-            right = tables[id(node.children[1])]
-            tab = {}
-            for s, (lv, lw) in left.items():
-                if s in right:
-                    rv, rw = right[s]
-                    _update(tab, s, lv + rv - len(s), lw | rw)
-        tables[id(node)] = tab
-        for c in node.children:
-            del tables[id(c)]
-    val, wit = tables[id(nice.root)][frozenset()]
-    assert g.is_stable(wit) and len(wit) == val
+    """(maximum stable set size, witness set).
+
+    State: the stable set's bag vertices.
+    """
+    def introduce(s, v, bag):
+        if g.adj[v] & s:
+            return ((s, 0, None),)
+        return (s, 0, None), (s | {v}, 1, v)
+
+    val, wit = _dp(g, t, introduce, lambda s, v: s - {v}, lambda s: s,
+                   lambda ls, rs: (ls, -len(ls)), frozenset())
+    if not (g.is_stable(wit) and len(wit) == val):
+        raise BuildCheckFailed(f"stable-set witness {sorted(wit)} is not a "
+                               f"stable set of size {val}")
     return val, wit
-
-
-def _update(tab, key, val, wit):
-    key = frozenset(key)
-    if key not in tab or val > tab[key][0]:
-        tab[key] = (val, frozenset(wit))
 
 
 def solve_vertex_cover(g, t):
@@ -372,150 +343,66 @@ def solve_vertex_cover(g, t):
     return g.n - alpha, frozenset(g.vertices()) - stable
 
 
-IN, DOM, WAIT = 2, 1, 0
-
-
 def solve_dominating_set(g, t):
-    """(minimum dominating set size, witness set)."""
-    if g.n == 0:
-        return 0, frozenset()
-    nice = _prep(g, t)
-    tables = {}
-    for node in nice.postorder():
-        bag = sorted(node.bag)
-        if node.kind == "leaf":
-            tab = {(): (0, frozenset())}
-        elif node.kind == "introduce":
-            v = node.vertex
-            cbag = sorted(node.children[0].bag)
-            child = tables[id(node.children[0])]
-            tab = {}
-            for state, (val, wit) in child.items():
-                st = dict(zip(cbag, state))
-                in_bag_nbrs = g.adj[v] & node.bag
-                # v joins the set: it is its own dominator and upgrades
-                # waiting neighbors
-                st_in = dict(st)
-                st_in[v] = IN
-                for w in in_bag_nbrs:
-                    if st_in[w] == WAIT:
-                        st_in[w] = DOM
-                _upd_dom(tab, bag, st_in, val + 1, wit | {v})
-                # v stays out: dominated iff some bag neighbor is in
-                st_out = dict(st)
-                st_out[v] = DOM if any(st[w] == IN for w in in_bag_nbrs) \
-                    else WAIT
-                _upd_dom(tab, bag, st_out, val, wit)
-        elif node.kind == "forget":
-            v = node.vertex
-            cbag = sorted(node.children[0].bag)
-            child = tables[id(node.children[0])]
-            tab = {}
-            for state, (val, wit) in child.items():
-                st = dict(zip(cbag, state))
-                if st[v] == WAIT:
-                    continue
-                del st[v]
-                _upd_dom(tab, bag, st, val, wit)
-        else:
-            left = tables[id(node.children[0])]
-            right = tables[id(node.children[1])]
-            tab = {}
-            for ls, (lv, lw) in left.items():
-                for rs, (rv, rw) in right.items():
-                    merged = _merge_dom(ls, rs)
-                    if merged is None:
-                        continue
-                    st = dict(zip(bag, merged))
-                    n_in = sum(1 for x in merged if x == IN)
-                    _upd_dom(tab, bag, st, lv + rv - n_in, lw | rw)
-        tables[id(node)] = tab
-        for c in node.children:
-            del tables[id(c)]
-    val, wit = tables[id(nice.root)][()]
-    covered = set()
-    for v in wit:
-        covered |= g.adj[v] | {v}
-    assert len(covered) == g.n and len(wit) == val
-    return val, wit
+    """(minimum dominating set size, witness set).
 
+    State: (taken, dominated) where taken is the set's bag vertices and
+    dominated the other bag vertices with a neighbor in the set; the rest
+    of the bag still waits. Values are negated sizes.
+    """
+    def introduce(s, v, bag):
+        taken, dom = s
+        nbrs = g.adj[v] & bag
+        return (((taken | {v}, dom | (nbrs - taken)), -1, v),
+                ((taken, dom | {v} if nbrs & taken else dom), 0, None))
 
-def _upd_dom(tab, bag, st, val, wit):
-    key = tuple(st[v] for v in bag)
-    if key not in tab or val < tab[key][0]:
-        tab[key] = (val, frozenset(wit))
+    def forget(s, v):
+        taken, dom = s
+        if v in taken:
+            return taken - {v}, dom
+        if v in dom:
+            return taken, dom - {v}
+        return None
 
-
-def _merge_dom(ls, rs):
-    out = []
-    for a, b in zip(ls, rs):
-        if (a == IN) != (b == IN):
-            return None
-        out.append(max(a, b))
-    return tuple(out)
+    val, wit = _dp(g, t, introduce, forget, lambda s: s[0],
+                   lambda ls, rs: ((ls[0], ls[1] | rs[1]), len(ls[0])),
+                   (frozenset(), frozenset()))
+    if len(g.closed_neighborhood(wit)) != g.n or len(wit) != -val:
+        raise BuildCheckFailed(f"dominating-set witness {sorted(wit)} does "
+                               f"not dominate g with {-val} vertices")
+    return -val, wit
 
 
 def solve_q_coloring(g, t, q):
-    """(colorable: bool, witness coloring dict or None) with q colors."""
+    """(colorable: bool, witness coloring dict or None) with q colors.
+
+    State: the frozenset of (vertex, color) pairs of the bag.
+    """
     if q < 1 or q > Q_COLORING_CAP:
         raise ValueError(f"q must be between 1 and {Q_COLORING_CAP}")
-    nice = _prep(g, t)
-    tables = {}
-    for node in nice.postorder():
-        bag = sorted(node.bag)
-        if node.kind == "leaf":
-            tab = {(): {}}
-        elif node.kind == "introduce":
-            v = node.vertex
-            cbag = sorted(node.children[0].bag)
-            child = tables[id(node.children[0])]
-            tab = {}
-            for state, wit in child.items():
-                col = dict(zip(cbag, state))
-                banned = {col[w] for w in g.adj[v] & node.bag if w in col}
-                for c in range(q):
-                    if c in banned:
-                        continue
-                    col2 = dict(col)
-                    col2[v] = c
-                    key = tuple(col2[u] for u in bag)
-                    if key not in tab:
-                        tab[key] = {**wit, v: c}
-        elif node.kind == "forget":
-            v = node.vertex
-            cbag = sorted(node.children[0].bag)
-            child = tables[id(node.children[0])]
-            tab = {}
-            for state, wit in child.items():
-                col = dict(zip(cbag, state))
-                del col[v]
-                key = tuple(col[u] for u in bag)
-                if key not in tab:
-                    tab[key] = wit
-        else:
-            left = tables[id(node.children[0])]
-            right = tables[id(node.children[1])]
-            tab = {}
-            for state, lw in left.items():
-                rw = right.get(state)
-                if rw is not None and state not in tab:
-                    tab[state] = {**lw, **rw}
-        tables[id(node)] = tab
-        for c in node.children:
-            del tables[id(c)]
-    root_tab = tables[id(nice.root)]
-    if not root_tab:
+
+    def introduce(s, v, bag):
+        banned = {c for w, c in s if w in g.adj[v]}
+        return [(s | {(v, c)}, 0, (v, c)) for c in range(q)
+                if c not in banned]
+
+    def forget(s, v):
+        return frozenset(p for p in s if p[0] != v)
+
+    root = _dp(g, t, introduce, forget, lambda s: s, lambda ls, rs: (ls, 0),
+               frozenset())
+    if root is None:
         return False, None
-    wit = root_tab[()]
-    assert all(wit[u] != wit[v] for u, v in g.edges())
-    assert len(wit) == g.n
+    wit = dict(root[1])
+    if len(wit) != g.n or any(wit[u] == wit[v] for u, v in g.edges()):
+        raise BuildCheckFailed(f"{q}-coloring witness is not a proper "
+                               "coloring of g")
     return True, wit
 
 
 def solve_chromatic(g, t):
     """Chromatic number, trying q = 1 upward; the strict degeneracy bound
     guarantees termination within the q-coloring cap when it is <= 8."""
-    from .graph import strict_degeneracy
     if g.n == 0:
         return 0
     limit = min(strict_degeneracy(g), g.n)
@@ -526,4 +413,5 @@ def solve_chromatic(g, t):
         ok, _ = solve_q_coloring(g, t, q)
         if ok:
             return q
-    raise AssertionError("greedy degeneracy bound violated")
+    raise BuildCheckFailed(f"no coloring with at most {limit} colors, "
+                           f"the strict degeneracy bound")

@@ -78,6 +78,22 @@ def test_cli_solve(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "no"
 
 
+def test_cli_solve_long_decomposition(tmp_path, capsys):
+    # a decomposition 2,999 bags deep: bag 0 holds {0, 1}, bag i hangs off
+    # bag i + 1
+    g = generators.path(3000)
+    gpath = tmp_path / "p.gr"
+    tdpath = tmp_path / "p.td"
+    main(["gen", "path", "3000", "--out", str(gpath)])
+    with open(tdpath, "w") as fh:
+        write_td(treedec.decomposition_from_elimination(
+            g, list(g.vertices())), g.n, fh)
+    capsys.readouterr()
+    assert main(["solve", "--graph", str(gpath), "--td", str(tdpath),
+                 "--problem", "stable-set"]) == 0
+    assert capsys.readouterr().out.strip() == "1500"
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.gr"
     bad.write_text("this is not a graph\n")

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from logtw import detect, generators, hub_partition
-from logtw.graph import Graph, strict_degeneracy
+from logtw.graph import BuildCheckFailed, Graph, strict_degeneracy
 
 from conftest import class_members, random_corpus
 
@@ -89,7 +89,7 @@ def test_check_catches_violations():
     hp = hub_partition.build_hub_partition(g)
     bad = hub_partition.HubPartition(hp.layers + (frozenset({0}),),
                                      hp.delta, hp.hub_set)
-    with pytest.raises(AssertionError):
+    with pytest.raises(BuildCheckFailed):
         bad.check(g)
 
 

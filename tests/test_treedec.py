@@ -1,10 +1,13 @@
-"""Tree decompositions: validation, exact width against brute force, nice
-form, and the dynamic-programming solvers against brute force."""
+"""Tree decompositions: validation, exact width against brute force, and
+the dynamic-programming solvers against brute force."""
 
 import pytest
 
 from logtw import generators, oracle, treedec
-from logtw.graph import Graph, SizeCapExceeded
+from logtw.builder import decompose
+from logtw.cli import EXIT_INVALID, main
+from logtw.formats import write_td
+from logtw.graph import BuildCheckFailed, Graph, SizeCapExceeded
 from logtw.treedec import TreeDecomposition
 
 from conftest import random_corpus
@@ -76,31 +79,17 @@ def test_greedy_fill_decomposition_always_valid():
     assert treedec.greedy_fill_decomposition(generators.cycle(9)).width == 2
 
 
-def test_make_nice_preserves_width_and_validity():
-    for g in random_corpus(8, 10, p=0.35, seed_base=1400):
-        w, t = treedec.exact_treewidth(g)
-        nice = treedec.make_nice(t, g)
-        widths = []
-        for node in nice.postorder():
-            widths.append(len(node.bag) - 1)
-            if node.kind == "leaf":
-                assert len(node.bag) <= 1
-            elif node.kind in ("introduce", "forget"):
-                (child,) = node.children
-                diff = node.bag ^ child.bag
-                assert diff == {node.vertex} and len(diff) == 1
-            else:
-                assert all(c.bag == node.bag for c in node.children)
-        assert max(widths) == w
-        assert nice.root.bag == frozenset()
-
-
 def test_solvers_match_brute_force():
     graphs = [*random_corpus(8, 25, p=0.35, seed_base=1500),
               *random_corpus(10, 10, p=0.25, seed_base=1600),
               generators.cycle(5), generators.clique(5), Graph(4)]
-    for g in graphs:
-        _, t = treedec.exact_treewidth(g)
+    # the builder's output has bags with many children and repeated bags
+    decompositions = [
+        (g, t) for g in graphs
+        for t in (treedec.exact_treewidth(g)[1],
+                  treedec.greedy_fill_decomposition(g),
+                  decompose(g, 3, uncertified_ok=True)[0])]
+    for g, t in decompositions:
         ss, ss_wit = treedec.solve_stable_set(g, t)
         assert ss == oracle.brute_stable_set(g)
         assert g.is_stable(ss_wit) and len(ss_wit) == ss
@@ -127,3 +116,32 @@ def test_solvers_reject_invalid_decomposition():
     broken = TreeDecomposition([{0, 1}, {2, 3, 4}], [(0, 1)])
     with pytest.raises(ValueError):
         treedec.solve_stable_set(g, broken)
+
+
+def test_solvers_walk_long_decompositions():
+    # a path eliminated end to end, as min-fill orders it: bags {i, i+1}
+    # chained 2,999 deep below bag 0
+    g = generators.path(3000)
+    t = treedec.decomposition_from_elimination(g, list(g.vertices()))
+    assert treedec.solve_stable_set(g, t)[0] == 1500
+    assert treedec.solve_dominating_set(g, t)[0] == 1000
+    ok, col = treedec.solve_q_coloring(g, t, 2)
+    assert ok and all(col[u] != col[v] for u, v in g.edges())
+
+
+def test_failed_solver_check_raises_and_exits_invalid(monkeypatch, tmp_path,
+                                                      capsys):
+    g = generators.cycle(5)
+    _, t = treedec.exact_treewidth(g)
+    monkeypatch.setattr(Graph, "is_stable", lambda self, s: False)
+    with pytest.raises(BuildCheckFailed):
+        treedec.solve_stable_set(g, t)
+    gpath = tmp_path / "c5.gr"
+    tdpath = tmp_path / "c5.td"
+    main(["gen", "cycle", "5", "--out", str(gpath)])
+    with open(tdpath, "w") as fh:
+        write_td(t, g.n, fh)
+    capsys.readouterr()
+    assert main(["solve", "--graph", str(gpath), "--td", str(tdpath),
+                 "--problem", "stable-set"]) == EXIT_INVALID
+    assert "stable-set witness" in capsys.readouterr().err
