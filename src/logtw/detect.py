@@ -11,7 +11,8 @@ graph.
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .graph import Graph, SizeCapExceeded, enumerate_holes, is_hole
+from .graph import (Graph, SizeCapExceeded, adjacency_masks, enumerate_holes,
+                    is_hole)
 
 DEFAULT_CAP = 30
 
@@ -476,26 +477,39 @@ def wheels_at(g, v, hole_cap=None):
 def hubs(g, hole_cap=None, budget=None, partial=False):
     """The set of hub vertices: each is the center of at least one wheel.
 
-    `budget` bounds the number of holes examined; past it the scan either
+    `budget` bounds the holes examined to the first `budget` holes of
+    length >= 5 in `enumerate_holes` order; past it the scan either
     raises SizeCapExceeded or, with partial=True, returns the hubs found
     so far (a subset of the true hub set).
     """
-    found = set()
+    amask = adjacency_masks(g)
+    found = 0
     for count, hole in enumerate(enumerate_holes(g, min_len=5, cap=hole_cap)):
         if budget is not None and count >= budget:
             if partial:
                 break
             raise SizeCapExceeded(
                 f"hub search budget of {budget} holes exhausted")
-        hset = set(hole)
-        for v in g.vertices():
-            if v in found or v in hset:
+        hmask = 0
+        near = 0
+        for x in hole:
+            hmask |= 1 << x
+            near |= amask[x]
+        cands = near & ~hmask & ~found
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            on = amask[bit.bit_length() - 1] & hmask
+            if on.bit_count() < 3:
                 continue
-            if len(g.adj[v] & hset) < 3:
-                continue
-            if is_valid_wheel(g, Wheel(hole, v)):
-                found.add(v)
-    return frozenset(found)
+            # a wheel: >= 2 long sectors, i.e. >= 2 gaps of >= 2 between
+            # cyclically consecutive neighbour positions on the hole
+            pos = [i for i, x in enumerate(hole) if on >> x & 1]
+            gaps = [b - a for a, b in zip(pos, pos[1:])]
+            gaps.append(len(hole) - pos[-1] + pos[0])
+            if sum(1 for d in gaps if d >= 2) >= 2:
+                found |= bit
+    return frozenset(v for v in range(g.n) if found >> v & 1)
 
 
 def optimal_wheel(g, v, hole_cap=None):

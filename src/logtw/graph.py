@@ -239,12 +239,30 @@ def greedy_color_by_degeneracy(g):
 
 # -- hole enumeration -----------------------------------------------------
 
+def adjacency_masks(g):
+    """Neighbourhoods as int bitmasks: bit w of the v-th entry is set iff
+    vw is an edge."""
+    masks = []
+    for v in range(g.n):
+        m = 0
+        for w in g.adj[v]:
+            m |= 1 << w
+        masks.append(m)
+    return masks
+
+
 def enumerate_holes(g, max_len=None, min_len=4, cap=None):
     """Yield every induced cycle of length >= min_len exactly once.
 
     Each hole is emitted as a tuple in canonical orientation: starting at
     its minimum vertex, second element smaller than the last (this kills
     both rotation and reflection duplicates).
+
+    Order contract (the hub search's budget counts holes in it): a
+    depth-first search over induced paths v0, v1, ..., for v0 ascending,
+    extending each path by the neighbours of its last vertex in ascending
+    order; a hole is yielded when the next vertex closes the path back to
+    v0.
     """
     cap = HOLE_ENUM_VERTEX_CAP if cap is None else cap
     if g.n > cap:
@@ -252,34 +270,48 @@ def enumerate_holes(g, max_len=None, min_len=4, cap=None):
             f"hole enumeration capped at n <= {cap}, got {g.n}")
     if max_len is None:
         max_len = g.n
-    adj = g.adj
-
-    def extend(path, path_set, blocked):
-        # path starts at v0 = path[0]; every other vertex on it exceeds v0.
-        # blocked = vertices adjacent to path[1:-1] (would create a chord).
-        v0 = path[0]
-        last = path[-1]
-        for w in sorted(adj[last]):
-            if w <= v0 or w in path_set or w in blocked:
-                continue
-            if v0 in adj[w]:
-                # w can only close the cycle; extending past it would leave
-                # a chord back to v0.
-                if len(path) >= min_len - 1 and path[1] < w:
-                    yield tuple(path) + (w,)
-            elif len(path) < max_len - 1:
-                new_blocked = blocked | (adj[last] - {w})
-                path.append(w)
-                path_set.add(w)
-                yield from extend(path, path_set, new_blocked)
-                path.pop()
-                path_set.remove(w)
+    amask = adjacency_masks(g)
 
     for v0 in range(g.n):
-        for v1 in sorted(adj[v0]):
-            if v1 <= v0:
-                continue
-            yield from extend([v0, v1], {v0, v1}, set())
+        closers = amask[v0]
+        upto_v0 = (1 << (v0 + 1)) - 1
+        first = closers & ~upto_v0
+        while first:
+            low = first & -first
+            first ^= low
+            v1 = low.bit_length() - 1
+            # A neighbour w of v0 can only close the path (going past it
+            # would leave a chord back to v0), and only when v1 < w (the
+            # canonical orientation); those below v1 are dead ends.
+            dead = closers & ((1 << v1) - 1)
+            live = closers & ~dead & ~low
+            # closed[i]: the vertices the path of length i + 2 may not
+            # extend to: ids <= v0, dead closers, the path itself and the
+            # neighbours of its interior vertices (they would be chords).
+            path = [v0, v1]
+            closed = [upto_v0 | low | dead]
+            todo = [amask[v1] & ~closed[0]]
+            while todo:
+                cands = todo[-1]
+                if not cands:
+                    todo.pop()
+                    closed.pop()
+                    path.pop()
+                    continue
+                bit = cands & -cands
+                todo[-1] = cands ^ bit
+                w = bit.bit_length() - 1
+                if closers & bit:
+                    if len(path) >= min_len - 1:
+                        yield tuple(path) + (w,)
+                elif len(path) < max_len - 1:
+                    reach = closed[-1] | amask[path[-1]]
+                    # closed only grows, so once every live closer is
+                    # closed no extension of this path closes a hole
+                    if live & ~reach:
+                        path.append(w)
+                        closed.append(reach)
+                        todo.append(amask[w] & ~reach)
 
 
 def is_hole(g, cycle):

@@ -218,12 +218,13 @@ def greedy_fill_decomposition(g):
     order = []
 
     def fill_needed(v):
-        nbrs = sorted(adj[v] & remaining)
-        return sum(1 for i in range(len(nbrs)) for j in range(i + 1, len(nbrs))
-                   if nbrs[j] not in adj[nbrs[i]])
+        # each missing edge ab is counted once from a and once from b;
+        # nbrs - adj[a] also holds a itself
+        nbrs = adj[v] & remaining
+        return sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2
 
     while remaining:
-        v = min(sorted(remaining), key=fill_needed)
+        v = min(remaining, key=lambda x: (fill_needed(x), x))
         order.append(v)
         nbrs = adj[v] & remaining
         for a in nbrs:

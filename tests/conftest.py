@@ -4,9 +4,11 @@ Class-member corpora are rejection-sampled once per (n, t) and cached; all
 sampling is seeded, so every run sees the same graphs.
 """
 
+import random
 from functools import lru_cache
 
 from logtw.generators import random_graph, random_in_class
+from logtw.graph import Graph
 
 
 @lru_cache(maxsize=None)
@@ -28,3 +30,10 @@ def class_members(t, n, count, p=None, seed_base=0):
 @lru_cache(maxsize=None)
 def random_corpus(n, count, p=0.3, seed_base=100):
     return tuple(random_graph(n, p, seed=seed_base + i) for i in range(count))
+
+
+def relabelled(g, seed):
+    """g under a seeded random permutation of its vertex ids."""
+    perm = list(g.vertices())
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])

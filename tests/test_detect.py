@@ -5,9 +5,9 @@ partitions and the class membership predicates."""
 import pytest
 
 from logtw import detect, generators, oracle
-from logtw.graph import Graph
+from logtw.graph import Graph, SizeCapExceeded, enumerate_holes
 
-from conftest import random_corpus
+from conftest import random_corpus, relabelled
 
 
 FINDERS = {
@@ -90,6 +90,28 @@ def test_wheel_rejects_short_or_fanned_holes():
     g = Graph(7, edges)
     assert list(detect.wheels_at(g, 6)) == []
     assert detect.hubs(g) == frozenset()
+
+
+def test_hubs_match_wheel_definition_under_budget():
+    graphs = list(random_corpus(12, 12, p=0.3, seed_base=700))
+    graphs += [relabelled(generators.wall(k), seed=k) for k in (3, 4)]
+    assert max(len(list(enumerate_holes(g, min_len=5)))
+               for g in graphs) > 50
+    for g in graphs:
+        holes = list(enumerate_holes(g, min_len=5))
+        for budget in (None, 1, 7, 50):
+            first = holes if budget is None else holes[:budget]
+            expected = {v for v in g.vertices() if any(
+                detect.is_valid_wheel(g, detect.Wheel(h, v)) for h in first)}
+            assert detect.hubs(g, budget=budget, partial=True) == expected
+            if budget is not None and len(holes) > budget:
+                with pytest.raises(SizeCapExceeded,
+                                   match=r"budget of \d+ holes"):
+                    detect.hubs(g, budget=budget)
+            else:
+                assert detect.hubs(g, budget=budget) == expected
+    with pytest.raises(SizeCapExceeded, match=r"capped at n <= \d+"):
+        detect.hubs(Graph(70))
 
 
 def test_local_vertices_and_components():

@@ -4,9 +4,39 @@ import pytest
 
 from logtw.graph import (Graph, SizeCapExceeded, degeneracy_order,
                          enumerate_holes, is_hole, strict_degeneracy)
-from logtw.generators import clique, complete_bipartite, cycle, path
+from logtw.generators import clique, complete_bipartite, cycle, path, wall
 from logtw.oracle import brute_holes
-from conftest import random_corpus
+from conftest import random_corpus, relabelled
+
+
+def _reference_holes(g, max_len=None, min_len=4):
+    """The set-based depth-first hole search that `enumerate_holes` must
+    match hole for hole, in order (no cap)."""
+    if max_len is None:
+        max_len = g.n
+    adj = g.adj
+
+    def extend(path, path_set, blocked):
+        v0 = path[0]
+        last = path[-1]
+        for w in sorted(adj[last]):
+            if w <= v0 or w in path_set or w in blocked:
+                continue
+            if v0 in adj[w]:
+                if len(path) >= min_len - 1 and path[1] < w:
+                    yield tuple(path) + (w,)
+            elif len(path) < max_len - 1:
+                new_blocked = blocked | (adj[last] - {w})
+                path.append(w)
+                path_set.add(w)
+                yield from extend(path, path_set, new_blocked)
+                path.pop()
+                path_set.remove(w)
+
+    for v0 in range(g.n):
+        for v1 in sorted(adj[v0]):
+            if v1 > v0:
+                yield from extend([v0, v1], {v0, v1}, set())
 
 
 def test_construction_and_basic_queries():
@@ -58,9 +88,20 @@ def test_hole_enumeration_on_named_graphs():
     assert len(list(enumerate_holes(complete_bipartite(2, 3)))) == 3
 
 
+def test_hole_enumeration_order_matches_reference():
+    # the hub search's budget cuts this sequence, so equal sets are not
+    # enough: the order must be the same too
+    graphs = list(random_corpus(12, 30, p=0.3, seed_base=1200))
+    graphs += [relabelled(wall(k), seed=k) for k in (3, 4, 5)]
+    for g in graphs:
+        for min_len, max_len in ((4, None), (5, None), (6, 6)):
+            assert list(enumerate_holes(g, max_len, min_len)) == list(
+                _reference_holes(g, max_len, min_len))
+
+
 def test_hole_enumeration_cap():
     g = Graph(70)
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=r"capped at n <= \d+"):
         list(enumerate_holes(g))
     assert list(enumerate_holes(g, cap=70)) == []
 
