@@ -4,12 +4,12 @@ report.
 The pipeline for a connected graph: split at clique cutsets; inside each
 atom, return a single bag when a cube forces a small vertex count, else
 partition the hub vertices into stable low-degree layers and shrink the
-graph through a sequence of central bags, one layer at a time.  The final
-central bag is either hub-free (solved by bounded-width search) or owns a
-balanced layer vertex (solved through the contraction graph).  The shrink
-is then unwound: each central bag's decomposition is extended back over
-the components it cut off, and the atom decompositions are glued at their
-cutset cliques.
+graph recursively, one layer at a time: each step cuts its piece down to a
+central bag, decomposes that bag by the next step, and extends the bag's
+decomposition back over the components it cut off.  The recursion ends at
+a central bag that is hub-free (solved by bounded-width search) or owns a
+balanced layer vertex (solved through the contraction graph).  The atom
+decompositions are glued at their cutset cliques.
 """
 
 from dataclasses import dataclass, field
@@ -83,11 +83,11 @@ def width_bound(t, n, delta, hdim):
 
 # -- assembly helpers ---------------------------------------------------------
 
-def _relabel(td, table):
-    """Map a decomposition's bags through an id lookup table: the
-    local -> outer list from Graph.induced, or its inverse dict."""
+def _relabel(td, ids):
+    """Map a decomposition's bags from an induced subgraph's ids to the
+    host's, through the new id -> old id list from Graph.induced."""
     return TreeDecomposition(
-        [frozenset(table[x] for x in bag) for bag in td.bags], td.edges)
+        [frozenset(ids[x] for x in bag) for bag in td.bags], td.edges)
 
 
 def _chain(decomps):
@@ -248,102 +248,88 @@ def _atom(g, t, caps, report, depth):
                              partial=not report.certified)
     report.delta_used = max(report.delta_used, hp.delta)
     report.hdim_used = max(report.hdim_used, hp.order)
+    return _shrink(g, g.vertices(), hp, hp.hub_set, 0, t, caps, report,
+                   depth, g.n)
 
-    # shrink through central bags, one stable hub layer at a time
-    beta = frozenset(g.vertices())
-    levels = []  # (beta_before, central_bag triple) per shrinking step
-    balanced_pick = None
-    # hubs of g[beta] as last searched; None once beta has shrunk since
-    hub_final = hp.hub_set
-    for idx, layer in enumerate(hp.layers):
-        sub, ids = g.induced(beta)
-        inv = {v: i for i, v in enumerate(ids)}
-        if report.certified:
-            hub_local = detect.hubs(sub, hole_cap=caps.hole,
-                                    budget=caps.hub_budget)
-            hub_g = frozenset(ids[x] for x in hub_local)
-        else:
-            # a wheel of an induced subgraph is a wheel of g, so the
-            # top-level hub set restricted to beta is a safe superset;
-            # only the width accounting cares, and it is not certified
-            hub_g = hp.hub_set & beta
-        hub_final = hub_g
-        if not hub_g:
+
+def _shrink(g, ids, hp, hub, first, t, caps, report, depth, n):
+    """Decompose g, a central bag of an n-vertex atom, through the hub
+    layers hp.layers[first:]; bags in g's ids.
+
+    ids maps g's ids to the atom's, in which the layers are given, and is
+    increasing, so id order is the same in both; hub is g's hub set.  The
+    first layer meeting hub either owns a balanced vertex, which ends the
+    shrink, or cuts g down to a central bag; that bag is decomposed by the
+    next step and the tree is extended back over the components it cut
+    off.  With no hub left, g is hub-free.
+    """
+    for idx in range(first, len(hp.layers)):
+        if not hub:
             break
+        layer = hp.layers[idx]
         if report.certified:
             # consumed layers must already be clear of the surviving hub
             # set, and surviving layer vertices stay low-degree towards it
+            hub_ids = {ids[x] for x in hub}
             for j in range(idx):
-                if hp.layers[j] & hub_g:
+                if hp.layers[j] & hub_ids:
                     raise BuildCheckFailed(
                         f"depth {depth}, layer {idx}: consumed layer {j} "
                         f"meets the surviving hub set")
-            for v in sorted(layer & beta):
-                if len(sub.adj[inv[v]] & hub_local) > 4 * hp.delta:
+            for x in g.vertices():
+                if ids[x] in layer and len(g.adj[x] & hub) > 4 * hp.delta:
                     raise BuildCheckFailed(
-                        f"depth {depth}, layer {idx}: vertex {v} has more "
-                        f"than {4 * hp.delta} hub neighbours")
-        sprime = layer & hub_g
+                        f"depth {depth}, layer {idx}: vertex {ids[x]} has "
+                        f"more than {4 * hp.delta} hub neighbours")
+        sprime = [x for x in sorted(hub) if ids[x] in layer]
         if not sprime:
             continue
-        bal = [v for v in sorted(sprime) if is_balanced(sub, inv[v])]
+        bal = [x for x in sprime if is_balanced(g, x)]
         if bal:
-            balanced_pick = bal[0]
-            report.levels.append({"beta": len(beta), "sprime": len(sprime),
+            report.levels.append({"beta": g.n, "sprime": len(sprime),
                                   "branch": "balanced"})
-            break
-        central = central_bag(sub, [inv[v] for v in sorted(sprime)])
-        levels.append((beta, central))
-        report.levels.append({"beta": len(beta), "sprime": len(sprime),
+            td = _balanced(g, bal[0], hub, t, caps, report, depth)
+            report.trace.append({"depth": depth, "n": n, "beta": g.n,
+                                 "branch": "balanced"})
+            return td
+        central = central_bag(g, sprime)
+        report.levels.append({"beta": g.n, "sprime": len(sprime),
                               "branch": "shrink"})
-        beta = frozenset(ids[x] for x in central[0])
-        hub_final = None
-
-    # decompose the final central bag
-    sub, ids = g.induced(beta)
-    inv = {v: i for i, v in enumerate(ids)}
-    if balanced_pick is None:
+        sub, sub_ids = g.induced(central[0])
         if report.certified:
-            if hub_final is None:
-                hub_final = detect.hubs(sub, hole_cap=caps.hole,
-                                        budget=caps.hub_budget)
-            if hub_final:
-                raise BuildCheckFailed(
-                    f"depth {depth}: final central bag of {len(beta)} "
-                    f"vertices still has hubs")
-        td_local = _hub_free(sub, t, caps, report)
-        report.trace.append(
-            {"depth": depth, "n": g.n, "beta": len(beta),
-             "branch": "hub-free"})
-    else:
-        hub_local_final = frozenset(inv[v] for v in hub_final)
-        td_local = _balanced(sub, inv[balanced_pick], hub_local_final,
-                             t, caps, report, depth)
-        report.trace.append(
-            {"depth": depth, "n": g.n, "beta": len(beta),
-             "branch": "balanced"})
-    td_cur = _relabel(td_local, ids)
-    beta_cur = beta
+            sub_hub = detect.hubs(sub, hole_cap=caps.hole,
+                                  budget=caps.hub_budget)
+        else:
+            # a wheel of an induced subgraph is a wheel of g, so g's hub
+            # set restricted to the bag is a safe superset; only the width
+            # accounting cares, and it is not certified
+            sub_hub = frozenset(i for i, x in enumerate(sub_ids) if x in hub)
+        td = _shrink(sub, [ids[x] for x in sub_ids], hp, sub_hub, idx + 1,
+                     t, caps, report, depth, n)
+        t_beta = _relabel(_structured(sub, td, caps, report), sub_ids)
+        part_tds = _parts(g, g.components(removed=central[0]), t, caps,
+                          report, depth + 1)
+        return extend_tree(g, central, t_beta, part_tds)
 
-    # unwind: extend each central bag's tree over the components it cut off
-    for beta_prev, central in reversed(levels):
-        csub, cids = g.induced(beta_cur)
-        cinv = {v: i for i, v in enumerate(cids)}
-        td_struct = _relabel(
-            _structured(csub, _relabel(td_cur, cinv), caps, report), cids)
-        # psub is the graph central_bag ran on, so central is in its ids
-        psub, pids = g.induced(beta_prev)
-        pinv = {v: i for i, v in enumerate(pids)}
-        t_beta = _relabel(td_struct, pinv)
-        part_tds = []
-        for comp in psub.components(removed=central[0]):
-            dsub, dids = psub.induced(comp)
-            ptd = _structured(dsub, _any(dsub, t, caps, report, depth + 1),
-                              caps, report)
-            part_tds.append(_relabel(ptd, dids))
-        td_cur = _relabel(extend_tree(psub, central, t_beta, part_tds), pids)
-        beta_cur = beta_prev
-    return td_cur  # beta_0 was all of g, so these are g's ids already
+    if report.certified and hub:
+        raise BuildCheckFailed(f"depth {depth}: final central bag of {g.n} "
+                               f"vertices still has hubs")
+    td = _hub_free(g, t, caps, report)
+    report.trace.append({"depth": depth, "n": n, "beta": g.n,
+                         "branch": "hub-free"})
+    return td
+
+
+def _parts(g, parts, t, caps, report, depth):
+    """Structured decompositions of g[part] for each vertex set in parts,
+    each in g's ids."""
+    out = []
+    for part in parts:
+        sub, ids = g.induced(part)
+        td = _structured(sub, _any(sub, t, caps, report, depth), caps,
+                         report)
+        out.append(_relabel(td, ids))
+    return out
 
 
 def _balanced(g, v, hub, t, caps, report, depth):
@@ -352,10 +338,5 @@ def _balanced(g, v, hub, t, caps, report, depth):
     hub-free routine, recurse on the components, and extend back."""
     cg = build_contraction(g, v, hub)
     t0 = _structured(cg.h, _hub_free(cg.h, t, caps, report), caps, report)
-    part_tds = []
-    for part in cg.parts:
-        psub, pids = g.induced(part)
-        ptd = _structured(psub, _any(psub, t, caps, report, depth + 1), caps,
-                      report)
-        part_tds.append(_relabel(ptd, pids))
+    part_tds = _parts(g, cg.parts, t, caps, report, depth + 1)
     return extend_neighborhood(g, cg, t0, part_tds)

@@ -36,11 +36,11 @@ def local_closure(g, v, component):
     return frozenset(d | g.open_neighborhood(d) | {v})
 
 
-def are_star_twins(g, u, v, stars=None):
-    """Unbalanced u, v are star twins when their separations agree up to
-    swapping the centers."""
-    su = stars[u] if stars else star_separation(g, u)
-    sv = stars[v] if stars else star_separation(g, v)
+def are_star_twins(g, u, v, stars):
+    """Unbalanced u, v are star twins when their separations (stars maps
+    each vertex to its star separation) agree up to swapping the
+    centers."""
+    su, sv = stars[u], stars[v]
     return su.b == sv.b and su.c - {u} == sv.c - {v}
 
 
@@ -54,11 +54,10 @@ def leq_A(g, x, y, stars):
     return y in stars[x].a
 
 
-def core(g, s, stars=None):
-    """The leq_A-minimal elements of the stable set s."""
+def core(g, s, stars):
+    """The leq_A-minimal elements of the stable set s; stars maps each
+    vertex of s to its star separation."""
     s = sorted(s)
-    if stars is None:
-        stars = {v: star_separation(g, v) for v in s}
     return frozenset(x for x in s
                      if not any(leq_A(g, y, x, stars)
                                 for y in s if y != x))

@@ -121,8 +121,7 @@ def _greedy_color_classes(g, vertices):
 
 def is_balanced(g, v):
     """Every component of g minus N[v] has at most n/2 vertices."""
-    closed = g.closed_neighborhood({v})
-    return all(2 * len(c) <= g.n for c in g.components(removed=closed))
+    return big_component(g, v) is None
 
 
 def big_component(g, v):

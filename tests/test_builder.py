@@ -1,6 +1,8 @@
 """The end-to-end builder: width-bound formula, gluing, certified builds on
 class members, and the exact small-graph fallback."""
 
+import hashlib
+
 import pytest
 
 from logtw import builder, detect, generators, oracle, treedec
@@ -8,7 +10,7 @@ from logtw.builder import Caps, ClassViolation, decompose, width_bound
 from logtw.graph import Graph
 from logtw.treedec import TreeDecomposition
 
-from conftest import class_members
+from conftest import class_members, hub_layer_cases
 
 
 def test_width_bound_values():
@@ -74,6 +76,32 @@ def test_decompose_class_members_certified_and_bounded():
             assert td.width <= report.bound
             assert td.width >= oracle.brute_treewidth(g)
             assert report.n == g.n and report.t == t_param
+
+
+def test_certified_builds_walk_the_hub_layers():
+    for g, branches in hub_layer_cases():
+        td, report = decompose(g, 3)
+        assert report.certified
+        assert treedec.validate(g, td) is None
+        assert td.width <= report.bound
+        assert [lv["branch"] for lv in report.levels] == branches
+
+
+def test_builder_output_is_pinned():
+    # sha256 over the bags, edges, report lines and trace of these builds,
+    # recorded from a known-good build: a change to the output, its order
+    # or the report shows here
+    corpus = [generators.wall(k) for k in (3, 4, 5)]
+    corpus += [g for g, _ in hub_layer_cases()]
+    corpus += [generators.random_graph(n, 2 / n, seed=n)
+               for n in range(20, 60, 4)]
+    out = []
+    for g in corpus:
+        td, report = decompose(g, 3, uncertified_ok=True)
+        out.append(([sorted(b) for b in td.bags], td.edges,
+                    list(report.as_lines()), report.trace))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "3af066c591da2bb8f2c4b4cf84b743a2dc69f9e0076a775921229b2e5dc4eb76")
 
 
 def test_decompose_disconnected_input():

@@ -35,8 +35,9 @@ def test_star_twins():
     # long path are star twins
     edges = [(i, i + 1) for i in range(9)] + [(10, 0), (11, 0)]
     g = Graph(12, edges)
-    assert central_bag.are_star_twins(g, 10, 11)
-    assert not central_bag.are_star_twins(g, 10, 1)
+    stars = {v: central_bag.star_separation(g, v) for v in (1, 10, 11)}
+    assert central_bag.are_star_twins(g, 10, 11, stars)
+    assert not central_bag.are_star_twins(g, 10, 1, stars)
 
 
 def test_leq_a_and_core_on_path():
@@ -46,7 +47,7 @@ def test_leq_a_and_core_on_path():
     assert central_bag.leq_A(p, 3, 1, stars)      # A(3) contains 1
     assert not central_bag.leq_A(p, 1, 3, stars)
     assert central_bag.leq_A(p, 1, 1, stars)      # reflexive
-    assert central_bag.core(p, s) == frozenset({3})
+    assert central_bag.core(p, s, stars) == frozenset({3})
 
 
 def test_central_bag_values():

@@ -14,7 +14,8 @@ from logtw.graph import Graph
 from logtw.separators import ramsey
 from logtw.treedec import validate
 
-from conftest import class_members, random_corpus
+from conftest import (class_members, hub_layer_cases, random_corpus,
+                      wheel_bearing_cstar_graphs)
 
 
 def _hub_set(g):
@@ -30,21 +31,6 @@ def _members():
     out = [(3, g) for g in class_members(3, 12, 12, seed_base=3000)]
     out += [(3, g) for g in class_members(3, 14, 8, seed_base=3100)]
     out += [(4, g) for g in class_members(4, 12, 8, seed_base=3200)]
-    return out
-
-
-def _wheel_bearing_cstar_graphs():
-    """Restricted members that actually contain hubs: a hole plus one
-    extra vertex seeing three spread-out hole vertices."""
-    out = []
-    for length in (7, 8, 9, 10):
-        for spokes in combinations(range(length), 3):
-            edges = [(i, (i + 1) % length) for i in range(length)]
-            edges += [(length, s) for s in spokes]
-            g = Graph(length + 1, edges)
-            if _hub_set(g) and detect.in_class_Cstar(g, caps=g.n)[0]:
-                out.append(g)
-    assert len(out) >= 10
     return out
 
 
@@ -110,7 +96,7 @@ def test_cube_forces_clique_cutset_or_cube_partition():
 
 
 def test_optimal_wheel_is_not_dominated_by_one_component():
-    for g in _wheel_bearing_cstar_graphs():
+    for g in wheel_bearing_cstar_graphs():
         for v in _hub_set(g):
             wheels = list(detect.wheels_at(g, v, hole_cap=g.n))
             best = min(len(g.adj[v] & set(w.hole)) for w in wheels)
@@ -123,7 +109,7 @@ def test_optimal_wheel_is_not_dominated_by_one_component():
 
 
 def test_hub_loses_hub_status_in_component_closures():
-    for g in _wheel_bearing_cstar_graphs():
+    for g in wheel_bearing_cstar_graphs():
         for v in _hub_set(g):
             for d in g.components(removed=g.closed_neighborhood({v})):
                 closure = central_bag.local_closure(g, v, d)
@@ -223,7 +209,7 @@ def test_central_bag_guarantees():
 
 
 def test_contracted_neighborhood_stays_in_class_and_wheel_free():
-    graphs = [(3, g) for g in _wheel_bearing_cstar_graphs()[:8]
+    graphs = [(3, g) for g in wheel_bearing_cstar_graphs()[:8]
               if detect.in_class_Ct(g, 3, caps=g.n)[0]]
     graphs += [(t, g) for t, g in _members()[:10]]
     assert any(_hub_set(g) for _, g in graphs)
@@ -252,10 +238,12 @@ def test_hub_partition_bound_on_members():
 
 
 def test_certified_builds_keep_layer_claims_live():
-    # the builder asserts, during every certified run, that consumed
+    # the builder checks, during every certified run, that consumed
     # layers never regain hub status in later central bags and that layer
-    # vertices keep low hub-degree; these runs execute those assertions
-    for t, g in _members()[:12]:
+    # vertices keep low hub-degree; the members have no hubs, so only the
+    # hub-layer cases reach those checks
+    graphs = _members()[:12] + [(3, g) for g, _ in hub_layer_cases()]
+    for t, g in graphs:
         td, report = decompose(g, t, caps=Caps(detect=g.n, hole=g.n))
         assert report.certified
         assert validate(g, td) is None
