@@ -158,8 +158,11 @@ def decompose(g, t, caps=None, uncertified_ok=False):
     cap; a violation raises ClassViolation unless uncertified_ok, in which
     case the build still runs but the report is marked uncertified.  On
     certified runs the achieved width is checked against width_bound; a
-    failed output check raises BuildCheckFailed.
+    failed output check raises BuildCheckFailed.  t < 3 raises
+    width_bound's ValueError before any work.
     """
+    if t < 3:
+        raise ValueError("need t >= 3 and n >= 1")
     caps = caps or Caps()
     report = BuildReport(t=t, n=g.n)
     if g.n <= caps.detect:

@@ -29,13 +29,6 @@ def star_separation(g, v):
     return StarSeparation(v, a, c, frozenset(b))
 
 
-def local_closure(g, v, component):
-    """The vertex set D union N(D) union {v} (the piece of g that a
-    component of g minus N[v] sees, closed back up to v)."""
-    d = set(component)
-    return frozenset(d | g.open_neighborhood(d) | {v})
-
-
 def are_star_twins(g, u, v, stars):
     """Unbalanced u, v are star twins when their separations (stars maps
     each vertex to its star separation) agree up to swapping the

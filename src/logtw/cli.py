@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields
 
 from . import detect, generators
-from .builder import Caps, ClassViolation, decompose, width_bound
+from .builder import Caps, ClassViolation, decompose
 from .formats import (FormatError, read_graph, read_td, write_graph,
                       write_report, write_td)
 from .graph import BuildCheckFailed, SizeCapExceeded

@@ -1,11 +1,12 @@
 """Constructors for the named graph families used throughout the tests:
-walls, line graphs, thetas, pyramids, prisms, pinched prisms, the cube,
-cycles, cliques, complete bipartite graphs, and seeded random graphs with
+walls, thetas, pyramids, prisms, pinched prisms, the cube, cycles,
+cliques, complete bipartite graphs, and seeded random graphs with
 rejection sampling into the forbidden-structure-free classes.
 """
 
 import random
 
+from . import detect
 from .graph import Graph
 
 
@@ -146,17 +147,6 @@ def wall(k):
     return Graph(n, edges)
 
 
-def line_graph(g):
-    """L(g): one vertex per edge of g, adjacent when the edges share an end."""
-    es = sorted(g.edges())
-    out = []
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            if set(es[i]) & set(es[j]):
-                out.append((i, j))
-    return Graph(len(es), out)
-
-
 def random_graph(n, p, seed):
     """Seeded G(n, p); identical output for identical arguments."""
     if not 0 <= p <= 1:
@@ -170,7 +160,6 @@ def random_graph(n, p, seed):
 def random_in_class(n, p, t, seed, max_tries=200, caps=None):
     """Rejection-sample G(n, p) until the graph excludes thetas, pyramids,
     generalized prisms and K_t; returns None when tries are exhausted."""
-    from . import detect
     for i in range(max_tries):
         g = random_graph(n, p, seed * 100003 + i)
         ok, _ = detect.in_class_Ct(g, t, caps=caps)

@@ -1,6 +1,7 @@
 """Immutable simple graphs over dense 0-based vertex ids, plus the primitive
 queries everything else is built on: neighborhoods, components, degeneracy,
-shortest (hence induced) paths and induced-hole enumeration.
+shortest (hence induced) paths, induced-path and hole checks, and
+induced-hole enumeration.
 
 All iteration orders are deterministic (ids ascending) so that certificates
 and decompositions are reproducible.
@@ -314,15 +315,17 @@ def enumerate_holes(g, max_len=None, min_len=4, cap=None):
                         todo.append(amask[w] & ~reach)
 
 
-def is_hole(g, cycle):
-    """Check a vertex tuple really is an induced cycle of length >= 4."""
-    k = len(cycle)
-    if k < 4 or len(set(cycle)) != k:
+def is_induced_path(g, seq, cycle=False):
+    """Is the vertex sequence seq an induced path of g: no vertex twice,
+    consecutive vertices adjacent and no other pair?  With cycle=True, is
+    it a hole: an induced cycle of length >= 4, the last vertex also
+    adjacent to the first?"""
+    k = len(seq)
+    if k < (4 if cycle else 1) or len(set(seq)) != k:
         return False
     for i in range(k):
         for j in range(i + 1, k):
-            adjacent = g.has_edge(cycle[i], cycle[j])
-            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
-            if adjacent != consecutive:
+            consecutive = j - i == 1 or (cycle and i == 0 and j == k - 1)
+            if g.has_edge(seq[i], seq[j]) != consecutive:
                 return False
     return True

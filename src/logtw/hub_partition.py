@@ -52,16 +52,6 @@ class HubPartition:
             removed |= s
 
 
-def low_degree_half(g):
-    """Vertices of degree <= 4*delta; always at least half of them.
-
-    delta is the strict degeneracy bound, so the average degree is below
-    2*delta and fewer than half the vertices can exceed 4*delta.
-    """
-    delta = strict_degeneracy(g)
-    return frozenset(v for v in g.vertices() if g.degree(v) <= 4 * delta)
-
-
 def layered_halving(g, delta=None):
     """Partition V(g) into layers T_1..T_m, m <= ceil(log2 n) + 1.
 

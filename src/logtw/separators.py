@@ -1,13 +1,11 @@
-"""Minimal separators, full components, clique cutsets, potential maximal
-cliques, minimal chordal completions, clique trees, and the Ramsey table
-used by the width bounds."""
+"""Clique-cutset atoms, minimal chordal completions, clique trees, bag
+structuring into potential maximal cliques, and the Ramsey table used by
+the width bounds."""
 
 import heapq
 from math import comb
 
-from .graph import Graph, SizeCapExceeded
-
-SEPARATOR_ENUM_CAP = 20
+from . import treedec
 
 # exact small Ramsey numbers R(s, t) = R(t, s); beyond the table we fall
 # back to the binomial upper bound, which keeps every width inequality sound
@@ -31,54 +29,6 @@ def ramsey(t, s):
     if (t, s) in _RAMSEY_EXACT:
         return _RAMSEY_EXACT[(t, s)]
     return comb(t + s - 2, t - 1)
-
-
-def full_components(g, x):
-    """Components D of g minus x with N(D) = x."""
-    xs = frozenset(x)
-    return [c for c in g.components(removed=xs)
-            if g.open_neighborhood(c) == xs]
-
-
-def is_minimal_separator(g, x):
-    """x is a minimal separator iff at least two components of g minus x
-    see all of x."""
-    return len(full_components(g, x)) >= 2
-
-
-def enumerate_minimal_separators(g, cap=SEPARATOR_ENUM_CAP):
-    """Every minimal separator exactly once.
-
-    Seeds with the component neighborhoods N(C) for C a component of
-    g minus N[v], then closes under the substitution step: for X found and
-    x in X, the neighborhoods of components of g minus (X union N(x)) are
-    minimal separators too.
-    """
-    if g.n > cap:
-        raise SizeCapExceeded(f"separator enumeration capped at n <= {cap}, "
-                              f"got n = {g.n}")
-    seen = set()
-    queue = []
-    empty = frozenset()
-    if is_minimal_separator(g, empty):  # g disconnected
-        seen.add(empty)
-    for v in g.vertices():
-        closed = g.closed_neighborhood({v})
-        for c in g.components(removed=closed):
-            x = frozenset(g.open_neighborhood(c))
-            if x and x not in seen and is_minimal_separator(g, x):
-                seen.add(x)
-                queue.append(x)
-    while queue:
-        x = queue.pop()
-        for v in sorted(x):
-            removed = set(x) | g.closed_neighborhood({v})
-            for c in g.components(removed=removed):
-                y = frozenset(g.open_neighborhood(c))
-                if y and y not in seen and is_minimal_separator(g, y):
-                    seen.add(y)
-                    queue.append(y)
-    yield from sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
 # -- clique cutsets ----------------------------------------------------------
@@ -180,31 +130,6 @@ def clique_cutset_atoms(g):
     return atoms, glue
 
 
-# -- potential maximal cliques ------------------------------------------------
-
-def is_pmc(g, omega, explain=False):
-    """Is omega a potential maximal clique?
-
-    (1) every non-edge of omega is covered by a component of g minus
-    omega, and (2) no component sees all of omega.
-    """
-    om = frozenset(omega)
-    comps = g.components(removed=om)
-    nbhds = [g.open_neighborhood(c) for c in comps]
-    for nb in nbhds:
-        if nb == om and om:
-            return (False, "a component sees all of omega") if explain \
-                else False
-    for u in sorted(om):
-        for v in sorted(om):
-            if v <= u or g.has_edge(u, v):
-                continue
-            if not any(u in nb and v in nb for nb in nbhds):
-                return (False, f"non-edge {u},{v} uncovered") if explain \
-                    else False
-    return (True, "ok") if explain else True
-
-
 # -- chordality, fills, clique trees ------------------------------------------
 
 def perfect_elimination_order(g):
@@ -224,10 +149,6 @@ def perfect_elimination_order(g):
     return order
 
 
-def is_chordal(g):
-    return perfect_elimination_order(g) is not None
-
-
 def clique_tree(g):
     """A tree decomposition of a chordal graph whose bags are exactly its
     maximal cliques, read off a maximum cardinality search (Blair and
@@ -239,12 +160,11 @@ def clique_tree(g):
     current bag. A bag with empty madj starts a new component and hangs
     off bag 0.
     """
-    from .treedec import TreeDecomposition
     order = perfect_elimination_order(g)
     if order is None:
         raise ValueError("clique_tree requires a chordal graph")
     if not order:
-        return TreeDecomposition([frozenset()], [])
+        return treedec.TreeDecomposition([frozenset()], [])
     pos = {v: i for i, v in enumerate(order)}
     madj = _madj(g.adj, order)
     bags = []
@@ -261,7 +181,7 @@ def clique_tree(g):
         bags[-1].add(v)
         bag_of[v] = len(bags) - 1
         prev = len(s)
-    return TreeDecomposition(bags, edges)
+    return treedec.TreeDecomposition(bags, edges)
 
 
 def make_structured(g, t):
@@ -276,8 +196,7 @@ def make_structured(g, t):
     uv lies in exactly one maximal clique, which is exactly when the
     completion minus uv stays chordal (Rose, Tarjan and Lueker 1976).
     """
-    from .treedec import validate
-    report = validate(g, t)
+    report = treedec.validate(g, t)
     if report is not None:
         raise ValueError(f"invalid input decomposition: {report}")
     adj = [set(nb) for nb in g.adj]

@@ -12,6 +12,8 @@ from logtw import detect
 from logtw.generators import random_graph, random_in_class
 from logtw.graph import Graph
 
+import lemmas
+
 
 @lru_cache(maxsize=None)
 def class_members(t, n, count, p=None, seed_base=0):
@@ -59,7 +61,7 @@ def wheel_bearing_cstar_graphs():
         for spokes in combinations(range(length), 3):
             g = cycle_with_hubs(length, spokes)
             if detect.hubs(g, hole_cap=g.n) and \
-                    detect.in_class_Cstar(g, caps=g.n)[0]:
+                    lemmas.in_class_Cstar(g, caps=g.n)[0]:
                 out.append(g)
     assert len(out) >= 10
     return tuple(out)

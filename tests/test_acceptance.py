@@ -18,6 +18,8 @@ from logtw.formats import read_td, write_td
 from logtw.graph import Graph
 from logtw.separators import ramsey
 
+import lemmas
+
 
 def _line(text):
     print(text, flush=True)
@@ -314,7 +316,7 @@ def _c8():
             assert treedec.validate(g, out) is None
             assert out.width <= td.width
             for bag in out.bags:
-                assert separators.is_pmc(g, bag)
+                assert lemmas.is_pmc(g, bag)
             count += 1
     assert count == 100
     return "100 (graph, decomposition) pairs"

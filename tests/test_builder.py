@@ -148,3 +148,19 @@ def test_failed_output_check_raises_and_exits_invalid(monkeypatch, tmp_path,
     capsys.readouterr()
     assert main(["decompose", "--in", str(gpath), "--t", "3"]) == EXIT_INVALID
     assert "forced failure" in capsys.readouterr().err
+
+
+def test_decompose_rejects_small_t_before_any_work(monkeypatch, tmp_path,
+                                                   capsys):
+    from logtw.cli import EXIT_PARSE, main
+    gpath = tmp_path / "c5.gr"
+    main(["gen", "cycle", "5", "--out", str(gpath)])
+
+    def never(*args, **kwargs):
+        raise AssertionError("the build started")
+    monkeypatch.setattr(builder, "_any", never)
+    monkeypatch.setattr(detect, "in_class_Ct", never)
+    for flags in ([], ["--uncertified-ok"]):
+        assert main(["decompose", "--in", str(gpath), "--t", "2"]
+                    + flags) == EXIT_PARSE
+        assert "need t >= 3" in capsys.readouterr().err

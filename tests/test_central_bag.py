@@ -7,6 +7,8 @@ from logtw import central_bag, generators, treedec
 from logtw.graph import Graph
 from logtw.treedec import TreeDecomposition
 
+import lemmas
+
 
 def test_star_separation_on_path():
     p = generators.path(12)
@@ -27,7 +29,7 @@ def test_star_separation_on_path():
 def test_local_closure():
     p = generators.path(12)
     comp = {0}
-    assert central_bag.local_closure(p, 1, comp) == frozenset({0, 1})
+    assert lemmas.local_closure(p, 1, comp) == frozenset({0, 1})
 
 
 def test_star_twins():

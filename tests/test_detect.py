@@ -7,6 +7,7 @@ import pytest
 from logtw import detect, generators, oracle
 from logtw.graph import Graph, SizeCapExceeded, enumerate_holes
 
+import lemmas
 from conftest import random_corpus, relabelled
 
 
@@ -69,26 +70,26 @@ def _wheel_graph():
 
 def test_wheel_sectors_and_validity():
     g = _wheel_graph()
-    wheels = list(detect.wheels_at(g, 7))
+    wheels = list(lemmas.wheels_at(g, 7))
     assert len(wheels) == 1
     w = wheels[0]
-    assert detect.is_valid_wheel(g, w)
-    secs = detect.sectors(g, w)
+    assert lemmas.is_valid_wheel(g, w)
+    secs = lemmas.sectors(g, w)
     assert len(secs) == 3
     # every sector starts and ends at hub neighbors and walks the hole
     for s in secs:
         assert g.has_edge(7, s[0]) and g.has_edge(7, s[-1])
-    assert len(detect.long_sectors(g, w)) == 3
+    assert len(lemmas.long_sectors(g, w)) == 3
     assert sorted(detect.hubs(g)) == [7]
-    assert detect.optimal_wheel(g, 7) is not None
-    assert detect.optimal_wheel(g, 0) is None
+    assert lemmas.optimal_wheel(g, 7) is not None
+    assert lemmas.optimal_wheel(g, 0) is None
 
 
 def test_wheel_rejects_short_or_fanned_holes():
     # hub adjacent to 3 consecutive hole vertices: only one long sector
     edges = [(i, (i + 1) % 6) for i in range(6)] + [(6, 0), (6, 1), (6, 2)]
     g = Graph(7, edges)
-    assert list(detect.wheels_at(g, 6)) == []
+    assert list(lemmas.wheels_at(g, 6)) == []
     assert detect.hubs(g) == frozenset()
 
 
@@ -102,7 +103,7 @@ def test_hubs_match_wheel_definition_under_budget():
         for budget in (None, 1, 7, 50):
             first = holes if budget is None else holes[:budget]
             expected = {v for v in g.vertices() if any(
-                detect.is_valid_wheel(g, detect.Wheel(h, v)) for h in first)}
+                lemmas.is_valid_wheel(g, lemmas.Wheel(h, v)) for h in first)}
             assert detect.hubs(g, budget=budget, partial=True) == expected
             if budget is not None and len(holes) > budget:
                 with pytest.raises(SizeCapExceeded,
@@ -118,14 +119,14 @@ def test_local_vertices_and_components():
     base = _wheel_graph()
     # 8 sees only vertex 1, strictly inside one sector: local
     g = Graph(10, list(base.edges()) + [(8, 1), (9, 1), (9, 3)])
-    w = next(detect.wheels_at(g, 7))
-    assert detect.is_local_vertex(g, w, 8)
+    w = next(lemmas.wheels_at(g, 7))
+    assert lemmas.is_local_vertex(g, w, 8)
     # 9 reaches across two sectors (hole vertices 1 and 3): not local
-    assert not detect.is_local_vertex(g, w, 9)
+    assert not lemmas.is_local_vertex(g, w, 9)
     with pytest.raises(ValueError):
-        detect.is_local_vertex(g, w, 0)  # hole vertices are excluded
-    assert detect.is_local_component(g, w, {8})
-    assert not detect.is_local_component(g, w, {9})
+        lemmas.is_local_vertex(g, w, 0)  # hole vertices are excluded
+    assert lemmas.is_local_component(g, w, {8})
+    assert not lemmas.is_local_component(g, w, {9})
 
 
 def test_stranded_wheel_contour():
@@ -133,19 +134,19 @@ def test_stranded_wheel_contour():
     # two long gaps flank 4, so the wheel is stranded with contour run+(4,)
     edges = [(i, (i + 1) % 8) for i in range(8)] + [(8, 0), (8, 1), (8, 4)]
     g = Graph(9, edges)
-    w = next(detect.wheels_at(g, 8))
-    contour = detect.is_stranded(g, w)
+    w = next(lemmas.wheels_at(g, 8))
+    contour = lemmas.is_stranded(g, w)
     assert contour is not None
     assert contour[-1] == 4 and set(contour[:-1]) == {0, 1}
     # hub spread over three spaced vertices is not stranded
-    assert detect.is_stranded(_wheel_graph(),
-                              next(detect.wheels_at(_wheel_graph(), 7))) is None
+    assert lemmas.is_stranded(_wheel_graph(),
+                              next(lemmas.wheels_at(_wheel_graph(), 7))) is None
 
 
 def test_connector_outcome_path():
     # x0 - 3 - 4 - x1, with x2 attached to both internal vertices
     g = Graph(5, [(0, 3), (3, 4), (4, 1), (2, 3), (2, 4)])
-    h, (outcome, roles) = detect.minimal_connected_connector(g, 0, 1, 2)
+    h, (outcome, roles) = lemmas.minimal_connected_connector(g, 0, 1, 2)
     assert h == frozenset({3, 4})
     assert outcome == "i"
     assert set(roles["pair"]) == {0, 1} and roles["third"] == 2
@@ -154,7 +155,7 @@ def test_connector_outcome_path():
 def test_connector_outcome_spider():
     # center 3 with three legs of length 2 reaching x0, x1, x2
     g = Graph(7, [(3, 4), (4, 0), (3, 5), (5, 1), (3, 6), (6, 2)])
-    h, (outcome, roles) = detect.minimal_connected_connector(g, 0, 1, 2)
+    h, (outcome, roles) = lemmas.minimal_connected_connector(g, 0, 1, 2)
     assert h == frozenset({3, 4, 5, 6})
     assert outcome == "ii"
     assert roles["center"] == 3
@@ -164,7 +165,7 @@ def test_connector_outcome_triangle():
     # triangle 3-4-5, legs 3-6-0, 4-7-1, 5-8-2
     g = Graph(9, [(3, 4), (4, 5), (3, 5),
                   (3, 6), (6, 0), (4, 7), (7, 1), (5, 8), (8, 2)])
-    h, (outcome, roles) = detect.minimal_connected_connector(g, 0, 1, 2)
+    h, (outcome, roles) = lemmas.minimal_connected_connector(g, 0, 1, 2)
     assert h == frozenset({3, 4, 5, 6, 7, 8})
     assert outcome == "iii"
     assert set(roles["triangle"]) == {3, 4, 5}
@@ -173,14 +174,14 @@ def test_connector_outcome_triangle():
 def test_connector_rejects_bad_input():
     g = generators.path(5)
     with pytest.raises(ValueError):
-        detect.minimal_connected_connector(g, 0, 0, 1)
+        lemmas.minimal_connected_connector(g, 0, 0, 1)
     with pytest.raises(ValueError):
-        detect.minimal_connected_connector(g, 0, 2, 4)  # middle cut by x's
+        lemmas.minimal_connected_connector(g, 0, 2, 4)  # middle cut by x's
 
 
 def test_cube_partition_on_cube_and_blowup():
     g = generators.cube()
-    out = detect.find_cube_partition(g)
+    out = lemmas.find_cube_partition(g)
     assert out is not None
     classes, v2 = out
     assert v2 == frozenset()
@@ -191,13 +192,13 @@ def test_cube_partition_on_cube_and_blowup():
     extra = [(8, v) for v in g.adj[0]] + [(8, 0)]   # 8 duplicates corner 0
     dom = [(9, v) for v in range(9)]
     g2 = Graph(10, base + extra + dom)
-    out2 = detect.find_cube_partition(g2)
+    out2 = lemmas.find_cube_partition(g2)
     assert out2 is not None
     classes2, v22 = out2
     assert v22 == frozenset({9})
     assert sorted(len(c) for c in classes2.values()) == [1] * 7 + [2]
 
-    assert detect.find_cube_partition(generators.cycle(8)) is None
+    assert lemmas.find_cube_partition(generators.cycle(8)) is None
 
 
 def test_class_membership_predicates():
@@ -212,7 +213,7 @@ def test_class_membership_predicates():
     ok, _ = detect.in_class_Ct(generators.clique(4), 5)
     assert ok
 
-    ok, cert = detect.in_class_Cstar(generators.cube())
+    ok, cert = lemmas.in_class_Cstar(generators.cube())
     assert not ok and cert.kind == "Cube"
-    ok, _ = detect.in_class_Cstar(generators.cycle(7))
+    ok, _ = lemmas.in_class_Cstar(generators.cycle(7))
     assert ok

@@ -5,9 +5,8 @@ import pytest
 
 from logtw import detect
 from logtw.generators import (clique, complete_bipartite, cube, cycle,
-                              line_graph, path, pinched_prism, prism,
-                              pyramid, random_graph, random_in_class, theta,
-                              wall)
+                              pinched_prism, prism, pyramid, random_graph,
+                              random_in_class, theta, wall)
 from logtw.oracle import brute_contains_induced, brute_treewidth
 
 
@@ -54,11 +53,6 @@ def test_wall_shape_and_treewidth():
     assert brute_treewidth(wall(2)) == 2
     with pytest.raises(ValueError):
         wall(1)
-
-
-def test_line_graph_of_path():
-    p3 = line_graph(path(4))
-    assert p3.n == 3 and sorted(p3.edges()) == [(0, 1), (1, 2)]
 
 
 def test_random_graph_determinism():

@@ -3,7 +3,7 @@
 import pytest
 
 from logtw.graph import (Graph, SizeCapExceeded, degeneracy_order,
-                         enumerate_holes, is_hole, strict_degeneracy)
+                         enumerate_holes, is_induced_path, strict_degeneracy)
 from logtw.generators import clique, complete_bipartite, cycle, path, wall
 from logtw.oracle import brute_holes
 from conftest import random_corpus, relabelled
@@ -107,9 +107,25 @@ def test_hole_enumeration_cap():
 
 
 def test_is_hole():
-    g = cycle(5)
-    assert is_hole(g, (0, 1, 2, 3, 4))
-    assert not is_hole(g, (0, 1, 2, 3))
+    # (graph, sequence, an induced path?, a hole?)
+    c5 = cycle(5)
+    chorded = c5.with_edges([(0, 2)])
+    cases = [(c5, (3,), True, False),
+             (c5, (), False, False),
+             (path(4), (0, 1, 2, 3), True, False),
+             (c5, (0, 1, 2, 3), True, False),
+             (c5, (4, 0, 1), True, False),
+             (chorded, (0, 1, 2, 3), False, False),  # chord 0-2
+             (path(4), (0, 1, 0), False, False),  # repeated vertex
+             (cycle(4), (0, 1, 0, 1), False, False),
+             (cycle(4), (0, 1, 2, 3), False, True),
+             (c5, (0, 1, 2, 3, 4), False, True),
+             (c5, (0, 2, 4, 1, 3), False, False),
+             (clique(3), (0, 1, 2), False, False),  # a triangle
+             (chorded, (0, 1, 2, 3, 4), False, False)]
+    for g, seq, as_path, as_hole in cases:
+        assert is_induced_path(g, seq) == as_path, seq
+        assert is_induced_path(g, seq, cycle=True) == as_hole, seq
 
 
 def test_degeneracy():

@@ -8,6 +8,7 @@ import pytest
 from logtw import detect, generators, hub_partition
 from logtw.graph import BuildCheckFailed, Graph, strict_degeneracy
 
+import lemmas
 from conftest import class_members, random_corpus
 
 
@@ -31,7 +32,7 @@ def test_hubs_found_on_wheel_graph():
 
 def test_low_degree_half_is_at_least_half():
     for g in random_corpus(12, 15, p=0.3, seed_base=1700):
-        low = hub_partition.low_degree_half(g)
+        low = lemmas.low_degree_half(g)
         assert 2 * len(low) >= g.n
         d = strict_degeneracy(g)
         assert all(g.degree(v) <= 4 * d for v in low)

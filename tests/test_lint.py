@@ -1,6 +1,7 @@
 """Source rules checked over the whole package."""
 
 import ast
+import re
 from pathlib import Path
 
 import logtw
@@ -30,3 +31,43 @@ def test_benchmark_tracer_names_resolve():
     missing = [f"{module.__name__}.{attr}" for module, attr in names
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_src_names_reach_the_product():
+    # every top-level function, class and constant of src/logtw must be
+    # reachable from the command line or the benchmark; checks that only
+    # the tests need belong in tests/lemmas.py.  oracle.py is exempt: the
+    # benchmark's output checks and the tests use its brute-force
+    # references, and a reference shares no code with what it checks.
+    # Dunders are exempt: Python itself looks them up.  A reference is a
+    # bare name or an attribute name, matched by name in every module.
+    src = Path(logtw.__file__).parent
+    refs = {}  # (module, name) -> names its definition refers to
+    for path in sorted(src.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            used = {n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node)
+                    if isinstance(n, (ast.Name, ast.Attribute))}
+            for name in names:
+                if not name.startswith("__"):
+                    refs[(path.stem, name)] = used
+    bench = "\n".join(p.read_text() for p in sorted(
+        (Path(__file__).parent.parent / "benchmark").glob("*.py")))
+    todo = [key for key in refs if key[0] == "cli"
+            or re.search(rf"\b{key[1]}\b", bench)]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            todo += [other for other in refs if other[1] in refs[key]]
+    assert sorted(f"{m}.{n}" for m, n in set(refs) - reached) == []

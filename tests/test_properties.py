@@ -14,6 +14,7 @@ from logtw.graph import Graph
 from logtw.separators import ramsey
 from logtw.treedec import validate
 
+import lemmas
 from conftest import (class_members, hub_layer_cases, random_corpus,
                       wheel_bearing_cstar_graphs)
 
@@ -37,7 +38,7 @@ def _members():
 def test_minimal_separators_have_small_non_hub_part():
     for t, g in _members():
         hub = _hub_set(g)
-        for x in separators.enumerate_minimal_separators(g):
+        for x in lemmas.enumerate_minimal_separators(g):
             rest = x - hub
             assert _no_stable_subset(g, rest, 3)
             assert len(rest) <= ramsey(t, 3)
@@ -61,7 +62,7 @@ def test_pmcs_have_small_non_hub_part():
         verts = sorted(g.vertices())
         for r in range(1, g.n + 1):
             for omega in combinations(verts, r):
-                if not separators.is_pmc(g, omega):
+                if not lemmas.is_pmc(g, omega):
                     continue
                 rest = set(omega) - hub
                 assert _no_stable_subset(g, rest, 4)
@@ -91,14 +92,14 @@ def _cube_bearing_theta_pyramid_free():
 def test_cube_forces_clique_cutset_or_cube_partition():
     for g in _cube_bearing_theta_pyramid_free():
         has_cut = separators.find_clique_cutset(g) is not None
-        has_partition = detect.find_cube_partition(g) is not None
+        has_partition = lemmas.find_cube_partition(g) is not None
         assert has_cut or has_partition
 
 
 def test_optimal_wheel_is_not_dominated_by_one_component():
     for g in wheel_bearing_cstar_graphs():
         for v in _hub_set(g):
-            wheels = list(detect.wheels_at(g, v, hole_cap=g.n))
+            wheels = list(lemmas.wheels_at(g, v, hole_cap=g.n))
             best = min(len(g.adj[v] & set(w.hole)) for w in wheels)
             for w in wheels:
                 if len(g.adj[v] & set(w.hole)) != best:
@@ -112,7 +113,7 @@ def test_hub_loses_hub_status_in_component_closures():
     for g in wheel_bearing_cstar_graphs():
         for v in _hub_set(g):
             for d in g.components(removed=g.closed_neighborhood({v})):
-                closure = central_bag.local_closure(g, v, d)
+                closure = lemmas.local_closure(g, v, d)
                 sub, ids = g.induced(closure)
                 inv = {x: i for i, x in enumerate(ids)}
                 assert inv[v] not in detect.hubs(sub, hole_cap=sub.n)
@@ -225,7 +226,7 @@ def test_contracted_neighborhood_stays_in_class_and_wheel_free():
                                           for i in range(len(cg.kept))])
             assert detect.in_class_Ct(hv, t, caps=hv.n)[0]
             for x in h.vertices():
-                assert next(detect.wheels_at(h, x, hole_cap=h.n), None) is None
+                assert next(lemmas.wheels_at(h, x, hole_cap=h.n), None) is None
 
 
 def test_hub_partition_bound_on_members():

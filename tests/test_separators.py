@@ -9,6 +9,7 @@ from logtw.builder import glue_at_clique
 from logtw.graph import Graph
 from logtw.treedec import TreeDecomposition
 
+import lemmas
 from conftest import random_corpus
 
 
@@ -30,30 +31,30 @@ def test_minimal_separator_enumeration_matches_brute():
     for g in [*random_corpus(7, 25, p=0.35, seed_base=900),
               generators.path(6), generators.cycle(7),
               Graph(5, [(0, 1), (2, 3)]), generators.clique(4)]:
-        got = set(separators.enumerate_minimal_separators(g))
+        got = set(lemmas.enumerate_minimal_separators(g))
         assert got == oracle.brute_minimal_separators(g)
         for x in got:
-            assert separators.is_minimal_separator(g, x)
+            assert lemmas.is_minimal_separator(g, x)
 
 
 def test_full_components_and_minimality():
     p5 = generators.path(5)
-    assert separators.is_minimal_separator(p5, {2})
-    assert not separators.is_minimal_separator(p5, {1, 2})
-    fulls = separators.full_components(p5, {2})
+    assert lemmas.is_minimal_separator(p5, {2})
+    assert not lemmas.is_minimal_separator(p5, {1, 2})
+    fulls = lemmas.full_components(p5, {2})
     assert sorted(map(sorted, fulls)) == [[0, 1], [3, 4]]
 
 
 def test_is_pmc():
     c5 = generators.cycle(5)
     # in C_5 the potential maximal cliques are the induced P_3's
-    assert separators.is_pmc(c5, {0, 1, 2})
-    assert not separators.is_pmc(c5, {0, 1})      # edge: a minimal separator
-    assert not separators.is_pmc(c5, {0, 1, 2, 3})
-    assert separators.is_pmc(generators.clique(4), set(range(4)))
+    assert lemmas.is_pmc(c5, {0, 1, 2})
+    assert not lemmas.is_pmc(c5, {0, 1})      # edge: a minimal separator
+    assert not lemmas.is_pmc(c5, {0, 1, 2, 3})
+    assert lemmas.is_pmc(generators.clique(4), set(range(4)))
     p4 = generators.path(4)
-    assert separators.is_pmc(p4, {1, 2})
-    assert not separators.is_pmc(p4, {0, 3})
+    assert lemmas.is_pmc(p4, {1, 2})
+    assert not lemmas.is_pmc(p4, {0, 3})
 
 
 def test_minimal_triangulation_is_chordal_and_minimal():
@@ -61,12 +62,12 @@ def test_minimal_triangulation_is_chordal_and_minimal():
               generators.cycle(8), generators.complete_bipartite(3, 3)]:
         fill, order = separators.minimal_triangulation(g)
         h = g.with_edges(fill)
-        assert separators.is_chordal(h)
+        assert lemmas.is_chordal(h)
         assert not (set(fill) & set(g.edges()))
         # inclusion-minimal: dropping any single fill edge breaks chordality
         for e in fill:
             rest = [f for f in fill if f != e]
-            assert not separators.is_chordal(g.with_edges(rest))
+            assert not lemmas.is_chordal(g.with_edges(rest))
 
 
 def test_clique_tree_is_valid_decomposition():
@@ -167,7 +168,7 @@ def test_make_structured_preserves_width_and_gives_pmcs():
         assert treedec.validate(g, s) is None
         assert s.width <= t.width == w
         for bag in s.bags:
-            assert separators.is_pmc(g, bag)
+            assert lemmas.is_pmc(g, bag)
 
 
 def test_make_structured_fill_is_minimal():
@@ -178,9 +179,9 @@ def test_make_structured_fill_is_minimal():
         s = separators.make_structured(g, treedec.greedy_fill_decomposition(g))
         fill = {(u, v) for bag in s.bags for u in bag for v in bag
                 if u < v and not g.has_edge(u, v)}
-        assert separators.is_chordal(g.with_edges(fill))
+        assert lemmas.is_chordal(g.with_edges(fill))
         for e in fill:
-            assert not separators.is_chordal(g.with_edges(fill - {e}))
+            assert not lemmas.is_chordal(g.with_edges(fill - {e}))
 
 
 def test_perfect_elimination_order():
@@ -188,5 +189,5 @@ def test_perfect_elimination_order():
     tree = Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
     order = separators.perfect_elimination_order(tree)
     assert order is not None and sorted(order) == list(range(5))
-    assert separators.is_chordal(generators.clique(6))
-    assert not separators.is_chordal(generators.cycle(4))
+    assert lemmas.is_chordal(generators.clique(6))
+    assert not lemmas.is_chordal(generators.cycle(4))
