@@ -158,7 +158,8 @@ def decompose(g, t, caps=None, uncertified_ok=False):
     cap; a violation raises ClassViolation unless uncertified_ok, in which
     case the build still runs but the report is marked uncertified.  On
     certified runs the achieved width is checked against width_bound; a
-    failed output check raises BuildCheckFailed.  t < 3 raises
+    failed output check, or a violation certificate that fails its own
+    check, raises BuildCheckFailed.  t < 3 raises
     width_bound's ValueError before any work.
     """
     if t < 3:
@@ -170,6 +171,7 @@ def decompose(g, t, caps=None, uncertified_ok=False):
         if ok:
             report.certified = True
         elif not uncertified_ok:
+            cert.check(g)
             raise ClassViolation(cert)
 
     if g.n == 0:

@@ -95,6 +95,8 @@ def cmd_gen(args):
 
 
 def cmd_detect(args):
+    if args.cap < 0:
+        raise ValueError("--cap must be >= 0")
     g = _load_graph(args.infile)
     cap = args.cap if args.cap else g.n
     if args.what == "class":
@@ -102,12 +104,14 @@ def cmd_detect(args):
         if ok:
             print(f"in-class t={args.t}")
             return EXIT_OK
+        cert.check(g)
         print(f"violation: {cert.kind} {dict(sorted(cert.roles.items()))}")
         return EXIT_CLASS
     cert = _DETECTORS[args.what](g, cap=cap)
     if cert is None:
         print(f"{args.what}: none")
     else:
+        cert.check(g)
         print(f"{args.what}: found {dict(sorted(cert.roles.items()))}")
     return EXIT_OK
 

@@ -5,14 +5,17 @@ membership test built on it, and the hub search.
 Every detector is an exhaustive search with pruning, capped by vertex count
 (DEFAULT_CAP, overridable per call); every positive answer carries a
 certificate whose verify() re-checks the full definition against the host
-graph.
+graph.  The theta, pyramid and prism finders differ only in which ends
+they try: each is three induced paths between two ends (a vertex or a
+triangle), found by the one search `_three_paths`.  The verifiers share no
+code with that search.
 """
 
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .graph import (SizeCapExceeded, adjacency_masks, degeneracy_order,
-                    enumerate_holes, is_induced_path)
+from .graph import (BuildCheckFailed, SizeCapExceeded, adjacency_masks,
+                    degeneracy_order, enumerate_holes, is_induced_path)
 
 DEFAULT_CAP = 30
 
@@ -36,6 +39,13 @@ class Certificate:
     def verify(self, g):
         return _VERIFIERS[self.kind](g, self.roles)
 
+    def check(self, g):
+        """Raise BuildCheckFailed unless verify(g) holds; a detector's
+        answer is reported only after this check."""
+        if not self.verify(g):
+            raise BuildCheckFailed(f"{self.kind} certificate fails its "
+                                   f"check: {dict(sorted(self.roles.items()))}")
+
 
 # -- definition checks on explicit roles -----------------------------------
 
@@ -45,7 +55,7 @@ def _verify_theta(g, roles):
         return False
     interiors = []
     for p in paths:
-        if p[0] != a or p[-1] != b or len(p) < 3:  # length >= 2
+        if len(p) < 3 or p[0] != a or p[-1] != b:  # length >= 2
             return False
         if not is_induced_path(g, p):
             return False
@@ -61,13 +71,14 @@ def _verify_theta(g, roles):
 
 def _verify_pyramid(g, roles):
     a, base, paths = roles["apex"], roles["base"], roles["paths"]
-    if len(base) != 3 or not g.is_clique(base) or a in base:
+    if len(base) != 3 or len(paths) != 3 or not g.is_clique(base) or \
+            a in base:
         return False
     if sum(1 for p in paths if len(p) == 2) > 1:
         return False
     sides = []
     for p, b in zip(paths, base):
-        if p[0] != a or p[-1] != b or len(p) < 2:
+        if len(p) < 2 or p[0] != a or p[-1] != b:
             return False
         if not is_induced_path(g, p):
             return False
@@ -85,11 +96,13 @@ def _verify_pyramid(g, roles):
 
 def _verify_prism(g, roles):
     tri_a, tri_b, paths = roles["triangle_a"], roles["triangle_b"], roles["paths"]
+    if len(tri_a) != 3 or len(tri_b) != 3 or len(paths) != 3:
+        return False
     if not (g.is_clique(tri_a) and g.is_clique(tri_b)):
         return False
     sides = []
     for p, ai, bi in zip(paths, tri_a, tri_b):
-        if p[0] != ai or p[-1] != bi or len(p) < 2:
+        if len(p) < 2 or p[0] != ai or p[-1] != bi:
             return False
         if not is_induced_path(g, p):
             return False
@@ -151,13 +164,13 @@ _VERIFIERS = {
 }
 
 
-# -- induced path enumeration ----------------------------------------------
+# -- three-path-configurations ---------------------------------------------
 
-def _induced_paths(g, a, b, allowed):
-    """Yield induced a-b paths whose interior lies in `allowed`.
+def _induced_paths(g, a, b, banned):
+    """Yield induced a-b paths whose interior avoids `banned`.
 
-    `allowed` must exclude a and b. Interior vertices are free to be
-    adjacent to a or b only as the path's own edges dictate (induced).
+    Interior vertices are free to be adjacent to a or b only as the path's
+    own edges dictate (induced).
     """
     adj = g.adj
 
@@ -168,7 +181,7 @@ def _induced_paths(g, a, b, allowed):
                 if len(path) == 1 or b not in blocked:
                     yield path + [b]
                 continue
-            if w not in allowed or w in path_set or w in blocked:
+            if w in banned or w in path_set or w in blocked:
                 continue
             path.append(w)
             path_set.add(w)
@@ -179,36 +192,52 @@ def _induced_paths(g, a, b, allowed):
     yield from extend([a], {a}, set())
 
 
-def _shortest_within(g, a, b, allowed):
-    """Shortest a-b path with interior in `allowed` (None if none exists)."""
-    ok = set(allowed) | {a, b}
-    forbidden = [v for v in g.vertices() if v not in ok]
-    return g.shortest_path(a, b, forbidden)
+def _leg_paths(g, a, b, banned):
+    if g.has_edge(a, b):
+        yield [a, b]
+    else:
+        yield from _induced_paths(g, a, b, banned)
 
 
-# -- three-path-configuration detectors ------------------------------------
+def _three_paths(g, legs):
+    """Three induced paths, one per (start, end) leg, with disjoint
+    interiors and no edge between two of them except among the ends, or
+    None: the legs of a theta, pyramid or prism.
+
+    An end shared by all three legs (a theta's a and b, a pyramid's apex)
+    may be seen by every leg; any other end only by its own leg, so a
+    leg's interior avoids the ends, the neighbours of the other legs'
+    unshared ends and the closed neighbourhoods of the earlier legs'
+    interiors.  Legs 1 and 2 are enumerated in `_induced_paths` order, leg
+    3 is the shortest path that fits beside them, and the first fit is
+    returned.
+    """
+    ends = {x for leg in legs for x in leg}
+    shared = set.intersection(*(set(leg) for leg in legs))
+    ban = [ends | g.open_neighborhood(ends - shared - set(leg))
+           for leg in legs]
+    (a1, b1), (a2, b2), (a3, b3) = legs
+    for p1 in _leg_paths(g, a1, b1, ban[0]):
+        near1 = g.closed_neighborhood(p1[1:-1])
+        for p2 in _leg_paths(g, a2, b2, ban[1] | near1):
+            banned = ban[2] | near1 | g.closed_neighborhood(p2[1:-1])
+            p3 = g.shortest_path(a3, b3, banned - {a3, b3})
+            if p3 is not None:
+                return [p1, p2, p3]
+    return None
+
 
 def find_theta(g, cap=None):
     _check_cap(g, cap)
-    all_v = set(g.vertices())
     for a in g.vertices():
         if g.degree(a) < 3:
             continue
         for b in range(a + 1, g.n):
             if g.degree(b) < 3 or g.has_edge(a, b):
                 continue
-            allowed1 = all_v - {a, b}
-            for p1 in _induced_paths(g, a, b, allowed1):
-                int1 = set(p1[1:-1])
-                allowed2 = allowed1 - g.closed_neighborhood(int1)
-                for p2 in _induced_paths(g, a, b, allowed2):
-                    int2 = set(p2[1:-1])
-                    allowed3 = allowed2 - g.closed_neighborhood(int2)
-                    p3 = _shortest_within(g, a, b, allowed3)
-                    if p3 is not None:
-                        return Certificate("Theta",
-                                           {"a": a, "b": b,
-                                            "paths": [p1, p2, p3]})
+            paths = _three_paths(g, [(a, b)] * 3)
+            if paths is not None:
+                return Certificate("Theta", {"a": a, "b": b, "paths": paths})
     return None
 
 
@@ -224,62 +253,25 @@ def _triangles(g):
 
 def find_pyramid(g, cap=None):
     _check_cap(g, cap)
-    all_v = set(g.vertices())
     for base in _triangles(g):
-        bset = set(base)
         for a in g.vertices():
-            if a in bset:
+            # a pyramid has at most one leg of length 1, so its apex sees
+            # at most one corner
+            if a in base or sum(g.has_edge(a, b) for b in base) > 1:
                 continue
-            direct = [b for b in base if g.has_edge(a, b)]
-            if len(direct) > 1:
-                continue
-            for b1, b2, b3 in _base_orders(base):
-                cert = _pyramid_paths(g, all_v, a, (b1, b2, b3))
-                if cert is not None:
-                    return cert
+            # the corner reached by the shortest-path leg matters, so each
+            # takes that place in turn
+            for last in reversed(base):
+                corners = [b for b in base if b != last] + [last]
+                paths = _three_paths(g, [(a, b) for b in corners])
+                if paths is not None:
+                    return Certificate("Pyramid", {"apex": a, "base": corners,
+                                                   "paths": paths})
     return None
-
-
-def _base_orders(base):
-    # which corner is reached last (by the shortest-path leg) matters,
-    # so try each as b3; the first two legs are enumerated exhaustively.
-    b1, b2, b3 = base
-    return [(b1, b2, b3), (b1, b3, b2), (b2, b3, b1)]
-
-
-def _pyramid_paths(g, all_v, a, corners):
-    b1, b2, b3 = corners
-    bset = {b1, b2, b3}
-    allowed1 = all_v - bset - {a} - g.open_neighborhood({b2, b3})
-    for p1 in _leg_paths(g, a, b1, allowed1):
-        used1 = set(p1[1:])
-        allowed2 = (all_v - bset - {a} - g.closed_neighborhood(used1)
-                    - g.open_neighborhood({b3}))
-        for p2 in _leg_paths(g, a, b2, allowed2):
-            used2 = set(p2[1:])
-            allowed3 = (all_v - {a}
-                        - g.closed_neighborhood(used1)
-                        - g.closed_neighborhood(used2))
-            p3 = _shortest_within(g, a, b3, allowed3)
-            if p3 is not None:
-                paths = [p1, p2, p3]
-                if sum(1 for p in paths if len(p) == 2) <= 1:
-                    return Certificate("Pyramid",
-                                       {"apex": a, "base": list(corners),
-                                        "paths": paths})
-    return None
-
-
-def _leg_paths(g, a, b, allowed):
-    if g.has_edge(a, b):
-        yield [a, b]
-    else:
-        yield from _induced_paths(g, a, b, allowed)
 
 
 def find_prism(g, cap=None):
     _check_cap(g, cap)
-    all_v = set(g.vertices())
     tris = list(_triangles(g))
     for i, ta in enumerate(tris):
         for tb in tris[i + 1:]:
@@ -289,30 +281,11 @@ def find_prism(g, cap=None):
                 if any(g.has_edge(ta[x], perm[y])
                        for x in range(3) for y in range(3) if x != y):
                     continue
-                cert = _prism_paths(g, all_v, ta, perm)
-                if cert is not None:
-                    return cert
-    return None
-
-
-def _prism_paths(g, all_v, ta, tb):
-    aset, bset = set(ta), set(tb)
-    ends = aset | bset
-    ban1 = g.open_neighborhood({ta[1], ta[2], tb[1], tb[2]})
-    for p1 in _leg_paths(g, ta[0], tb[0], all_v - ends - ban1):
-        used1 = set(p1)
-        ban2 = (g.closed_neighborhood(used1)
-                | g.open_neighborhood({ta[2], tb[2]}))
-        for p2 in _leg_paths(g, ta[1], tb[1], all_v - ends - ban2):
-            used2 = set(p2)
-            allowed3 = (all_v - g.closed_neighborhood(used1)
-                        - g.closed_neighborhood(used2))
-            p3 = _shortest_within(g, ta[2], tb[2], allowed3)
-            if p3 is not None:
-                return Certificate("Prism",
-                                   {"triangle_a": list(ta),
-                                    "triangle_b": list(tb),
-                                    "paths": [p1, p2, p3]})
+                paths = _three_paths(g, list(zip(ta, perm)))
+                if paths is not None:
+                    return Certificate("Prism", {"triangle_a": list(ta),
+                                                 "triangle_b": list(perm),
+                                                 "paths": paths})
     return None
 
 

@@ -21,11 +21,27 @@ def clique(n):
 
 
 def complete_bipartite(a, b):
+    if a < 0 or b < 0:
+        raise ValueError("complete bipartite sides must be >= 0")
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _with_legs(n, edges, legs, lengths):
+    """Graph with n numbered vertices and `edges`, plus one path of the
+    given length per (start, end) leg; interiors are numbered from n on,
+    leg by leg."""
+    edges = list(edges)
+    for (prev, end), l in zip(legs, lengths):
+        for _ in range(l - 1):
+            edges.append((prev, n))
+            prev = n
+            n += 1
+        edges.append((prev, end))
+    return Graph(n, edges)
 
 
 def theta(l1, l2, l3):
@@ -35,16 +51,7 @@ def theta(l1, l2, l3):
     if any(l < 2 for l in lengths):
         raise ValueError("theta paths must have length >= 2")
     # vertex 0 = a, vertex 1 = b, then interiors
-    edges = []
-    nxt = 2
-    for l in lengths:
-        prev = 0
-        for _ in range(l - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, 1))
-    return Graph(nxt, edges)
+    return _with_legs(2, [], [(0, 1)] * 3, lengths)
 
 
 def pyramid(l1, l2, l3):
@@ -53,18 +60,10 @@ def pyramid(l1, l2, l3):
     lengths = (l1, l2, l3)
     if any(l < 1 for l in lengths):
         raise ValueError("pyramid paths must have length >= 1")
-    if sum(1 for l in lengths if l == 1) > 1:
+    if lengths.count(1) > 1:
         raise ValueError("at most one pyramid path may have length exactly 1")
-    edges = [(1, 2), (1, 3), (2, 3)]
-    nxt = 4
-    for i, l in enumerate(lengths):
-        prev = 0
-        for _ in range(l - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, i + 1))
-    return Graph(nxt, edges)
+    return _with_legs(4, [(1, 2), (1, 3), (2, 3)],
+                      [(0, 1), (0, 2), (0, 3)], lengths)
 
 
 def prism(l1, l2, l3):
@@ -73,16 +72,8 @@ def prism(l1, l2, l3):
     lengths = (l1, l2, l3)
     if any(l < 1 for l in lengths):
         raise ValueError("prism paths must have length >= 1")
-    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-    nxt = 6
-    for i, l in enumerate(lengths):
-        prev = i
-        for _ in range(l - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, i + 3))
-    return Graph(nxt, edges)
+    return _with_legs(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)],
+                      [(0, 3), (1, 4), (2, 5)], lengths)
 
 
 def pinched_prism(l1, l2):

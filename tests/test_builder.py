@@ -150,6 +150,27 @@ def test_failed_output_check_raises_and_exits_invalid(monkeypatch, tmp_path,
     assert "forced failure" in capsys.readouterr().err
 
 
+def test_bogus_certificate_is_never_reported(monkeypatch, tmp_path,
+                                             capsys):
+    # a detector answer that fails its own verify() is an internal fault,
+    # not a class violation: detect and decompose both exit 3
+    from logtw import cli
+    bogus = detect.Certificate("Theta", {"a": 0, "b": 1,
+                                         "paths": [[0, 1]] * 3})
+    monkeypatch.setattr(detect, "find_theta", lambda g, cap=None: bogus)
+    monkeypatch.setitem(cli._DETECTORS, "theta", detect.find_theta)
+    with pytest.raises(builder.BuildCheckFailed):
+        decompose(generators.cycle(8), 3)
+    gpath = tmp_path / "c8.gr"
+    cli.main(["gen", "cycle", "8", "--out", str(gpath)])
+    capsys.readouterr()
+    for argv in (["detect", "--in", str(gpath), "--what", "theta"],
+                 ["detect", "--in", str(gpath), "--what", "class"],
+                 ["decompose", "--in", str(gpath), "--t", "3"]):
+        assert cli.main(argv) == cli.EXIT_INVALID, argv
+        assert "Theta certificate fails its check" in capsys.readouterr().err
+
+
 def test_decompose_rejects_small_t_before_any_work(monkeypatch, tmp_path,
                                                    capsys):
     from logtw.cli import EXIT_PARSE, main

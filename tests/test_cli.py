@@ -111,6 +111,13 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--uncertified-ok"]) == 0
     assert "certified=no" in capsys.readouterr().out
 
+    assert main(["gen", "complete-bipartite", "-1", "3"]) == 2
+    assert "sides must be >= 0" in capsys.readouterr().err
+    # a negative cap is a usage error, not a cap hit
+    assert main(["detect", "--in", str(theta), "--what", "theta",
+                 "--cap", "-1"]) == 2
+    assert "--cap must be >= 0" in capsys.readouterr().err
+
     missing = tmp_path / "nope.gr"
     assert main(["detect", "--in", str(missing), "--what", "theta"]) == 2
     capsys.readouterr()

@@ -1,6 +1,10 @@
 """Detector tests: named families, brute-force cross-checks on small random
-graphs, wheels and sectors, connected-connector classification, cube
+graphs, pinned theta/pyramid/prism certificates, verify() on corrupted
+certificates, wheels and sectors, connected-connector classification, cube
 partitions and the class membership predicates."""
+
+import hashlib
+from itertools import product
 
 import pytest
 
@@ -44,6 +48,86 @@ def test_finders_on_named_families():
     for g, kind in cases:
         cert = FINDERS[kind](g, cap=g.n)
         assert cert is not None and cert.verify(g)
+
+
+def test_three_path_certificates_are_pinned():
+    # sha256 over the theta, pyramid and prism certificates (kind and
+    # roles) on a fixed corpus, recorded from a known-good search: a change
+    # to which configuration is found first, or to its roles, shows here
+    corpus = [generators.random_graph(n, p, seed=100 * n + s)
+              for n in range(5, 13) for p in (0.2, 0.3, 0.4, 0.5)
+              for s in range(10)]
+    corpus += [generators.theta(*ls) for ls in product((2, 3, 4), repeat=3)]
+    corpus += [generators.pyramid(*ls) for ls in product((1, 2, 3), repeat=3)
+               if ls.count(1) <= 1]
+    corpus += [generators.prism(*ls) for ls in product((1, 2, 3), repeat=3)]
+    corpus += [generators.wall(k) for k in (3, 4, 5)]
+    out = []
+    for g in corpus:
+        for finder in (detect.find_theta, detect.find_pyramid,
+                       detect.find_prism):
+            cert = finder(g, cap=g.n)
+            out.append(None if cert is None
+                       else (cert.kind, sorted(cert.roles.items())))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "c7bf269246c05a0f5be26016f6765efcb7807ad9d43f2a24e8f65b97d14f6bc6")
+
+
+def _with_edge(g, u, v):
+    return Graph(g.n, list(g.edges()) + [(u, v)])
+
+
+def _without_edge(g, u, v):
+    return Graph(g.n, [e for e in g.edges() if set(e) != {u, v}])
+
+
+def _interior_chord(g, roles):
+    first, second = [p[1:-1] for p in roles["paths"] if len(p) > 2][:2]
+    return _with_edge(g, first[0], second[0]), roles
+
+
+_ALL = ("Theta", "Pyramid", "Prism")
+_CORRUPTIONS = [
+    ("two paths", _ALL,
+     lambda g, r: (g, {**r, "paths": r["paths"][:2]})),
+    ("a path reversed", _ALL,
+     lambda g, r: (g, {**r, "paths": [r["paths"][0][::-1]] + r["paths"][1:]})),
+    ("an empty path", _ALL,
+     lambda g, r: (g, {**r, "paths": [[]] + r["paths"][1:]})),
+    ("a path repeated", _ALL,
+     lambda g, r: (g, {**r, "paths": [r["paths"][1]] + r["paths"][1:]})),
+    ("a chord between interiors", _ALL, _interior_chord),
+    ("an edge a-b", ("Theta",),
+     lambda g, r: (_with_edge(g, r["a"], r["b"]), r)),
+    ("the apex inside the base", ("Pyramid",),
+     lambda g, r: (g, {**r, "base": [r["apex"]] + r["base"][1:]})),
+    ("a base edge removed", ("Pyramid",),
+     lambda g, r: (_without_edge(g, *r["base"][:2]), r)),
+    ("a base edge removed", ("Prism",),
+     lambda g, r: (_without_edge(g, *r["triangle_a"][:2]), r)),
+    ("a triangle-to-triangle cross edge", ("Prism",),
+     lambda g, r: (_with_edge(g, r["triangle_a"][0], r["triangle_b"][1]), r)),
+    ("a short triangle", ("Prism",),
+     lambda g, r: (g, {**r, "triangle_b": r["triangle_b"][:2]})),
+]
+
+
+def test_verify_rejects_corrupted_certificates():
+    # verify() answers False, and never raises, on any certificate that is
+    # not a theta, pyramid or prism of g
+    found = {}
+    for g, finder in ((generators.theta(2, 3, 4), detect.find_theta),
+                      (generators.pyramid(1, 2, 2), detect.find_pyramid),
+                      (generators.prism(1, 2, 3), detect.find_prism)):
+        cert = finder(g, cap=g.n)
+        assert cert.verify(g)
+        found[cert.kind] = g, cert
+    for what, kinds, corrupt in _CORRUPTIONS:
+        for kind in kinds:
+            g, cert = found[kind]
+            bad_g, bad_roles = corrupt(g, dict(cert.roles))
+            assert not detect.Certificate(kind, bad_roles).verify(bad_g), (
+                kind, what)
 
 
 def test_finders_negative_on_plain_graphs():

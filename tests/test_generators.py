@@ -1,6 +1,8 @@
 """Named graph families: definitional examples, determinism, and the
 family-vs-detector confusion matrix."""
 
+import re
+
 import pytest
 
 from logtw import detect
@@ -19,22 +21,38 @@ def test_theta_minimum_is_k23():
     assert brute_contains_induced(g, "theta")
 
 
-def test_theta_rejects_short_paths():
-    with pytest.raises(ValueError):
-        theta(1, 2, 2)
-
-
-def test_pyramid_constraints():
+def test_three_path_families_number_their_legs():
+    # ends first, then each leg's interior in leg order
+    assert sorted(theta(2, 2, 3).edges()) == [
+        (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (4, 5)]
     assert pyramid(1, 2, 2).n == 6
-    with pytest.raises(ValueError):
-        pyramid(1, 1, 2)  # at most one path of length one
+    assert sorted(pyramid(1, 2, 2).edges()) == [
+        (0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5)]
+    assert sorted(prism(1, 2, 1).edges()) == [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 6), (2, 5), (3, 4), (3, 5),
+        (4, 5), (4, 6)]
 
 
-def test_pinched_prism_paths_at_least_two():
-    with pytest.raises(ValueError):
-        pinched_prism(1, 2)
-    g = pinched_prism(2, 2)
-    assert detect.find_pinched_prism(g, cap=g.n) is not None
+_REJECTED = [
+    (theta, (1, 2, 2), "theta paths must have length >= 2"),
+    (pyramid, (0, 2, 2), "pyramid paths must have length >= 1"),
+    (pyramid, (1, 1, 2), "at most one pyramid path may have length exactly 1"),
+    (prism, (1, 0, 1), "prism paths must have length >= 1"),
+    (pinched_prism, (1, 2),
+     "pinched prism connecting paths must have length >= 2"),
+    (complete_bipartite, (-1, 3), "complete bipartite sides must be >= 0"),
+    (complete_bipartite, (3, -1), "complete bipartite sides must be >= 0"),
+    (cycle, (2,), "cycle needs n >= 3"),
+    (wall, (1,), "wall needs k >= 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, params, message", _REJECTED,
+    ids=[f"{f.__name__}({','.join(map(str, p))})" for f, p, _ in _REJECTED])
+def test_family_rejects_bad_parameters(family, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        family(*params)
 
 
 def test_cube_is_detected():
@@ -51,8 +69,6 @@ def test_wall_shape_and_treewidth():
     g = wall(5)
     assert max(g.degree(v) for v in g.vertices()) == 3
     assert brute_treewidth(wall(2)) == 2
-    with pytest.raises(ValueError):
-        wall(1)
 
 
 def test_random_graph_determinism():
