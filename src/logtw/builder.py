@@ -1,13 +1,15 @@
 """End-to-end recursive tree-decomposition builder with a certified width
 report.
 
-The pipeline for a connected graph: split at clique cutsets; inside each
-atom, return a single bag when a cube forces a small vertex count, else
-partition the hub vertices into stable low-degree layers and shrink the
-graph recursively, one layer at a time: each step cuts its piece down to a
-central bag, decomposes that bag by the next step, and extends the bag's
-decomposition back over the components it cut off.  The recursion ends at
-a central bag that is hub-free (solved by bounded-width search) or owns a
+The pipeline: split each connected component of the input at clique
+cutsets, once; certify class membership atom by atom on that split, then
+build from the same split.  Inside each atom, return a single bag when a
+cube forces a small vertex count, else partition the hub vertices into
+stable low-degree layers and shrink the graph recursively, one layer at a
+time: each step cuts its piece down to a central bag, decomposes that bag
+by the next step, and extends the bag's decomposition back over the
+components it cut off (each split the same way).  The recursion ends at a
+central bag that is hub-free (solved by bounded-width search) or owns a
 balanced layer vertex (solved through the contraction graph).  The atom
 decompositions are glued at their cutset cliques.
 """
@@ -151,33 +153,63 @@ def glue_at_clique(decomps, glue_tree):
 
 # -- the build ----------------------------------------------------------------
 
+def split(g):
+    """Each connected component of g with its clique-cutset split: a list
+    of (comp, ids, atoms, glue), comp the component as an induced subgraph
+    with ids its vertex ids in g (comp is g itself and ids None when g has
+    at most one component), atoms and glue as clique_cutset_atoms gives
+    them in comp's ids.  A component of at most two vertices is its own
+    single atom."""
+    comps = g.components()
+    pieces = [(g, None)] if len(comps) <= 1 else [g.induced(c) for c in comps]
+    out = []
+    for comp, ids in pieces:
+        if comp.n <= 2:
+            atoms, glue = [frozenset(comp.vertices())], []
+        else:
+            atoms, glue = clique_cutset_atoms(comp)
+        out.append((comp, ids, atoms, glue))
+    return out
+
+
+def class_atoms(pieces, t):
+    """The atoms of a split that can hold a forbidden structure for t, as
+    vertex sets of the split graph, for detect.in_class_Ct: all of them
+    when t < 3, else those of more than two vertices, since K_t then has
+    more, and so has every theta, pyramid and generalized prism."""
+    return [a if ids is None else frozenset(ids[x] for x in a)
+            for _, ids, atoms, _ in pieces for a in atoms
+            if t < 3 or len(a) > 2]
+
+
 def decompose(g, t, caps=None, uncertified_ok=False):
     """(TreeDecomposition, BuildReport) for g.
 
-    Class membership is verified up front when g fits under the detection
-    cap; a violation raises ClassViolation unless uncertified_ok, in which
-    case the build still runs but the report is marked uncertified.  On
-    certified runs the achieved width is checked against width_bound; a
-    failed output check, or a violation certificate that fails its own
-    check, raises BuildCheckFailed.  t < 3 raises
-    width_bound's ValueError before any work.
+    g is split into clique-cutset atoms once; that split feeds both the
+    class-membership check and the build.  Membership is verified atom by
+    atom, before any atom is built, when g fits under the detection cap; a
+    violation raises ClassViolation unless uncertified_ok, in which case
+    the build still runs but the report is marked uncertified.  A
+    violation certificate that fails its own check, or on certified runs a
+    width above width_bound, or any failed output check, raises
+    BuildCheckFailed.  t < 3 raises width_bound's ValueError before any
+    work.
     """
     if t < 3:
         raise ValueError("need t >= 3 and n >= 1")
     caps = caps or Caps()
     report = BuildReport(t=t, n=g.n)
+    pieces = split(g)
     if g.n <= caps.detect:
-        ok, cert = detect.in_class_Ct(g, t, caps=caps.detect)
-        if ok:
-            report.certified = True
-        elif not uncertified_ok:
+        ok, cert = detect.in_class_Ct(g, t, caps=caps.detect,
+                                      atoms=class_atoms(pieces, t))
+        if not ok:
             cert.check(g)
-            raise ClassViolation(cert)
+            if not uncertified_ok:
+                raise ClassViolation(cert)
+        report.certified = ok
 
-    if g.n == 0:
-        td = TreeDecomposition([frozenset()], [])
-    else:
-        td = _any(g, t, caps, report, 0)
+    td = _any(pieces, t, caps, report, 0)
 
     report.achieved_width = td.width
     report.bound = width_bound(t, max(g.n, 1), report.delta_used,
@@ -191,23 +223,22 @@ def decompose(g, t, caps=None, uncertified_ok=False):
     return td, report
 
 
-def _any(g, t, caps, report, depth):
-    """Decompose a possibly disconnected graph; bags in g's ids."""
+def _any(pieces, t, caps, report, depth):
+    """Decompose a possibly disconnected graph from its split; bags in the
+    graph's ids."""
     report.depth_final = max(report.depth_final, depth)
-    comps = g.components()
-    if len(comps) == 1:
-        return _connected(g, t, caps, report, depth)
     out = []
-    for comp in comps:
-        sub, ids = g.induced(comp)
-        out.append(_relabel(_connected(sub, t, caps, report, depth), ids))
+    for comp, ids, atoms, glue in pieces:
+        td = _connected(comp, atoms, glue, t, caps, report, depth)
+        if ids is None:  # the graph is its only piece
+            return td
+        out.append(_relabel(td, ids))
     return _chain(out)
 
 
-def _connected(g, t, caps, report, depth):
+def _connected(g, atoms, glue, t, caps, report, depth):
     if g.n <= 2:
         return TreeDecomposition([frozenset(g.vertices())], [])
-    atoms, glue = clique_cutset_atoms(g)
     if len(atoms) == 1:
         return _atom(g, t, caps, report, depth)
     decomps = []
@@ -331,8 +362,8 @@ def _parts(g, parts, t, caps, report, depth):
     out = []
     for part in parts:
         sub, ids = g.induced(part)
-        td = _structured(sub, _any(sub, t, caps, report, depth), caps,
-                         report)
+        td = _structured(sub, _any(split(sub), t, caps, report, depth),
+                         caps, report)
         out.append(_relabel(td, ids))
     return out
 

@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields
 
 from . import detect, generators
-from .builder import Caps, ClassViolation, decompose
+from .builder import Caps, ClassViolation, class_atoms, decompose, split
 from .formats import (FormatError, read_graph, read_td, write_graph,
                       write_report, write_td)
 from .graph import BuildCheckFailed, SizeCapExceeded
@@ -100,7 +100,8 @@ def cmd_detect(args):
     g = _load_graph(args.infile)
     cap = args.cap if args.cap else g.n
     if args.what == "class":
-        ok, cert = detect.in_class_Ct(g, args.t, caps=cap)
+        ok, cert = detect.in_class_Ct(g, args.t, caps=cap,
+                                      atoms=class_atoms(split(g), args.t))
         if ok:
             print(f"in-class t={args.t}")
             return EXIT_OK

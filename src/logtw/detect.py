@@ -419,16 +419,41 @@ def hubs(g, hole_cap=None, budget=None, partial=False):
 
 # -- class membership --------------------------------------------------------
 
-def in_class_Ct(g, t, caps=None):
+def _in_host(cert, ids):
+    """cert with its roles mapped from an induced subgraph's ids to the
+    host's, through the new id -> old id list from Graph.induced; cert
+    itself when ids is None (found on the host)."""
+    if ids is None:
+        return cert
+
+    def host(x):
+        return [host(y) for y in x] if isinstance(x, list) else ids[x]
+    return Certificate(cert.kind, {k: host(v) for k, v in cert.roles.items()})
+
+
+def in_class_Ct(g, t, caps=None, atoms=None):
     """Is g (theta, pyramid, generalized prism, K_t)-free?
 
     Returns (bool, certificate-of-first-violation-or-None).
+
+    None of these structures has a clique cutset, so each lies inside one
+    clique-cutset atom (Tarjan 1985), and g is in the class exactly when
+    every atom is.  Given `atoms`, vertex sets of g that between them hold
+    every forbidden structure of g, each finder runs over the induced
+    atoms in turn before the next finder starts, so the kind found is the
+    one the whole-graph search finds; the certificate's roles are in g's
+    ids.  Without atoms g is searched whole.  The size cap applies to g
+    either way, after the clique search.
     """
-    cert = has_clique(g, t)
-    if cert is not None:
-        return False, cert
-    for finder in (find_theta, find_pyramid, find_prism, find_pinched_prism):
-        cert = finder(g, cap=caps)
+    pieces = [(g, None)] if atoms is None else [g.induced(a) for a in atoms]
+    for sub, ids in pieces:
+        cert = has_clique(sub, t)
         if cert is not None:
-            return False, cert
+            return False, _in_host(cert, ids)
+    _check_cap(g, caps)
+    for finder in (find_theta, find_pyramid, find_prism, find_pinched_prism):
+        for sub, ids in pieces:
+            cert = finder(sub, cap=caps)
+            if cert is not None:
+                return False, _in_host(cert, ids)
     return True, None

@@ -6,7 +6,7 @@ rejection sampling into the forbidden-structure-free classes.
 
 import random
 
-from . import detect
+from . import builder, detect
 from .graph import Graph
 
 
@@ -150,10 +150,12 @@ def random_graph(n, p, seed):
 
 def random_in_class(n, p, t, seed, max_tries=200, caps=None):
     """Rejection-sample G(n, p) until the graph excludes thetas, pyramids,
-    generalized prisms and K_t; returns None when tries are exhausted."""
+    generalized prisms and K_t; returns None when tries are exhausted.
+    Each draw is checked atom by atom on the builder's split."""
     for i in range(max_tries):
         g = random_graph(n, p, seed * 100003 + i)
-        ok, _ = detect.in_class_Ct(g, t, caps=caps)
+        ok, _ = detect.in_class_Ct(
+            g, t, caps=caps, atoms=builder.class_atoms(builder.split(g), t))
         if ok:
             return g
     return None

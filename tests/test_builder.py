@@ -111,6 +111,27 @@ def test_decompose_disconnected_input():
     assert td.width == 1
 
 
+def test_one_clique_cutset_pass_per_component(monkeypatch):
+    # certification and the build share one split: each component of
+    # more than two vertices is split once, and nothing is split again
+    g = Graph(17, [(0, 1), (1, 2), (2, 3), (3, 4),           # a path
+                   (5, 6), (6, 7), (7, 8), (8, 9), (9, 10),
+                   (10, 5),                                   # a 6-hole
+                   (11, 12), (12, 13), (13, 11), (13, 14),   # K_3 + a leaf
+                   (15, 16)])                                 # an edge
+    calls = []
+    real = builder.clique_cutset_atoms
+
+    def counted(h):
+        calls.append(h.n)
+        return real(h)
+    monkeypatch.setattr(builder, "clique_cutset_atoms", counted)
+    td, report = decompose(g, 4)
+    assert report.certified and td.width == 2
+    assert len(calls) == sum(len(c) > 2 for c in g.components()) == 3
+    assert sorted(calls) == [4, 5, 6]
+
+
 def test_decompose_medium_class_member():
     g = generators.random_in_class(50, 1.5 / 50, 3, 11, caps=50)
     assert g is not None
@@ -159,14 +180,17 @@ def test_bogus_certificate_is_never_reported(monkeypatch, tmp_path,
                                          "paths": [[0, 1]] * 3})
     monkeypatch.setattr(detect, "find_theta", lambda g, cap=None: bogus)
     monkeypatch.setitem(cli._DETECTORS, "theta", detect.find_theta)
-    with pytest.raises(builder.BuildCheckFailed):
-        decompose(generators.cycle(8), 3)
+    for uncertified_ok in (False, True):
+        with pytest.raises(builder.BuildCheckFailed):
+            decompose(generators.cycle(8), 3, uncertified_ok=uncertified_ok)
     gpath = tmp_path / "c8.gr"
     cli.main(["gen", "cycle", "8", "--out", str(gpath)])
     capsys.readouterr()
     for argv in (["detect", "--in", str(gpath), "--what", "theta"],
                  ["detect", "--in", str(gpath), "--what", "class"],
-                 ["decompose", "--in", str(gpath), "--t", "3"]):
+                 ["decompose", "--in", str(gpath), "--t", "3"],
+                 ["decompose", "--in", str(gpath), "--t", "3",
+                  "--uncertified-ok"]):
         assert cli.main(argv) == cli.EXIT_INVALID, argv
         assert "Theta certificate fails its check" in capsys.readouterr().err
 
@@ -179,7 +203,7 @@ def test_decompose_rejects_small_t_before_any_work(monkeypatch, tmp_path,
 
     def never(*args, **kwargs):
         raise AssertionError("the build started")
-    monkeypatch.setattr(builder, "_any", never)
+    monkeypatch.setattr(builder, "split", never)
     monkeypatch.setattr(detect, "in_class_Ct", never)
     for flags in ([], ["--uncertified-ok"]):
         assert main(["decompose", "--in", str(gpath), "--t", "2"]

@@ -4,11 +4,12 @@ certificates, wheels and sectors, connected-connector classification, cube
 partitions and the class membership predicates."""
 
 import hashlib
+import random
 from itertools import product
 
 import pytest
 
-from logtw import detect, generators, oracle
+from logtw import builder, detect, generators, oracle
 from logtw.graph import Graph, SizeCapExceeded, enumerate_holes
 
 import lemmas
@@ -301,3 +302,80 @@ def test_class_membership_predicates():
     assert not ok and cert.kind == "Cube"
     ok, _ = lemmas.in_class_Cstar(generators.cycle(7))
     assert ok
+
+
+def _part(rng):
+    """One random summand: a forbidden structure, a clique, a hole, a wall
+    or a small random graph; holes and sparse random graphs, often class
+    members, come up most."""
+    kind = rng.choice(("theta", "pyramid", "prism", "pinched_prism",
+                       "clique", "wall") + ("cycle", "random") * 3)
+    if kind == "theta":
+        return generators.theta(*(rng.randint(2, 3) for _ in range(3)))
+    if kind == "pyramid":
+        return generators.pyramid(1, rng.randint(2, 3), rng.randint(2, 3))
+    if kind == "prism":
+        return generators.prism(*(rng.randint(1, 2) for _ in range(3)))
+    if kind == "pinched_prism":
+        return generators.pinched_prism(2, rng.randint(2, 3))
+    if kind == "clique":
+        return generators.clique(rng.randint(3, 4))
+    if kind == "wall":
+        return generators.wall(3)
+    if kind == "cycle":
+        return generators.cycle(7)
+    return generators.random_graph(rng.randint(4, 7), 0.3,
+                                   seed=rng.randrange(10 ** 6))
+
+
+def _clique_sum(rng):
+    """2-4 random parts, each glued to what came before at one shared
+    vertex or, when both sides have one, one shared edge; then relabelled
+    at random."""
+    parts = [_part(rng) for _ in range(rng.randint(2, 4))]
+    n = parts[0].n
+    edges = set(parts[0].edges())
+    for h in parts[1:]:
+        h_edges = sorted(h.edges())
+        if edges and h_edges and rng.random() < 0.5:
+            (a, b), (c, d) = rng.choice(sorted(edges)), rng.choice(h_edges)
+            to = {c: a, d: b}
+        else:
+            to = {rng.randrange(h.n): rng.randrange(n)}
+        for x in h.vertices():
+            if x not in to:
+                to[x] = n
+                n += 1
+        edges |= {tuple(sorted((to[u], to[v]))) for u, v in h.edges()}
+    return relabelled(Graph(n, sorted(edges)), rng.randrange(10 ** 6))
+
+
+def test_in_class_by_atoms_matches_whole_graph():
+    # the verdict and the kind found first are the same whether g is
+    # searched whole or atom by atom, and the atom certificate holds in g
+    rng = random.Random(9)
+    verdicts = set()
+    for _ in range(520):
+        g = _clique_sum(rng)
+        for t in (3, 4):
+            ok, cert = detect.in_class_Ct(g, t, caps=g.n)
+            atoms = builder.class_atoms(builder.split(g), t)
+            ok_a, cert_a = detect.in_class_Ct(g, t, caps=g.n, atoms=atoms)
+            assert ok_a == ok
+            verdicts.add(ok)
+            if not ok:
+                assert cert_a.kind == cert.kind
+                assert cert_a.verify(g)
+    assert verdicts == {True, False}
+
+
+def test_in_class_by_atoms_keeps_the_cap_order():
+    # the clique search runs before the size cap, which limits g itself
+    k40, c40 = generators.clique(40), generators.cycle(40)
+    for atoms_of in (lambda g: None,
+                     lambda g: builder.class_atoms(builder.split(g), 3)):
+        ok, cert = detect.in_class_Ct(k40, 3, atoms=atoms_of(k40))
+        assert not ok and cert.kind == "CliqueKt"
+        with pytest.raises(SizeCapExceeded,
+                           match="detector capped at n <= 30, got n = 40"):
+            detect.in_class_Ct(c40, 3, atoms=atoms_of(c40))

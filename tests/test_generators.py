@@ -1,6 +1,7 @@
 """Named graph families: definitional examples, determinism, and the
 family-vs-detector confusion matrix."""
 
+import hashlib
 import re
 
 import pytest
@@ -96,6 +97,30 @@ def test_random_in_class_membership():
     assert g is not None
     ok, cert = detect.in_class_Ct(g, 3)
     assert ok and cert is None
+
+
+def test_random_in_class_matches_whole_graph_sampling(capsys):
+    # checking each draw atom by atom accepts exactly the draws the
+    # whole-graph check accepts; p is dense enough that some are rejected
+    rejected = 0
+    for n in (16, 64, 128):
+        for seed in (1, 2, 3):
+            draws = (random_graph(n, 1.5 / n, seed * 100003 + i)
+                     for i in range(200))
+            for want in draws:
+                if detect.in_class_Ct(want, 3, caps=n)[0]:
+                    break
+                rejected += 1
+            got = random_in_class(n, 1.5 / n, 3, seed, caps=n)
+            assert sorted(got.edges()) == sorted(want.edges()), (n, seed)
+    assert rejected >= 10
+    # `logtw gen random-in-class 64 0.02 3 --seed 1`, recorded from the
+    # whole-graph sampler
+    from logtw.cli import main
+    assert main(["gen", "random-in-class", "64", "0.02", "3",
+                 "--seed", "1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "3adafc5f29a6102bc382ed1f6d914c78cc06f24c6ac68e0a8aeea5636ce393e1")
 
 
 _FAMILIES = [
