@@ -154,32 +154,29 @@ def glue_at_clique(decomps, glue_tree):
 # -- the build ----------------------------------------------------------------
 
 def split(g):
-    """Each connected component of g with its clique-cutset split: a list
-    of (comp, ids, atoms, glue), comp the component as an induced subgraph
-    with ids its vertex ids in g (comp is g itself and ids None when g has
-    at most one component), atoms and glue as clique_cutset_atoms gives
-    them in comp's ids.  A component of at most two vertices is its own
-    single atom."""
-    comps = g.components()
-    pieces = [(g, None)] if len(comps) <= 1 else [g.induced(c) for c in comps]
+    """The clique-cutset split of g: one (atoms, glue) per component of g,
+    in g.components() order, atoms and glue cliques in g's ids.  A
+    component of at most two vertices is its own single atom; every other
+    is induced and cut by clique_cutset_atoms once."""
     out = []
-    for comp, ids in pieces:
-        if comp.n <= 2:
-            atoms, glue = [frozenset(comp.vertices())], []
-        else:
-            atoms, glue = clique_cutset_atoms(comp)
-        out.append((comp, ids, atoms, glue))
+    for c in g.components():
+        if len(c) <= 2:
+            out.append(([c], []))
+            continue
+        comp, ids = g.induced(c)
+        atoms, glue = clique_cutset_atoms(comp)
+        out.append(([frozenset(ids[x] for x in a) for a in atoms],
+                    [(i, j, frozenset(ids[x] for x in s))
+                     for i, j, s in glue]))
     return out
 
 
 def class_atoms(pieces, t):
-    """The atoms of a split that can hold a forbidden structure for t, as
-    vertex sets of the split graph, for detect.in_class_Ct: all of them
-    when t < 3, else those of more than two vertices, since K_t then has
-    more, and so has every theta, pyramid and generalized prism."""
-    return [a if ids is None else frozenset(ids[x] for x in a)
-            for _, ids, atoms, _ in pieces for a in atoms
-            if t < 3 or len(a) > 2]
+    """The atoms of a split that can hold a forbidden structure for t, for
+    detect.in_class_Ct: all of them when t < 3, else those of more than
+    two vertices, since K_t then has more, and so has every theta, pyramid
+    and generalized prism."""
+    return [a for atoms, _ in pieces for a in atoms if t < 3 or len(a) > 2]
 
 
 def decompose(g, t, caps=None, uncertified_ok=False):
@@ -209,7 +206,7 @@ def decompose(g, t, caps=None, uncertified_ok=False):
                 raise ClassViolation(cert)
         report.certified = ok
 
-    td = _any(pieces, t, caps, report, 0)
+    td = _any(g, pieces, t, caps, report, 0)
 
     report.achieved_width = td.width
     report.bound = width_bound(t, max(g.n, 1), report.delta_used,
@@ -223,29 +220,23 @@ def decompose(g, t, caps=None, uncertified_ok=False):
     return td, report
 
 
-def _any(pieces, t, caps, report, depth):
-    """Decompose a possibly disconnected graph from its split; bags in the
-    graph's ids."""
+def _any(g, pieces, t, caps, report, depth):
+    """Decompose g from its split; bags in g's ids.  Each atom is induced
+    from g once, built by _atom, relabelled once and glued at its cutset
+    cliques; a component that is a lone atom of at most two vertices is one
+    bag.  The components' trees are chained in order."""
     report.depth_final = max(report.depth_final, depth)
     out = []
-    for comp, ids, atoms, glue in pieces:
-        td = _connected(comp, atoms, glue, t, caps, report, depth)
-        if ids is None:  # the graph is its only piece
-            return td
-        out.append(_relabel(td, ids))
+    for atoms, glue in pieces:
+        if len(atoms) == 1 and len(atoms[0]) <= 2:
+            out.append(TreeDecomposition(atoms, []))
+            continue
+        decomps = []
+        for a in atoms:
+            sub, ids = g.induced(a)
+            decomps.append(_relabel(_atom(sub, t, caps, report, depth), ids))
+        out.append(glue_at_clique(decomps, glue))
     return _chain(out)
-
-
-def _connected(g, atoms, glue, t, caps, report, depth):
-    if g.n <= 2:
-        return TreeDecomposition([frozenset(g.vertices())], [])
-    if len(atoms) == 1:
-        return _atom(g, t, caps, report, depth)
-    decomps = []
-    for a in atoms:
-        sub, ids = g.induced(a)
-        decomps.append(_relabel(_atom(sub, t, caps, report, depth), ids))
-    return glue_at_clique(decomps, glue)
 
 
 def _structured(g, td, caps, report):
@@ -362,7 +353,7 @@ def _parts(g, parts, t, caps, report, depth):
     out = []
     for part in parts:
         sub, ids = g.induced(part)
-        td = _structured(sub, _any(split(sub), t, caps, report, depth),
+        td = _structured(sub, _any(sub, split(sub), t, caps, report, depth),
                          caps, report)
         out.append(_relabel(td, ids))
     return out

@@ -176,6 +176,8 @@ def cmd_solve(args):
 
 def cmd_bench(args):
     sizes = [int(s) for s in args.sizes.split(",")]
+    if min(sizes) < 1:
+        raise ValueError("--sizes must all be >= 1")
     rows = []
     for n in sizes:
         g = generators.random_in_class(n, args.p_mult / n, args.t,

@@ -420,12 +420,9 @@ def hubs(g, hole_cap=None, budget=None, partial=False):
 # -- class membership --------------------------------------------------------
 
 def _in_host(cert, ids):
-    """cert with its roles mapped from an induced subgraph's ids to the
-    host's, through the new id -> old id list from Graph.induced; cert
-    itself when ids is None (found on the host)."""
-    if ids is None:
-        return cert
-
+    """cert with its roles mapped from a piece's ids to the host's, through
+    the piece's new id -> old id list (from Graph.induced, or range(g.n)
+    for the host itself)."""
     def host(x):
         return [host(y) for y in x] if isinstance(x, list) else ids[x]
     return Certificate(cert.kind, {k: host(v) for k, v in cert.roles.items()})
@@ -445,7 +442,8 @@ def in_class_Ct(g, t, caps=None, atoms=None):
     ids.  Without atoms g is searched whole.  The size cap applies to g
     either way, after the clique search.
     """
-    pieces = [(g, None)] if atoms is None else [g.induced(a) for a in atoms]
+    pieces = ([(g, range(g.n))] if atoms is None
+              else [g.induced(a) for a in atoms])
     for sub, ids in pieces:
         cert = has_clique(sub, t)
         if cert is not None:

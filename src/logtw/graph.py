@@ -112,14 +112,12 @@ class Graph:
         return all(not (ys & self.adj[v]) for v in xs)
 
     def is_clique(self, x):
-        xs = sorted(set(x))
-        return all(xs[j] in self.adj[xs[i]]
-                   for i in range(len(xs)) for j in range(i + 1, len(xs)))
+        xs = set(x)
+        return all(xs - {v} <= self.adj[v] for v in xs)
 
     def is_stable(self, x):
-        xs = sorted(set(x))
-        return all(xs[j] not in self.adj[xs[i]]
-                   for i in range(len(xs)) for j in range(i + 1, len(xs)))
+        xs = set(x)
+        return all(self.adj[v].isdisjoint(xs) for v in xs)
 
     # -- connectivity --------------------------------------------------
 

@@ -64,10 +64,9 @@ def layered_halving(g, delta=None):
     remaining = set(g.vertices())
     layers = []
     while remaining:
-        sub, ids = g.induced(remaining)
         take = (len(remaining) + 1) // 2
-        low = sorted(ids[v] for v in sub.vertices()
-                     if sub.degree(v) <= 4 * delta)
+        low = sorted(v for v in remaining
+                     if len(g.adj[v] & remaining) <= 4 * delta)
         if len(low) < take:
             raise BuildCheckFailed("low-degree half smaller than half")
         layer = frozenset(low[:take])

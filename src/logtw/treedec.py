@@ -8,7 +8,8 @@ transitions.
 
 from dataclasses import dataclass
 
-from .graph import BuildCheckFailed, SizeCapExceeded, strict_degeneracy
+from .graph import (BuildCheckFailed, SizeCapExceeded, adjacency_masks,
+                    strict_degeneracy)
 
 EXACT_TW_CAP = 14
 Q_COLORING_CAP = 8
@@ -153,10 +154,7 @@ def _optimal_order(g):
     outside S reachable from v through S, which is order-independent.
     """
     n = g.n
-    nbr_mask = [0] * n
-    for v in g.vertices():
-        for w in g.adj[v]:
-            nbr_mask[v] |= 1 << w
+    nbr_mask = adjacency_masks(g)
 
     def cost(mask, v):
         # vertices outside mask reachable from v via mask

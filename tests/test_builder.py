@@ -10,7 +10,7 @@ from logtw.builder import Caps, ClassViolation, decompose, width_bound
 from logtw.graph import Graph
 from logtw.treedec import TreeDecomposition
 
-from conftest import class_members, hub_layer_cases
+from conftest import class_members, hub_layer_cases, relabelled
 
 
 def test_width_bound_values():
@@ -102,6 +102,47 @@ def test_builder_output_is_pinned():
                     list(report.as_lines()), report.trace))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
         "3af066c591da2bb8f2c4b4cf84b743a2dc69f9e0076a775921229b2e5dc4eb76")
+
+
+def test_certified_member_builds_are_pinned():
+    # sha256 over the bags, edges, report lines and trace of certified
+    # builds of sparse class members, which have many tiny components and
+    # two-vertex atoms, recorded from a known-good build
+    out = []
+    for n in (32, 64, 128):
+        for k in (1, 2, 3):
+            g = generators.random_in_class(n, 1.2 / n, 3, seed=k, caps=n)
+            td, report = decompose(g, 3, caps=Caps(detect=n, hole=n))
+            assert report.certified
+            out.append(([sorted(b) for b in td.bags], td.edges,
+                        list(report.as_lines()), report.trace))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "7db10be286655bc3e1521064ed9a1773c68730fd2000353df4eba3c403fdf9ce")
+
+
+def test_split_is_in_host_ids():
+    graphs = []
+    for n in range(41):
+        for k in range(2):
+            g = generators.random_graph(n, min(1.0, 1.5 / max(n, 1)),
+                                        seed=100 * n + k)
+            graphs += [g, relabelled(g, seed=100 * n + k)]
+    for g in graphs:
+        pieces = builder.split(g)
+        comps = g.components()
+        assert len(pieces) == len(comps)
+        for comp, (atoms, glue) in zip(comps, pieces):
+            assert frozenset().union(*atoms) == comp
+            if len(atoms) == 1 and len(atoms[0]) <= 2:
+                assert len(comp) <= 2
+            for i, j, s in glue:
+                assert i < j and s <= atoms[i] & atoms[j]
+                assert g.is_clique(s)
+        every = [a for atoms, _ in pieces for a in atoms]
+        assert all(any({u, v} <= a for a in every) for u, v in g.edges())
+        for t in (2, 3, 4):
+            assert builder.class_atoms(pieces, t) == [
+                a for a in every if t < 3 or len(a) > 2]
 
 
 def test_decompose_disconnected_input():

@@ -117,6 +117,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["detect", "--in", str(theta), "--what", "theta",
                  "--cap", "-1"]) == 2
     assert "--cap must be >= 0" in capsys.readouterr().err
+    # so is a benchmark size below 1
+    for sizes in ("0", "16,0", "-4"):
+        assert main(["bench", "--sizes", sizes]) == 2
+        assert "--sizes" in capsys.readouterr().err
 
     missing = tmp_path / "nope.gr"
     assert main(["detect", "--in", str(missing), "--what", "theta"]) == 2

@@ -1,5 +1,7 @@
 """Core graph type: construction, queries, holes, degeneracy."""
 
+from itertools import combinations
+
 import pytest
 
 from logtw.graph import (Graph, SizeCapExceeded, degeneracy_order,
@@ -70,6 +72,19 @@ def test_neighborhood_operators():
     assert g.closed_neighborhood({0}) == {0, 1, 4}
     assert g.is_clique({0, 1})
     assert not g.is_clique({0, 2})
+
+
+def test_clique_and_stable_match_the_pairwise_definition():
+    for n in (0, 1, 5, 8):
+        for p in (0.2, 0.5, 0.8):
+            for g in random_corpus(n, 2, p=p, seed_base=10 * n):
+                for mask in range(1 << n):
+                    xs = [v for v in range(n) if mask >> v & 1]
+                    pairs = list(combinations(xs, 2))
+                    assert g.is_clique(xs) == all(
+                        g.has_edge(u, v) for u, v in pairs)
+                    assert g.is_stable(xs) == all(
+                        not g.has_edge(u, v) for u, v in pairs)
 
 
 def test_hole_enumeration_matches_brute_force():
