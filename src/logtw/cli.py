@@ -178,6 +178,10 @@ def cmd_bench(args):
     sizes = [int(s) for s in args.sizes.split(",")]
     if min(sizes) < 1:
         raise ValueError("--sizes must all be >= 1")
+    if not 0 <= args.p_mult <= min(sizes):
+        raise ValueError(f"the edge probability --p-mult / n must be in "
+                         f"[0, 1] for every n in --sizes; got --p-mult "
+                         f"{args.p_mult} and n = {min(sizes)}")
     rows = []
     for n in sizes:
         g = generators.random_in_class(n, args.p_mult / n, args.t,

@@ -1,11 +1,15 @@
 """Tree decompositions: data type, validation, exact small-n treewidth,
 and the dynamic-programming solvers that run in 2^O(width) time per bag.
 
-All solvers share one table walk over the decomposition (_dp); each
-supplies only its per-bag state and its introduce, forget and join
-transitions.
+All solvers share one table walk over the decomposition (_dp). A DP
+state is one int packing a k-bit field per bag vertex, in ascending id
+order, so a state operation costs O(width) whatever n is; witnesses are
+back-pointer chains, turned into a set once at the root. Each solver
+supplies only its field width and its introduce, forget and join
+transitions on those fields.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import (BuildCheckFailed, SizeCapExceeded, adjacency_masks,
@@ -235,27 +239,44 @@ def greedy_fill_decomposition(g):
 
 # -- solvers ------------------------------------------------------------------
 
-def _dp(g, t, introduce, forget, join_key, merge, empty):
-    """Run one table DP over t, rooted at bag 0; returns the (value,
-    witness) of the empty state at the root, or None if no state survives.
+_JOIN = object()  # tags a witness node that joins two witness chains
 
-    A table maps a state of the current bag to (value, witness), the
-    witness being a frozenset. Along each tree edge the child-only
-    vertices are forgotten, largest id first, then the parent-only
-    vertices are introduced, smallest id first; a leaf introduces its bag
-    from the empty state, the arms of a bag's children are joined left to
-    right in t.edges order, and the root bag is forgotten at the end.
 
-    introduce(state, v, bag) gives (state', gain, item) candidates, item
-    being added to the witness unless None; forget(state, v) gives state'
-    or None to drop the state; at a join, the states of both sides with
-    equal join_key(state) pair up, and merge(left, right) gives (state',
-    gain). A candidate replaces a table entry only when its value is
-    strictly larger, so the first of equal-valued candidates is kept.
-    """
+def _require_valid(g, t):
     report = validate(g, t)
     if report is not None:
         raise ValueError(f"invalid decomposition: {report}")
+
+
+def _dp(g, t, k, introduce, keep, join_key, merge):
+    """Run one table DP over t, rooted at bag 0; returns the (value,
+    witness) of the empty state at the root, or None if no state survives.
+
+    A state is one int holding a k-bit field per vertex of the current
+    bag, fields in ascending vertex-id order: the vertex of rank r (the
+    r-th smallest id in the bag) owns bits r*k .. r*k+k-1. A table maps
+    a state to (value, witness). Along each tree edge the child-only
+    vertices are forgotten, largest id first, then the parent-only
+    vertices are introduced, smallest id first; a leaf introduces its bag
+    from the empty state 0, the arms of a bag's children are joined left
+    to right in t.edges order, and the root bag is forgotten at the end.
+
+    Forgetting v drops its field and shifts the higher fields down, after
+    keep(field) says whether the state survives (keep None keeps every
+    state). Introducing v opens a zero field at v's rank, at bit offset f,
+    and introduce(state, f, nb, v) gives (state', gain, item) candidates;
+    nb has bit 0 of the field of each bag neighbour of v, so that
+    state & nb << c tests bit c of v's neighbours. At a join, the states
+    of both sides with equal join_key(state) pair up, and
+    merge(left, right) gives (state', gain). A candidate replaces a table
+    entry only when its value is strictly larger, so the first of
+    equal-valued candidates is kept.
+
+    A witness is a back-pointer chain: None, (item, previous) for an
+    introduce with an item, or (_JOIN, left, right) at a join. Only the
+    root's chain is walked, iteratively, into the frozenset of its items.
+    """
+    _require_valid(g, t)
     adj = [[] for _ in t.bags]
     for a, b in t.edges:
         adj[a].append(b)
@@ -269,25 +290,37 @@ def _dp(g, t, introduce, forget, join_key, merge, empty):
                 seen.add(j)
                 children[i].append(j)
                 order.append(j)
+    ones = (1 << k) - 1
 
     def move(tab, bag, target):
+        ranks = sorted(bag)  # the vertices of tab's fields, in field order
         for v in sorted(bag - target, reverse=True):
+            r = bisect_left(ranks, v)
+            del ranks[r]
+            f = r * k
+            low = (1 << f) - 1
             out = {}
-            for s, (val, wit) in tab.items():
-                s2 = forget(s, v)
-                if s2 is not None and (s2 not in out or val > out[s2][0]):
-                    out[s2] = (val, wit)
+            for s, entry in tab.items():
+                if keep is None or keep(s >> f & ones):
+                    s2 = s & low | s >> f + k << f
+                    if s2 not in out or entry[0] > out[s2][0]:
+                        out[s2] = entry
             tab = out
-        bag = bag & target
         for v in sorted(target - bag):
-            bag = bag | {v}
+            r = bisect_left(ranks, v)
+            ranks.insert(r, v)
+            f = r * k
+            low = (1 << f) - 1
+            nbrs = g.adj[v]
+            nb = sum(1 << i * k for i, w in enumerate(ranks) if w in nbrs)
             out = {}
             for s, (val, wit) in tab.items():
-                for s2, gain, item in introduce(s, v, bag):
+                for s2, gain, item in introduce(s & low | s >> f << f + k,
+                                                f, nb, v):
                     old = out.get(s2)
                     if old is None or val + gain > old[0]:
                         out[s2] = (val + gain,
-                                   wit if item is None else wit | {item})
+                                   wit if item is None else (item, wit))
             tab = out
         return tab
 
@@ -301,7 +334,7 @@ def _dp(g, t, introduce, forget, join_key, merge, empty):
                 s, gain = merge(ls, rs)
                 old = out.get(s)
                 if old is None or lv + rv + gain > old[0]:
-                    out[s] = (lv + rv + gain, lw | rw)
+                    out[s] = (lv + rv + gain, (_JOIN, lw, rw))
         return out
 
     tables = {}
@@ -312,23 +345,36 @@ def _dp(g, t, introduce, forget, join_key, merge, empty):
             arm = move(tables.pop(j), t.bags[j], bag)
             tab = arm if tab is None else join(tab, arm)
         if tab is None:
-            tab = move({empty: (0, frozenset())}, frozenset(), bag)
+            tab = move({0: (0, None)}, frozenset(), bag)
         tables[i] = tab
-    return move(tables[0], t.bags[0], frozenset()).get(empty)
+    root = move(tables[0], t.bags[0], frozenset()).get(0)
+    if root is None:
+        return None
+    items = set()
+    stack = [root[1]]
+    while stack:
+        wit = stack.pop()
+        while wit is not None:
+            if wit[0] is _JOIN:
+                stack.append(wit[2])
+            else:
+                items.add(wit[0])
+            wit = wit[1]
+    return root[0], frozenset(items)
 
 
 def solve_stable_set(g, t):
     """(maximum stable set size, witness set).
 
-    State: the stable set's bag vertices.
+    State: one bit per bag vertex, set when it is in the stable set.
     """
-    def introduce(s, v, bag):
-        if g.adj[v] & s:
+    def introduce(s, f, nb, v):
+        if s & nb:
             return ((s, 0, None),)
-        return (s, 0, None), (s | {v}, 1, v)
+        return (s, 0, None), (s | 1 << f, 1, v)
 
-    val, wit = _dp(g, t, introduce, lambda s, v: s - {v}, lambda s: s,
-                   lambda ls, rs: (ls, -len(ls)), frozenset())
+    val, wit = _dp(g, t, 1, introduce, None, lambda s: s,
+                   lambda ls, rs: (ls, -ls.bit_count()))
     if not (g.is_stable(wit) and len(wit) == val):
         raise BuildCheckFailed(f"stable-set witness {sorted(wit)} is not a "
                                f"stable set of size {val}")
@@ -345,27 +391,19 @@ def solve_vertex_cover(g, t):
 def solve_dominating_set(g, t):
     """(minimum dominating set size, witness set).
 
-    State: (taken, dominated) where taken is the set's bag vertices and
-    dominated the other bag vertices with a neighbor in the set; the rest
-    of the bag still waits. Values are negated sizes.
+    State: two bits per bag vertex, bit 0 set when it is in the set
+    (taken), bit 1 when it is not taken but has a taken neighbour
+    (dominated); a vertex with neither still waits, and is dropped when
+    forgotten. Values are negated sizes.
     """
-    def introduce(s, v, bag):
-        taken, dom = s
-        nbrs = g.adj[v] & bag
-        return (((taken | {v}, dom | (nbrs - taken)), -1, v),
-                ((taken, dom | {v} if nbrs & taken else dom), 0, None))
+    taken = sum(1 << 2 * i for i in range(t.width + 1))  # every bit 0
 
-    def forget(s, v):
-        taken, dom = s
-        if v in taken:
-            return taken - {v}, dom
-        if v in dom:
-            return taken, dom - {v}
-        return None
+    def introduce(s, f, nb, v):
+        return ((s | 1 << f | (nb & ~s) << 1, -1, v),
+                (s | 2 << f if s & nb else s, 0, None))
 
-    val, wit = _dp(g, t, introduce, forget, lambda s: s[0],
-                   lambda ls, rs: ((ls[0], ls[1] | rs[1]), len(ls[0])),
-                   (frozenset(), frozenset()))
+    val, wit = _dp(g, t, 2, introduce, bool, lambda s: s & taken,
+                   lambda ls, rs: (ls | rs, (ls & taken).bit_count()))
     if len(g.closed_neighborhood(wit)) != g.n or len(wit) != -val:
         raise BuildCheckFailed(f"dominating-set witness {sorted(wit)} does "
                                f"not dominate g with {-val} vertices")
@@ -375,21 +413,16 @@ def solve_dominating_set(g, t):
 def solve_q_coloring(g, t, q):
     """(colorable: bool, witness coloring dict or None) with q colors.
 
-    State: the frozenset of (vertex, color) pairs of the bag.
+    State: q bits per bag vertex, one-hot: bit c set when it has color c.
     """
     if q < 1 or q > Q_COLORING_CAP:
         raise ValueError(f"q must be between 1 and {Q_COLORING_CAP}")
 
-    def introduce(s, v, bag):
-        banned = {c for w, c in s if w in g.adj[v]}
-        return [(s | {(v, c)}, 0, (v, c)) for c in range(q)
-                if c not in banned]
+    def introduce(s, f, nb, v):
+        return [(s | 1 << f + c, 0, (v, c)) for c in range(q)
+                if not s & nb << c]
 
-    def forget(s, v):
-        return frozenset(p for p in s if p[0] != v)
-
-    root = _dp(g, t, introduce, forget, lambda s: s, lambda ls, rs: (ls, 0),
-               frozenset())
+    root = _dp(g, t, q, introduce, None, lambda s: s, lambda ls, rs: (ls, 0))
     if root is None:
         return False, None
     wit = dict(root[1])
@@ -399,13 +432,40 @@ def solve_q_coloring(g, t, q):
     return True, wit
 
 
+def _is_bipartite(g):
+    """Whether a breadth-first 2-coloring of every component succeeds."""
+    side = [None] * g.n
+    for r in g.vertices():
+        if side[r] is not None:
+            continue
+        side[r] = 0
+        queue = [r]
+        for u in queue:
+            for w in g.adj[u]:
+                if side[w] is None:
+                    side[w] = 1 - side[u]
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return False
+    return True
+
+
 def solve_chromatic(g, t):
-    """Chromatic number, trying q = 1 upward; the strict degeneracy bound
-    guarantees termination within the q-coloring cap when it is <= 8."""
+    """Chromatic number of g, after checking that t decomposes g.
+
+    Edgeless and bipartite graphs are answered directly; otherwise the
+    q-coloring DP tries q = 3 upward, and the strict degeneracy bound
+    guarantees termination within the q-coloring cap when it is <= 8.
+    """
+    _require_valid(g, t)
     if g.n == 0:
         return 0
+    if g.m == 0:
+        return 1
+    if _is_bipartite(g):
+        return 2
     limit = min(strict_degeneracy(g), g.n)
-    for q in range(1, limit + 1):
+    for q in range(3, limit + 1):
         if q > Q_COLORING_CAP:
             raise SizeCapExceeded(
                 f"chromatic search needs q > {Q_COLORING_CAP}")

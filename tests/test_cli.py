@@ -121,6 +121,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     for sizes in ("0", "16,0", "-4"):
         assert main(["bench", "--sizes", sizes]) == 2
         assert "--sizes" in capsys.readouterr().err
+    # and an edge probability p-mult / n outside [0, 1], which names both
+    # flags instead of the generator's own p
+    for argv in (["--sizes", "1"], ["--sizes", "16,4", "--p-mult", "5"],
+                 ["--sizes", "16", "--p-mult", "-0.5"]):
+        assert main(["bench", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "--sizes" in err and "--p-mult" in err
 
     missing = tmp_path / "nope.gr"
     assert main(["detect", "--in", str(missing), "--what", "theta"]) == 2

@@ -1,6 +1,8 @@
 """Tree decompositions: validation, exact width against brute force, and
 the dynamic-programming solvers against brute force."""
 
+import hashlib
+
 import pytest
 
 from logtw import generators, oracle, treedec
@@ -10,7 +12,7 @@ from logtw.formats import write_td
 from logtw.graph import BuildCheckFailed, Graph, SizeCapExceeded
 from logtw.treedec import TreeDecomposition
 
-from conftest import random_corpus
+from conftest import random_corpus, relabelled
 
 
 def test_validate_accepts_and_rejects():
@@ -83,6 +85,9 @@ def test_solvers_match_brute_force():
     graphs = [*random_corpus(8, 25, p=0.35, seed_base=1500),
               *random_corpus(10, 10, p=0.25, seed_base=1600),
               generators.cycle(5), generators.clique(5), Graph(4)]
+    # relabelled copies, so that a vertex's rank in its bag (which places
+    # its DP state field) and its id disagree
+    graphs += [relabelled(g, seed=i) for i, g in enumerate(graphs)]
     # the builder's output has bags with many children and repeated bags
     decompositions = [
         (g, t) for g in graphs
@@ -111,11 +116,52 @@ def test_solvers_match_brute_force():
             assert not bad
 
 
+def test_solver_outputs_are_pinned():
+    # sha256 over the value and sorted witness of every solver on exact,
+    # greedy and builder decompositions (the builder's have bags with many
+    # children), recorded from a known-good build: a change to any answer
+    # or to which optimum a tie-break picks shows here
+    graphs = [*random_corpus(9, 12, p=0.3, seed_base=1700),
+              generators.wall(3)]
+    decompositions = [(g, t) for g in graphs
+                      for t in (treedec.exact_treewidth(g)[1],
+                                treedec.greedy_fill_decomposition(g),
+                                decompose(g, 3, uncertified_ok=True)[0])]
+    for n in range(20, 40, 4):
+        g = generators.random_graph(n, 2.5 / n, seed=n)
+        decompositions += [(g, treedec.greedy_fill_decomposition(g)),
+                           (g, decompose(g, 3, uncertified_ok=True)[0])]
+    out = []
+    for g, t in decompositions:
+        ok, col = treedec.solve_q_coloring(g, t, 3)
+        out.append([(val, sorted(wit)) for val, wit in (
+            treedec.solve_stable_set(g, t),
+            treedec.solve_vertex_cover(g, t),
+            treedec.solve_dominating_set(g, t))]
+            + [ok, sorted(col.items()) if ok else None,
+               treedec.solve_chromatic(g, t)])
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "ef78fa6bae559fe6774ca864206b2b5d2866c99247970f688d860d9171a1a4db")
+
+
 def test_solvers_reject_invalid_decomposition():
     g = generators.cycle(5)
     broken = TreeDecomposition([{0, 1}, {2, 3, 4}], [(0, 1)])
     with pytest.raises(ValueError):
         treedec.solve_stable_set(g, broken)
+
+
+def test_chromatic_rejects_invalid_decomposition_before_direct_answers():
+    # edgeless and bipartite graphs are answered without the DP, but only
+    # after their decomposition is checked
+    for g in (Graph(3), generators.path(4), generators.cycle(6),
+              generators.cycle(5)):
+        broken = TreeDecomposition([range(g.n - 1)], [])
+        assert treedec.validate(g, broken) == f"vertex {g.n - 1} in no bag"
+        with pytest.raises(ValueError):
+            treedec.solve_chromatic(g, broken)
+    assert treedec.solve_chromatic(Graph(0), TreeDecomposition(
+        [frozenset()], [])) == 0
 
 
 def test_solvers_walk_long_decompositions():
@@ -124,9 +170,13 @@ def test_solvers_walk_long_decompositions():
     g = generators.path(3000)
     t = treedec.decomposition_from_elimination(g, list(g.vertices()))
     assert treedec.solve_stable_set(g, t)[0] == 1500
-    assert treedec.solve_dominating_set(g, t)[0] == 1000
-    ok, col = treedec.solve_q_coloring(g, t, 2)
-    assert ok and all(col[u] != col[v] for u, v in g.edges())
+    ds, ds_wit = treedec.solve_dominating_set(g, t)
+    assert ds == len(ds_wit) == 1000
+    assert len(g.closed_neighborhood(ds_wit)) == g.n
+    for q in (2, 3):
+        ok, col = treedec.solve_q_coloring(g, t, q)
+        assert ok and len(col) == g.n
+        assert all(col[u] != col[v] for u, v in g.edges())
 
 
 def test_failed_solver_check_raises_and_exits_invalid(monkeypatch, tmp_path,
