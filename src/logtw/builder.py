@@ -17,21 +17,22 @@ decompositions are glued at their cutset cliques.
 from dataclasses import dataclass, field
 
 from . import detect
+from .detect import DEFAULT_CAP
 from .central_bag import (build_contraction, central_bag,
                           extend_neighborhood, extend_tree)
-from .graph import BuildCheckFailed
+from .graph import HOLE_ENUM_VERTEX_CAP, BuildCheckFailed
 from .hub_partition import build_hub_partition, is_balanced
 from .separators import clique_cutset_atoms, make_structured, ramsey
-from .treedec import (TreeDecomposition, exact_treewidth,
+from .treedec import (EXACT_TW_CAP, TreeDecomposition, exact_treewidth,
                       greedy_fill_decomposition, validate)
 
 
 @dataclass(frozen=True)
 class Caps:
     """Exact-search budgets for one build."""
-    detect: int = 30       # class membership is only verified up to here
-    hole: int = 64         # hole-enumeration vertex budget (hub search)
-    exact: int = 14        # exact treewidth fallback budget
+    detect: int = DEFAULT_CAP  # class membership is only verified up to here
+    hole: int = HOLE_ENUM_VERTEX_CAP  # hub search's hole-enumeration budget
+    exact: int = EXACT_TW_CAP  # exact treewidth fallback budget
     structure: int = 120   # bag-structuring (minimal completion) budget
     hub_budget: int = 5000   # holes examined per hub search; certified
                              # runs fail loudly past it, uncertified runs

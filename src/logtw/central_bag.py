@@ -87,9 +87,6 @@ class ContractionGraph:
     parts: tuple         # component vertex sets, g ids; part j has h id
                          # len(kept) + j
 
-    def d_vertices(self):
-        return range(len(self.kept), self.h.n)
-
     def part_of(self, h_id):
         return self.parts[h_id - len(self.kept)]
 

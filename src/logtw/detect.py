@@ -7,12 +7,13 @@ Every detector is an exhaustive search with pruning, capped by vertex count
 certificate whose verify() re-checks the full definition against the host
 graph.  The theta, pyramid and prism finders differ only in which ends
 they try: each is three induced paths between two ends (a vertex or a
-triangle), found by the one search `_three_paths`.  The verifiers share no
-code with that search.
+triangle), found by the one search `_three_paths`.  Their verifiers check
+the definition itself, three legs between the given ends any two of which
+close into a hole, and share no code with that search.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .graph import (BuildCheckFailed, SizeCapExceeded, adjacency_masks,
                     degeneracy_order, enumerate_holes, is_induced_path)
@@ -49,75 +50,37 @@ class Certificate:
 
 # -- definition checks on explicit roles -----------------------------------
 
+def _legs(paths, starts, ends):
+    """There are exactly three paths, path i running from starts[i] to
+    ends[i]."""
+    return len(paths) == len(starts) == len(ends) == 3 and all(
+        p and p[0] == s and p[-1] == e
+        for p, s, e in zip(paths, starts, ends))
+
+
+def _closes_holes(g, paths, back):
+    """Any two of the paths close into a hole: p followed by back(q), the
+    reversal of q less the ends p already holds, dropped by position."""
+    return all(is_induced_path(g, list(p) + back(q), cycle=True)
+               for p, q in combinations(paths, 2))
+
+
 def _verify_theta(g, roles):
     a, b, paths = roles["a"], roles["b"], roles["paths"]
-    if g.has_edge(a, b) or len(paths) != 3:
-        return False
-    interiors = []
-    for p in paths:
-        if len(p) < 3 or p[0] != a or p[-1] != b:  # length >= 2
-            return False
-        if not is_induced_path(g, p):
-            return False
-        interiors.append(set(p[1:-1]))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if interiors[i] & interiors[j]:
-                return False
-            if not g.is_anticomplete_between(interiors[i], interiors[j]):
-                return False
-    return True
+    return _legs(paths, [a] * 3, [b] * 3) and \
+        _closes_holes(g, paths, lambda q: q[-2:0:-1])
 
 
 def _verify_pyramid(g, roles):
     a, base, paths = roles["apex"], roles["base"], roles["paths"]
-    if len(base) != 3 or len(paths) != 3 or not g.is_clique(base) or \
-            a in base:
-        return False
-    if sum(1 for p in paths if len(p) == 2) > 1:
-        return False
-    sides = []
-    for p, b in zip(paths, base):
-        if len(p) < 2 or p[0] != a or p[-1] != b:
-            return False
-        if not is_induced_path(g, p):
-            return False
-        sides.append(set(p[1:]))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if sides[i] & sides[j]:
-                return False
-            cross = {(u, v) for u in sides[i] for v in sides[j]
-                     if g.has_edge(u, v)}
-            if cross != {(base[i], base[j])}:
-                return False
-    return True
+    return _legs(paths, [a] * 3, base) and \
+        _closes_holes(g, paths, lambda q: q[:0:-1])
 
 
 def _verify_prism(g, roles):
-    tri_a, tri_b, paths = roles["triangle_a"], roles["triangle_b"], roles["paths"]
-    if len(tri_a) != 3 or len(tri_b) != 3 or len(paths) != 3:
-        return False
-    if not (g.is_clique(tri_a) and g.is_clique(tri_b)):
-        return False
-    sides = []
-    for p, ai, bi in zip(paths, tri_a, tri_b):
-        if len(p) < 2 or p[0] != ai or p[-1] != bi:
-            return False
-        if not is_induced_path(g, p):
-            return False
-        sides.append(set(p))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if sides[i] & sides[j]:
-                return False
-            cross = {frozenset((u, v)) for u in sides[i] for v in sides[j]
-                     if g.has_edge(u, v)}
-            expected = {frozenset((tri_a[i], tri_a[j])),
-                        frozenset((tri_b[i], tri_b[j]))}
-            if cross != expected:
-                return False
-    return True
+    paths = roles["paths"]
+    return _legs(paths, roles["triangle_a"], roles["triangle_b"]) and \
+        _closes_holes(g, paths, lambda q: q[::-1])
 
 
 def _verify_pinched_prism(g, roles):

@@ -49,9 +49,6 @@ class Graph:
     def vertices(self):
         return range(self.n)
 
-    def neighbors(self, v):
-        return self.adj[v]
-
     def degree(self, v):
         return len(self.adj[v])
 
@@ -98,18 +95,6 @@ class Graph:
     def closed_neighborhood(self, x):
         xs = set(x)
         return self.open_neighborhood(xs) | xs
-
-    def is_complete_between(self, x, y):
-        xs, ys = set(x), set(y)
-        if xs & ys:
-            raise ValueError("sets must be disjoint")
-        return all(ys <= self.adj[v] for v in xs)
-
-    def is_anticomplete_between(self, x, y):
-        xs, ys = set(x), set(y)
-        if xs & ys:
-            raise ValueError("sets must be disjoint")
-        return all(not (ys & self.adj[v]) for v in xs)
 
     def is_clique(self, x):
         xs = set(x)

@@ -275,8 +275,8 @@ def _dp(g, t, k, introduce, keep, join_key, merge):
     A witness is a back-pointer chain: None, (item, previous) for an
     introduce with an item, or (_JOIN, left, right) at a join. Only the
     root's chain is walked, iteratively, into the frozenset of its items.
+    The caller has validated t.
     """
-    _require_valid(g, t)
     adj = [[] for _ in t.bags]
     for a, b in t.edges:
         adj[a].append(b)
@@ -368,6 +368,8 @@ def solve_stable_set(g, t):
 
     State: one bit per bag vertex, set when it is in the stable set.
     """
+    _require_valid(g, t)
+
     def introduce(s, f, nb, v):
         if s & nb:
             return ((s, 0, None),)
@@ -396,6 +398,7 @@ def solve_dominating_set(g, t):
     (dominated); a vertex with neither still waits, and is dropped when
     forgotten. Values are negated sizes.
     """
+    _require_valid(g, t)
     taken = sum(1 << 2 * i for i in range(t.width + 1))  # every bit 0
 
     def introduce(s, f, nb, v):
@@ -417,7 +420,12 @@ def solve_q_coloring(g, t, q):
     """
     if q < 1 or q > Q_COLORING_CAP:
         raise ValueError(f"q must be between 1 and {Q_COLORING_CAP}")
+    _require_valid(g, t)
+    return _q_coloring(g, t, q)
 
+
+def _q_coloring(g, t, q):
+    """solve_q_coloring on a decomposition t already validated."""
     def introduce(s, f, nb, v):
         return [(s | 1 << f + c, 0, (v, c)) for c in range(q)
                 if not s & nb << c]
@@ -469,7 +477,7 @@ def solve_chromatic(g, t):
         if q > Q_COLORING_CAP:
             raise SizeCapExceeded(
                 f"chromatic search needs q > {Q_COLORING_CAP}")
-        ok, _ = solve_q_coloring(g, t, q)
+        ok, _ = _q_coloring(g, t, q)
         if ok:
             return q
     raise BuildCheckFailed(f"no coloring with at most {limit} colors, "

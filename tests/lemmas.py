@@ -2,8 +2,10 @@
 tests that exercise them: wheels and their sectors, stranded wheels and
 local vertices and components, the restricted class C*, minimal connected
 connectors, cube partitions, minimal separators, potential maximal
-cliques, component closures and the low-degree half.  The builder needs
-none of them; the tests import this module the way they import conftest.
+cliques, component closures and the low-degree half; and the theta,
+pyramid and prism checks as first written, property by property, a
+reference for detect's definition checks.  The builder needs none of
+them; the tests import this module the way they import conftest.
 """
 
 from dataclasses import dataclass
@@ -15,6 +17,104 @@ from logtw.graph import (SizeCapExceeded, enumerate_holes, is_induced_path,
 from logtw.separators import perfect_elimination_order
 
 SEPARATOR_ENUM_CAP = 20
+
+
+def is_complete_between(g, x, y):
+    xs, ys = set(x), set(y)
+    if xs & ys:
+        raise ValueError("sets must be disjoint")
+    return all(ys <= g.adj[v] for v in xs)
+
+
+def is_anticomplete_between(g, x, y):
+    xs, ys = set(x), set(y)
+    if xs & ys:
+        raise ValueError("sets must be disjoint")
+    return all(not (ys & g.adj[v]) for v in xs)
+
+
+# -- theta, pyramid and prism checks, property by property -------------------
+#
+# A reference for detect's verifiers, which check the definition (any two
+# legs close into a hole) instead: these restate it as induced legs,
+# disjoint and anticomplete interiors, cross-edge sets and cliques.
+
+def reference_verify_theta(g, roles):
+    a, b, paths = roles["a"], roles["b"], roles["paths"]
+    if g.has_edge(a, b) or len(paths) != 3:
+        return False
+    interiors = []
+    for p in paths:
+        if len(p) < 3 or p[0] != a or p[-1] != b:  # length >= 2
+            return False
+        if not is_induced_path(g, p):
+            return False
+        interiors.append(set(p[1:-1]))
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if interiors[i] & interiors[j]:
+                return False
+            if not is_anticomplete_between(g, interiors[i], interiors[j]):
+                return False
+    return True
+
+
+def reference_verify_pyramid(g, roles):
+    a, base, paths = roles["apex"], roles["base"], roles["paths"]
+    if len(base) != 3 or len(paths) != 3 or not g.is_clique(base) or \
+            a in base:
+        return False
+    if sum(1 for p in paths if len(p) == 2) > 1:
+        return False
+    sides = []
+    for p, b in zip(paths, base):
+        if len(p) < 2 or p[0] != a or p[-1] != b:
+            return False
+        if not is_induced_path(g, p):
+            return False
+        sides.append(set(p[1:]))
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if sides[i] & sides[j]:
+                return False
+            cross = {(u, v) for u in sides[i] for v in sides[j]
+                     if g.has_edge(u, v)}
+            if cross != {(base[i], base[j])}:
+                return False
+    return True
+
+
+def reference_verify_prism(g, roles):
+    tri_a, tri_b, paths = roles["triangle_a"], roles["triangle_b"], roles["paths"]
+    if len(tri_a) != 3 or len(tri_b) != 3 or len(paths) != 3:
+        return False
+    if not (g.is_clique(tri_a) and g.is_clique(tri_b)):
+        return False
+    sides = []
+    for p, ai, bi in zip(paths, tri_a, tri_b):
+        if len(p) < 2 or p[0] != ai or p[-1] != bi:
+            return False
+        if not is_induced_path(g, p):
+            return False
+        sides.append(set(p))
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if sides[i] & sides[j]:
+                return False
+            cross = {frozenset((u, v)) for u in sides[i] for v in sides[j]
+                     if g.has_edge(u, v)}
+            expected = {frozenset((tri_a[i], tri_a[j])),
+                        frozenset((tri_b[i], tri_b[j]))}
+            if cross != expected:
+                return False
+    return True
+
+
+REFERENCE_VERIFIERS = {
+    "Theta": reference_verify_theta,
+    "Pyramid": reference_verify_pyramid,
+    "Prism": reference_verify_prism,
+}
 
 
 # -- wheels ------------------------------------------------------------------
@@ -265,7 +365,7 @@ def _spider_legs(g, h, a, xs):
         for j in range(i + 1, 3):
             li = set(legs[xs[i]]) - {a, xs[i]}
             lj = set(legs[xs[j]]) - {a, xs[j]}
-            if li & lj or not g.is_anticomplete_between(li, lj):
+            if li & lj or not is_anticomplete_between(g, li, lj):
                 return None
     return [legs[x] for x in xs]
 
@@ -355,14 +455,14 @@ def _verify_cube_partition(g, classes, v2):
             return False
         for j in range(i + 1, 8):
             if j in _CUBE_ADJ[i]:
-                if not g.is_complete_between(classes[i], classes[j]):
+                if not is_complete_between(g, classes[i], classes[j]):
                     return False
-            elif not g.is_anticomplete_between(classes[i], classes[j]):
+            elif not is_anticomplete_between(g, classes[i], classes[j]):
                 return False
     if not g.is_clique(v2):
         return False
     v1 = set().union(*classes.values())
-    return not v2 or g.is_complete_between(v1, v2)
+    return not v2 or is_complete_between(g, v1, v2)
 
 
 # -- minimal separators and potential maximal cliques ------------------------

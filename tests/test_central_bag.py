@@ -85,7 +85,7 @@ def test_build_contraction_shapes():
     cg = central_bag.build_contraction(c9, 0, frozenset())
     assert cg.kept == (1, 8)
     assert len(cg.parts) == 1 and sorted(cg.parts[0]) == [2, 3, 4, 5, 6, 7]
-    assert list(cg.d_vertices()) == [2]
+    assert list(range(len(cg.kept), cg.h.n)) == [2]
     assert sorted(cg.part_of(2)) == [2, 3, 4, 5, 6, 7]
     # h is the path 1 - D - 8 (in h ids: 0 - 2 - 1)
     assert cg.h.n == 3 and set(cg.h.edges()) == {(0, 2), (1, 2)}

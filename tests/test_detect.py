@@ -5,6 +5,7 @@ partitions and the class membership predicates."""
 
 import hashlib
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -87,6 +88,23 @@ def _interior_chord(g, roles):
     return _with_edge(g, first[0], second[0]), roles
 
 
+def _two_short_legs(g, roles):
+    # a second leg of length 1: the apex also sees a long leg's corner
+    paths = [list(p) for p in roles["paths"]]
+    i = next(i for i, p in enumerate(paths) if len(p) > 2)
+    apex, corner = roles["apex"], roles["base"][i]
+    paths[i] = [apex, corner]
+    return _with_edge(g, apex, corner), {**roles, "paths": paths}
+
+
+def _third_leg_revisits_a(g, roles):
+    # a leg's end met again inside the leg: only a check that drops the
+    # ends by position, not by value, sees the repeat
+    paths = [list(p) for p in roles["paths"]]
+    paths[2] = paths[2][:2] + [roles["a"]] + paths[2][2:]
+    return g, {**roles, "paths": paths}
+
+
 _ALL = ("Theta", "Pyramid", "Prism")
 _CORRUPTIONS = [
     ("two paths", _ALL,
@@ -100,10 +118,12 @@ _CORRUPTIONS = [
     ("a chord between interiors", _ALL, _interior_chord),
     ("an edge a-b", ("Theta",),
      lambda g, r: (_with_edge(g, r["a"], r["b"]), r)),
+    ("the third leg revisiting a", ("Theta",), _third_leg_revisits_a),
     ("the apex inside the base", ("Pyramid",),
      lambda g, r: (g, {**r, "base": [r["apex"]] + r["base"][1:]})),
     ("a base edge removed", ("Pyramid",),
      lambda g, r: (_without_edge(g, *r["base"][:2]), r)),
+    ("two legs of length 1", ("Pyramid",), _two_short_legs),
     ("a base edge removed", ("Prism",),
      lambda g, r: (_without_edge(g, *r["triangle_a"][:2]), r)),
     ("a triangle-to-triangle cross edge", ("Prism",),
@@ -129,6 +149,85 @@ def test_verify_rejects_corrupted_certificates():
             bad_g, bad_roles = corrupt(g, dict(cert.roles))
             assert not detect.Certificate(kind, bad_roles).verify(bad_g), (
                 kind, what)
+
+
+def _mutate(rng, g, roles):
+    """g and roles after one random edit: an edge added or removed among
+    the certificate's vertices, a leg vertex replaced, inserted or
+    deleted, a leg reversed, the legs shuffled, a leg duplicated or
+    dropped, or an end role replaced."""
+    paths = [list(p) for p in roles["paths"]]
+    cert = sorted({x for p in paths for x in p})
+    vertex = rng.choice(cert) if cert and rng.random() < 0.5 \
+        else rng.randrange(g.n)
+    edit = rng.choice(("add edge", "remove edge", "replace", "insert",
+                       "delete", "reverse", "shuffle", "duplicate", "drop",
+                       "role"))
+    if edit == "add edge" and len(cert) > 1:
+        u, v = rng.sample(cert, 2)
+        if not g.has_edge(u, v):
+            g = Graph(g.n, list(g.edges()) + [(u, v)])
+    elif edit == "remove edge":
+        inside = [e for e in g.edges() if set(e) <= set(cert)]
+        if inside:
+            gone = rng.choice(inside)
+            g = Graph(g.n, [e for e in g.edges() if e != gone])
+    elif edit == "shuffle":
+        rng.shuffle(paths)
+    elif edit == "duplicate" and paths:
+        paths[rng.randrange(len(paths))] = list(rng.choice(paths))
+    elif edit == "drop" and paths:
+        del paths[rng.randrange(len(paths))]
+    elif edit == "role":
+        key = rng.choice(sorted(k for k in roles if k != "paths"))
+        if isinstance(roles[key], list):
+            role = list(roles[key])
+            role[rng.randrange(len(role))] = vertex
+            roles = {**roles, key: role}
+        else:
+            roles = {**roles, key: vertex}
+    elif edit in ("replace", "insert", "delete", "reverse") and paths:
+        p = rng.choice(paths)
+        j = rng.randrange(len(p) + 1)
+        if edit == "insert":
+            p.insert(j, vertex)
+        elif edit == "reverse":
+            p.reverse()
+        elif p:
+            if edit == "replace":
+                p[j % len(p)] = vertex
+            else:
+                del p[j % len(p)]
+    return g, {**roles, "paths": paths}
+
+
+def test_verifiers_match_reference_on_mutations():
+    # verify() gives the answer of the property-by-property reference on
+    # finder certificates under 1-3 random edits
+    rng = random.Random(12)
+    corpus = [generators.random_graph(n, p, seed=1200 + 10 * n + s)
+              for n in range(6, 11) for p in (0.3, 0.4) for s in range(6)]
+    named = [generators.theta(2, 2, 2), generators.theta(2, 3, 4),
+             generators.pyramid(1, 2, 3), generators.pyramid(2, 2, 2),
+             generators.prism(1, 1, 1), generators.prism(1, 1, 3),
+             generators.prism(1, 2, 3), generators.prism(2, 2, 2)]
+    corpus += named + [relabelled(g, seed=k) for k, g in enumerate(named)]
+    certs = [(g, cert) for g in corpus
+             for finder in (detect.find_theta, detect.find_pyramid,
+                            detect.find_prism)
+             for cert in [finder(g, cap=g.n)] if cert is not None]
+    assert {cert.kind for _, cert in certs} == {"Theta", "Pyramid", "Prism"}
+    verdicts = Counter()
+    for _ in range(5000):
+        g, cert = rng.choice(certs)
+        roles = cert.roles
+        for _ in range(rng.randint(1, 3)):
+            g, roles = _mutate(rng, g, roles)
+        ok = detect.Certificate(cert.kind, roles).verify(g)
+        assert ok == lemmas.REFERENCE_VERIFIERS[cert.kind](g, roles), (
+            cert.kind, roles, sorted(g.edges()))
+        verdicts[cert.kind, ok] += 1
+    assert len(verdicts) == 6 and min(verdicts.values()) >= 25
 
 
 def test_finders_negative_on_plain_graphs():
