@@ -17,7 +17,6 @@ decompositions are glued at their cutset cliques.
 from dataclasses import dataclass, field
 
 from . import detect
-from .detect import DEFAULT_CAP
 from .central_bag import (build_contraction, central_bag,
                           extend_neighborhood, extend_tree)
 from .graph import HOLE_ENUM_VERTEX_CAP, BuildCheckFailed
@@ -30,7 +29,7 @@ from .treedec import (EXACT_TW_CAP, TreeDecomposition, exact_treewidth,
 @dataclass(frozen=True)
 class Caps:
     """Exact-search budgets for one build."""
-    detect: int = DEFAULT_CAP  # class membership is only verified up to here
+    detect: int = detect.DEFAULT_CAP  # class membership verified only up to here
     hole: int = HOLE_ENUM_VERTEX_CAP  # hub search's hole-enumeration budget
     exact: int = EXACT_TW_CAP  # exact treewidth fallback budget
     structure: int = 120   # bag-structuring (minimal completion) budget

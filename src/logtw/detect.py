@@ -8,8 +8,9 @@ certificate whose verify() re-checks the full definition against the host
 graph.  The theta, pyramid and prism finders differ only in which ends
 they try: each is three induced paths between two ends (a vertex or a
 triangle), found by the one search `_three_paths`.  Their verifiers check
-the definition itself, three legs between the given ends any two of which
-close into a hole, and share no code with that search.
+the definition itself, three legs of at least two vertices between the
+given ends any two of which close into a hole, and share no code with that
+search.
 """
 
 from dataclasses import dataclass, field
@@ -52,9 +53,10 @@ class Certificate:
 
 def _legs(paths, starts, ends):
     """There are exactly three paths, path i running from starts[i] to
-    ends[i]."""
+    ends[i] over at least two vertices (a one-vertex leg would let a
+    prism's triangles share a vertex)."""
     return len(paths) == len(starts) == len(ends) == 3 and all(
-        p and p[0] == s and p[-1] == e
+        len(p) > 1 and p[0] == s and p[-1] == e
         for p, s, e in zip(paths, starts, ends))
 
 

@@ -151,6 +151,17 @@ def test_verify_rejects_corrupted_certificates():
                 kind, what)
 
 
+def test_prism_verifier_rejects_one_vertex_leg():
+    # a pinched prism has no two disjoint triangles, so no prism; with the
+    # centre 6 as a one-vertex leg, triangles 6-1-0 and 6-3-4 share it
+    # while every pair of legs still closes into a hole
+    g = generators.pinched_prism(2, 2)
+    roles = {"triangle_a": [6, 1, 0], "triangle_b": [6, 3, 4],
+             "paths": [[6], [1, 2, 3], [0, 5, 4]]}
+    assert detect.find_prism(g, cap=g.n) is None
+    assert not detect.Certificate("Prism", roles).verify(g)
+    assert not lemmas.reference_verify_prism(g, roles)
+
 def _mutate(rng, g, roles):
     """g and roles after one random edit: an edge added or removed among
     the certificate's vertices, a leg vertex replaced, inserted or
