@@ -14,6 +14,7 @@ balanced layer vertex (solved through the contraction graph).  The atom
 decompositions are glued at their cutset cliques.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from . import detect
@@ -116,7 +117,15 @@ def glue_at_clique(decomps, glue_tree):
     Each glue entry (i, j, clique) links the partial trees currently
     containing atoms i and j at bags holding the clique; a clique always
     lies whole inside some atom on each side, and a valid decomposition of
-    that atom has a bag covering it.
+    that atom has a bag covering it.  On each side the link takes the first
+    such bag in the order the partial tree took in its atoms, then in bag
+    order.
+
+    A partial tree's atom list only ever gets another one appended, so at
+    every step it is a run of its final list that starts at its root.  With
+    atoms ranked by their place in the final lists and each vertex's bags
+    listed in rank order, the candidates on one side are a slice of the
+    list of one clique vertex.
     """
     bags = []
     edges = []
@@ -134,20 +143,55 @@ def glue_at_clique(decomps, glue_tree):
             x = parent[x]
         return x
 
-    members = {i: [i] for i in range(len(decomps))}
-
-    def bag_holding(root, clique):
-        for a in members[root]:
-            for k, bag in enumerate(decomps[a].bags):
-                if clique <= bag:
-                    return offsets[a] + k
-        raise ValueError("no bag contains the glue clique")
-
+    # unions first, recording each side's root and run length; each
+    # final list is a linked list from its root
+    size = [1] * len(decomps)
+    after = [None] * len(decomps)
+    last = list(range(len(decomps)))
+    links = []
     for i, j, clique in glue_tree:
         ri, rj = find(i), find(j)
-        edges.append((bag_holding(ri, clique), bag_holding(rj, clique)))
+        if ri == rj:
+            raise ValueError("glue entries must form a tree")
+        links.append(((ri, size[ri]), (rj, size[rj]), clique))
         parent[rj] = ri
-        members[ri].extend(members.pop(rj))
+        size[ri] += size[rj]
+        after[last[ri]] = rj
+        last[ri] = last[rj]
+    rank = [0] * len(decomps)
+    bag_rank = [0] * len(bags)
+    by_rank = []  # every bag, in rank then bag order
+    holding = {}  # vertex -> the bags holding it, in the same order
+    k = 0
+    for r in range(len(decomps)):
+        a = r if parent[r] == r else None  # walk each final list once
+        while a is not None:
+            rank[a] = k
+            for b in range(offsets[a], offsets[a] + len(decomps[a].bags)):
+                bag_rank[b] = k
+                by_rank.append(b)
+                for v in bags[b]:
+                    holding.setdefault(v, []).append(b)
+            k += 1
+            a = after[a]
+
+    def bag_holding(root, length, clique):
+        # scan the clique vertex with the fewest bags in the root's run
+        spans = []
+        for h in [holding.get(v, []) for v in clique] or [by_rank]:
+            start = bisect_left(h, rank[root], key=bag_rank.__getitem__)
+            stop = bisect_left(h, rank[root] + length,
+                               key=bag_rank.__getitem__)
+            spans.append((stop - start, start, h))
+        count, start, h = min(spans, key=lambda span: span[0])
+        for b in map(h.__getitem__, range(start, start + count)):
+            if clique <= bags[b]:
+                return b
+        raise ValueError("no bag contains the glue clique")
+
+    for side_i, side_j, clique in links:
+        edges.append((bag_holding(*side_i, clique),
+                      bag_holding(*side_j, clique)))
     return TreeDecomposition(bags, edges)
 
 
@@ -223,8 +267,9 @@ def decompose(g, t, caps=None, uncertified_ok=False):
 def _any(g, pieces, t, caps, report, depth):
     """Decompose g from its split; bags in g's ids.  Each atom is induced
     from g once, built by _atom, relabelled once and glued at its cutset
-    cliques; a component that is a lone atom of at most two vertices is one
-    bag.  The components' trees are chained in order."""
+    cliques, except that an edge atom is built by _edge; a component that
+    is a lone atom of at most two vertices is one bag.  The components'
+    trees are chained in order."""
     report.depth_final = max(report.depth_final, depth)
     out = []
     for atoms, glue in pieces:
@@ -233,10 +278,22 @@ def _any(g, pieces, t, caps, report, depth):
             continue
         decomps = []
         for a in atoms:
+            if len(a) == 2:
+                decomps.append(_edge(a, report, depth))
+                continue
             sub, ids = g.induced(a)
             decomps.append(_relabel(_atom(sub, t, caps, report, depth), ids))
         out.append(glue_at_clique(decomps, glue))
     return _chain(out)
+
+
+def _edge(atom, report, depth):
+    """The decomposition _atom gives an edge atom {u < v}, built directly:
+    an edge has no hole, so no cube, hub or layer, and the hub-free
+    min-fill order eliminates u first, giving bags {u, v} and {v}."""
+    report.trace.append({"depth": depth, "n": 2, "beta": 2,
+                         "branch": "hub-free"})
+    return TreeDecomposition([atom, {max(atom)}], [(0, 1)])
 
 
 def _structured(g, td, caps, report):

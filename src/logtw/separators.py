@@ -33,42 +33,67 @@ def ramsey(t, s):
 
 # -- clique cutsets ----------------------------------------------------------
 
+def _max_cardinality_search(g, bump):
+    """Maximum cardinality search: number the heaviest unnumbered vertex,
+    smallest id on ties, then add one to the weight of each vertex that
+    bump(v, weight, remaining, top) returns, where top is the largest
+    weight left among unnumbered vertices.  The next vertex comes off a
+    lazy max-heap of (-weight, id) entries, one pushed per increment;
+    stale entries are dropped as they surface.  Returns the numbering
+    reversed, an elimination order."""
+    weight = [0] * g.n
+    remaining = set(g.vertices())
+    heap = [(0, v) for v in g.vertices()]  # sorted, so already a heap
+    order = []
+
+    def top():
+        while heap and (heap[0][1] not in remaining
+                        or -heap[0][0] != weight[heap[0][1]]):
+            heapq.heappop(heap)
+        return -heap[0][0] if heap else 0
+
+    while remaining:
+        top()
+        v = heapq.heappop(heap)[1]
+        remaining.discard(v)
+        order.append(v)
+        for u in bump(v, weight, remaining, top()):
+            weight[u] += 1
+            heapq.heappush(heap, (-weight[u], u))
+    order.reverse()  # eliminate in this order
+    return order
+
+
 def minimal_triangulation(g):
     """An inclusion-minimal chordal fill via maximum cardinality search
     with fill tracking (MCS-M). Returns (fill, order) where g plus fill
     is chordal with minimal fill and order is a perfect elimination
     order of the completion."""
-    weight = {v: 0 for v in g.vertices()}
-    remaining = set(g.vertices())
-    order = []
     fill = set()
-    while remaining:
-        # heaviest unnumbered vertex, smallest id on ties
-        v = max(remaining, key=lambda u: (weight[u], -u))
-        remaining.discard(v)
+
+    def bump(v, weight, remaining, top):
         # u joins S(v) when some path v..u runs through unnumbered
-        # vertices all lighter than u; minimax search over path weights
-        dist = {}
-        heap = []
-        for w in sorted(g.adj[v] & remaining):
-            dist[w] = -1
-            heapq.heappush(heap, (-1, w))
+        # vertices all lighter than u; minimax search over path weights.
+        # No weight left exceeds top and a path's maximum never falls, so
+        # a path whose maximum reaches top reaches nothing: prune it
+        dist = {w: -1 for w in g.adj[v] & remaining}
+        heap = [(-1, w) for w in dist]
+        heapq.heapify(heap)
         while heap:
             d, u = heapq.heappop(heap)
-            if d > dist.get(u, float("inf")):
+            nd = max(d, weight[u])
+            if d > dist[u] or nd >= top:
                 continue
-            for z in sorted(g.adj[u] & remaining):
-                nd = max(d, weight[u])
-                if nd < dist.get(z, float("inf")):
+            for z in g.adj[u] & remaining:
+                if nd < dist.get(z, top):
                     dist[z] = nd
                     heapq.heappush(heap, (nd, z))
-        reached = {u for u, d in dist.items() if d < weight[u]}
-        for u in reached:
-            weight[u] += 1
-            if not g.has_edge(u, v):
-                fill.add(frozenset((u, v)))
-        order.append(v)
-    order.reverse()  # eliminate in this order
+        reached = [u for u, d in dist.items() if d < weight[u]]
+        fill.update(frozenset((u, v)) for u in reached
+                    if not g.has_edge(u, v))
+        return reached
+
+    order = _max_cardinality_search(g, bump)
     return fill, order
 
 
@@ -118,9 +143,15 @@ def clique_cutset_atoms(g):
     for x, y in zip(order, order[1:]):
         s = madj[x]
         if len(s) <= len(madj[y]) and g.is_clique(s):
-            comp = next(c for c in g.components(removed=removed | s)
-                        if x in c)
-            atoms.append(comp | s)
+            # the component of g - removed - s that holds x
+            comp = {x}
+            stack = [x]
+            while stack:
+                for w in g.adj[stack.pop()]:
+                    if w not in comp and w not in removed and w not in s:
+                        comp.add(w)
+                        stack.append(w)
+            atoms.append(frozenset(comp | s))
             cuts.append(s)
             removed |= comp
     atoms.append(frozenset(g.vertices()) - removed)
@@ -134,16 +165,8 @@ def clique_cutset_atoms(g):
 
 def perfect_elimination_order(g):
     """A PEO via maximum cardinality search, or None if g is not chordal."""
-    weight = {v: 0 for v in g.vertices()}
-    order = []
-    remaining = set(g.vertices())
-    while remaining:
-        v = max(remaining, key=lambda u: (weight[u], -u))
-        order.append(v)
-        remaining.discard(v)
-        for w in g.adj[v] & remaining:
-            weight[w] += 1
-    order.reverse()  # eliminate in this order
+    order = _max_cardinality_search(
+        g, lambda v, weight, remaining, top: g.adj[v] & remaining)
     if not all(g.is_clique(s) for s in _madj(g.adj, order).values()):
         return None
     return order

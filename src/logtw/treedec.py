@@ -9,6 +9,7 @@ supplies only its field width and its introduce, forget and join
 transitions on those fields.
 """
 
+import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -211,29 +212,47 @@ def _optimal_order(g):
 
 
 def greedy_fill_decomposition(g):
-    """Heuristic decomposition from a minimum-fill-in elimination order.
-    Valid at any size; width is not guaranteed optimal."""
+    """Heuristic decomposition from a minimum-fill-in elimination order,
+    smallest id on ties.  Valid at any size; width is not guaranteed
+    optimal.
+
+    Eliminating v changes the fill-in of its neighbours (they lose v and
+    gain edges) and of their neighbours (edges appear among theirs), and
+    of no other vertex; so only those are recounted, and the next vertex
+    comes off a lazy min-heap of (fill, id) entries, stale ones dropped as
+    they surface."""
     if g.n == 0:
         return TreeDecomposition([frozenset()], [])
-    adj = {v: set(g.adj[v]) for v in g.vertices()}
-    remaining = set(g.vertices())
-    order = []
+    adj = [set(nb) for nb in g.adj]  # the remaining vertices only
 
     def fill_needed(v):
-        # each missing edge ab is counted once from a and once from b;
-        # nbrs - adj[a] also holds a itself
-        nbrs = adj[v] & remaining
-        return sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2
+        # each missing edge ab is counted once from a and once from b: a
+        # misses the neighbours of v outside its own neighbourhood and a
+        nbrs = adj[v]
+        return sum(len(nbrs) - 1 - len(nbrs & adj[a]) for a in nbrs) // 2
 
-    while remaining:
-        v = min(remaining, key=lambda x: (fill_needed(x), x))
+    fill = [fill_needed(v) for v in g.vertices()]
+    heap = [(f, v) for v, f in enumerate(fill)]
+    heapq.heapify(heap)
+    order = []
+    while len(order) < g.n:
+        f, v = heapq.heappop(heap)
+        if fill[v] != f:
+            continue
         order.append(v)
-        nbrs = adj[v] & remaining
+        fill[v] = None
+        nbrs = adj[v]
         for a in nbrs:
-            for b in nbrs:
-                if a != b:
-                    adj[a].add(b)
-        remaining.discard(v)
+            adj[a] |= nbrs
+            adj[a] -= {a, v}
+        touched = set(nbrs)
+        for a in nbrs:
+            touched |= adj[a]
+        for x in touched:
+            f = fill_needed(x)
+            if f != fill[x]:
+                fill[x] = f
+                heapq.heappush(heap, (f, x))
     return decomposition_from_elimination(g, order)
 
 

@@ -8,7 +8,7 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from logtw import detect
+from logtw import detect, generators
 from logtw.generators import random_graph, random_in_class
 from logtw.graph import Graph
 
@@ -80,3 +80,34 @@ def hub_layer_cases():
              (cycle_with_hubs(14, (1, 5, 13), (6, 8, 13), (1, 3, 5)),
               ["balanced"])]
     return cases + [(g, ["balanced"]) for g in wheel_bearing_cstar_graphs()]
+
+
+def random_tree(n, seed):
+    """A seeded random tree on n vertices: each vertex after the first
+    hangs off a random earlier one, then the ids are shuffled."""
+    rng = random.Random(seed)
+    return relabelled(Graph(n, [(rng.randrange(v), v) for v in range(1, n)]),
+                      seed)
+
+
+@lru_cache(maxsize=None)
+def split_corpus():
+    """Seeded graphs on which the split, glue and elimination orders are
+    pinned to their first-written references: G(n, p) for n = 5..40,
+    paths, cycles, stars and random trees, walls 3..5, the hub-layer cases
+    and t = 3 class members."""
+    out = [random_graph(n, p, seed=100 * n + k) for n in range(5, 41)
+           for k, p in enumerate((1.5 / n, 3 / n, 0.3))]
+    for n in (2, 3, 5, 8, 13, 40):
+        out += [generators.path(n), generators.complete_bipartite(1, n - 1),
+                relabelled(generators.complete_bipartite(1, n - 1), n)]
+        out += [random_tree(n, seed=n + k) for k in range(3)]
+        if n >= 3:
+            out.append(generators.cycle(n))
+    out += [generators.wall(k) for k in (3, 4, 5)]
+    out += [g for g, _ in hub_layer_cases()]
+    for n in (16, 32):
+        out += class_members(3, n, 3)
+    for n in (64, 128):
+        out += class_members(3, n, 3, p=1.2 / n)
+    return tuple(out)

@@ -2,19 +2,23 @@
 tests that exercise them: wheels and their sectors, stranded wheels and
 local vertices and components, the restricted class C*, minimal connected
 connectors, cube partitions, minimal separators, potential maximal
-cliques, component closures and the low-degree half; and the theta,
+cliques, component closures and the low-degree half; the theta,
 pyramid and prism checks as first written, property by property, a
-reference for detect's definition checks.  The builder needs none of
-them; the tests import this module the way they import conftest.
+reference for detect's definition checks; and the clique-cutset split,
+glue and elimination orders as first written, references for the
+heap-selected and indexed versions.  The builder needs none of them; the
+tests import this module the way they import conftest.
 """
 
+import heapq
 from dataclasses import dataclass
 from itertools import permutations
 
 from logtw import detect
 from logtw.graph import (SizeCapExceeded, enumerate_holes, is_induced_path,
                          strict_degeneracy)
-from logtw.separators import perfect_elimination_order
+from logtw.separators import _madj, perfect_elimination_order
+from logtw.treedec import TreeDecomposition
 
 SEPARATOR_ENUM_CAP = 20
 
@@ -547,3 +551,170 @@ def low_degree_half(g):
     """
     delta = strict_degeneracy(g)
     return frozenset(v for v in g.vertices() if g.degree(v) <= 4 * delta)
+
+
+# -- the split, glue and elimination orders as first written ------------------
+#
+# References for separators' heap-selected searches, the builder's indexed
+# glue and treedec's heap-selected min-fill, which must give the same
+# output: each rescans every unnumbered vertex per step, every component
+# per generator, or every earlier bag per glue clique.
+
+def reference_minimal_triangulation(g):
+    """An inclusion-minimal chordal fill via maximum cardinality search
+    with fill tracking (MCS-M). Returns (fill, order) where g plus fill
+    is chordal with minimal fill and order is a perfect elimination
+    order of the completion."""
+    weight = {v: 0 for v in g.vertices()}
+    remaining = set(g.vertices())
+    order = []
+    fill = set()
+    while remaining:
+        # heaviest unnumbered vertex, smallest id on ties
+        v = max(remaining, key=lambda u: (weight[u], -u))
+        remaining.discard(v)
+        # u joins S(v) when some path v..u runs through unnumbered
+        # vertices all lighter than u; minimax search over path weights
+        dist = {}
+        heap = []
+        for w in sorted(g.adj[v] & remaining):
+            dist[w] = -1
+            heapq.heappush(heap, (-1, w))
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist.get(u, float("inf")):
+                continue
+            for z in sorted(g.adj[u] & remaining):
+                nd = max(d, weight[u])
+                if nd < dist.get(z, float("inf")):
+                    dist[z] = nd
+                    heapq.heappush(heap, (nd, z))
+        reached = {u for u, d in dist.items() if d < weight[u]}
+        for u in reached:
+            weight[u] += 1
+            if not g.has_edge(u, v):
+                fill.add(frozenset((u, v)))
+        order.append(v)
+    order.reverse()  # eliminate in this order
+    return fill, order
+
+
+def reference_clique_cutset_atoms(g):
+    """Clique minimal separator decomposition of a connected graph, read
+    off one MCS-M elimination order (Berry, Pogorelcnik and Simonet 2010).
+
+    Returns (atoms, glue_tree): atoms are vertex sets with no clique
+    cutset; glue_tree is a list of (i, j, clique) entries meaning atoms i
+    and j were split along that clique. Gluing the atoms back along the
+    recorded cliques reproduces g.
+
+    x generates the minimal separator madj(x) of the completion when
+    |madj(x)| <= |madj(next vertex)|, the MCS-M weight test. Walking the
+    order, each generator whose separator S is a clique of g cuts off the
+    component of what is left that holds x, together with S, as an atom.
+    """
+    if not g.is_connected():
+        raise ValueError("clique-cutset decomposition expects a connected "
+                         "graph; decompose components separately")
+    fill, order = reference_minimal_triangulation(g)
+    madj = _madj(g.with_edges(tuple(sorted(e)) for e in fill).adj, order)
+    removed = set()
+    atoms = []
+    cuts = []
+    for x, y in zip(order, order[1:]):
+        s = madj[x]
+        if len(s) <= len(madj[y]) and g.is_clique(s):
+            comp = next(c for c in g.components(removed=removed | s)
+                        if x in c)
+            atoms.append(comp | s)
+            cuts.append(s)
+            removed |= comp
+    atoms.append(frozenset(g.vertices()) - removed)
+    # atom i hangs off the first later atom that holds its separator
+    glue = [(i, next(j for j in range(i + 1, len(atoms)) if s <= atoms[j]),
+             s) for i, s in enumerate(cuts)]
+    return atoms, glue
+
+
+def reference_perfect_elimination_order(g):
+    """A PEO via maximum cardinality search, or None if g is not chordal."""
+    weight = {v: 0 for v in g.vertices()}
+    order = []
+    remaining = set(g.vertices())
+    while remaining:
+        v = max(remaining, key=lambda u: (weight[u], -u))
+        order.append(v)
+        remaining.discard(v)
+        for w in g.adj[v] & remaining:
+            weight[w] += 1
+    order.reverse()  # eliminate in this order
+    if not all(g.is_clique(s) for s in _madj(g.adj, order).values()):
+        return None
+    return order
+
+
+def reference_glue_at_clique(decomps, glue_tree):
+    """Join atom decompositions back into one tree along the recorded
+    cutset cliques.
+
+    Each glue entry (i, j, clique) links the partial trees currently
+    containing atoms i and j at bags holding the clique; a clique always
+    lies whole inside some atom on each side, and a valid decomposition of
+    that atom has a bag covering it.
+    """
+    bags = []
+    edges = []
+    offsets = []
+    for td in decomps:
+        offsets.append(len(bags))
+        edges.extend((a + offsets[-1], b + offsets[-1]) for a, b in td.edges)
+        bags.extend(td.bags)
+
+    parent = list(range(len(decomps)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    members = {i: [i] for i in range(len(decomps))}
+
+    def bag_holding(root, clique):
+        for a in members[root]:
+            for k, bag in enumerate(decomps[a].bags):
+                if clique <= bag:
+                    return offsets[a] + k
+        raise ValueError("no bag contains the glue clique")
+
+    for i, j, clique in glue_tree:
+        ri, rj = find(i), find(j)
+        edges.append((bag_holding(ri, clique), bag_holding(rj, clique)))
+        parent[rj] = ri
+        members[ri].extend(members.pop(rj))
+    return TreeDecomposition(bags, edges)
+
+
+def reference_min_fill_order(g):
+    """The minimum-fill-in elimination order, smallest id on ties, as
+    greedy_fill_decomposition first took it."""
+    adj = {v: set(g.adj[v]) for v in g.vertices()}
+    remaining = set(g.vertices())
+    order = []
+
+    def fill_needed(v):
+        # each missing edge ab is counted once from a and once from b;
+        # nbrs - adj[a] also holds a itself
+        nbrs = adj[v] & remaining
+        return sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2
+
+    while remaining:
+        v = min(remaining, key=lambda x: (fill_needed(x), x))
+        order.append(v)
+        nbrs = adj[v] & remaining
+        for a in nbrs:
+            for b in nbrs:
+                if a != b:
+                    adj[a].add(b)
+        remaining.discard(v)
+    return order

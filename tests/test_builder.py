@@ -10,7 +10,8 @@ from logtw.builder import Caps, ClassViolation, decompose, width_bound
 from logtw.graph import Graph
 from logtw.treedec import TreeDecomposition
 
-from conftest import class_members, hub_layer_cases, relabelled
+import lemmas
+from conftest import class_members, hub_layer_cases, random_tree, relabelled
 
 
 def test_width_bound_values():
@@ -33,6 +34,25 @@ def test_glue_at_clique_reassembles():
     t = builder.glue_at_clique([d0, d1], [(0, 1, frozenset({1, 2}))])
     assert treedec.validate(g, t) is None
     assert t.width == 2
+
+
+def test_glue_at_clique_takes_the_reference_bag():
+    # several bags hold each clique; the first in the partial tree's atom
+    # order, then bag order, is linked, as the first-written scan does,
+    # for an empty clique too; a glue entry that closes a cycle is refused
+    decomps = [TreeDecomposition([{0, 1}, {1}], [(0, 1)]),
+               TreeDecomposition([{1, 2}, {1, 2, 3}], [(0, 1)]),
+               TreeDecomposition([{3, 4}, {1, 3}], [(0, 1)]),
+               TreeDecomposition([{5}], [])]
+    glue = [(1, 2, frozenset({3})), (0, 1, frozenset({1})),
+            (2, 3, frozenset())]
+    got = builder.glue_at_clique(decomps, glue)
+    want = lemmas.reference_glue_at_clique(decomps, glue)
+    assert (got.bags, got.edges) == (want.bags, want.edges)
+    with pytest.raises(ValueError, match="form a tree"):
+        builder.glue_at_clique(decomps[:2], [(0, 1, frozenset({1}))] * 2)
+    with pytest.raises(ValueError, match="no bag contains"):
+        builder.glue_at_clique(decomps[:2], [(0, 1, frozenset({0, 2}))])
 
 
 def test_decompose_simple_certified():
@@ -118,6 +138,14 @@ def test_certified_member_builds_are_pinned():
                         list(report.as_lines()), report.trace))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
         "7db10be286655bc3e1521064ed9a1773c68730fd2000353df4eba3c403fdf9ce")
+
+
+def test_long_thin_graphs_decompose_at_width_one():
+    # 2999 clique-cutset atoms each, all of them edges
+    for g in (generators.path(3000), random_tree(3000, seed=7)):
+        td, _ = decompose(g, 3, uncertified_ok=True)
+        assert treedec.validate(g, td) is None
+        assert td.width == 1
 
 
 def test_split_is_in_host_ids():

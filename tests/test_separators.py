@@ -10,7 +10,7 @@ from logtw.graph import Graph
 from logtw.treedec import TreeDecomposition
 
 import lemmas
-from conftest import random_corpus
+from conftest import random_corpus, split_corpus
 
 
 def test_ramsey_table_and_fallback():
@@ -159,6 +159,32 @@ def test_clique_cutset_atoms():
             decomps.append(TreeDecomposition(
                 [frozenset(ids[v] for v in b) for b in td.bags], td.edges))
         assert treedec.validate(g, glue_at_clique(decomps, glue)) is None
+
+
+def test_split_and_glue_match_their_references():
+    # the heap-selected MCS and MCS-M, the component search per generator
+    # and the indexed glue give exactly what the first-written versions,
+    # kept in lemmas, give
+    for g in split_corpus():
+        fill, order = separators.minimal_triangulation(g)
+        assert (fill, order) == lemmas.reference_minimal_triangulation(g)
+        h = g.with_edges(tuple(sorted(e)) for e in fill)
+        for x in (g, h):
+            assert separators.perfect_elimination_order(x) == \
+                lemmas.reference_perfect_elimination_order(x)
+        if not g.is_connected():
+            continue
+        atoms, glue = separators.clique_cutset_atoms(g)
+        assert (atoms, glue) == lemmas.reference_clique_cutset_atoms(g)
+        decomps = []
+        for a in atoms:
+            sub, ids = g.induced(a)
+            td = treedec.greedy_fill_decomposition(sub)
+            decomps.append(TreeDecomposition(
+                [frozenset(ids[v] for v in b) for b in td.bags], td.edges))
+        glued = glue_at_clique(decomps, glue)
+        want = lemmas.reference_glue_at_clique(decomps, glue)
+        assert (glued.bags, glued.edges) == (want.bags, want.edges)
 
 
 def test_make_structured_preserves_width_and_gives_pmcs():

@@ -12,7 +12,8 @@ from logtw.formats import write_td
 from logtw.graph import BuildCheckFailed, Graph, SizeCapExceeded
 from logtw.treedec import TreeDecomposition
 
-from conftest import random_corpus, relabelled
+import lemmas
+from conftest import random_corpus, relabelled, split_corpus
 
 
 def test_validate_accepts_and_rejects():
@@ -79,6 +80,16 @@ def test_greedy_fill_decomposition_always_valid():
     # exact on chordal-ish easy shapes
     assert treedec.greedy_fill_decomposition(generators.path(9)).width == 1
     assert treedec.greedy_fill_decomposition(generators.cycle(9)).width == 2
+
+
+def test_min_fill_order_matches_its_reference():
+    # the heap-selected min-fill with local recounts eliminates in the
+    # order the first-written full rescan, kept in lemmas, takes
+    for g in [*split_corpus(), generators.wall(6), generators.wall(7),
+              Graph(0), Graph(5)]:
+        assert treedec.greedy_fill_decomposition(g) == \
+            treedec.decomposition_from_elimination(
+                g, lemmas.reference_min_fill_order(g))
 
 
 def test_solvers_match_brute_force():
