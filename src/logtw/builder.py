@@ -27,16 +27,17 @@ from .treedec import (EXACT_TW_CAP, TreeDecomposition, exact_treewidth,
                       greedy_fill_decomposition, validate)
 
 
+STRUCTURE_CAP = 120  # bag-structuring (minimal completion) budget
+HUB_BUDGET = 5000  # holes examined per hub search; certified runs fail
+                   # loudly past it, uncertified runs fall back to the
+                   # partial hub set
+
+
 @dataclass(frozen=True)
 class Caps:
     """Exact-search budgets for one build."""
     detect: int = detect.DEFAULT_CAP  # class membership verified only up to here
     hole: int = HOLE_ENUM_VERTEX_CAP  # hub search's hole-enumeration budget
-    exact: int = EXACT_TW_CAP  # exact treewidth fallback budget
-    structure: int = 120   # bag-structuring (minimal completion) budget
-    hub_budget: int = 5000   # holes examined per hub search; certified
-                             # runs fail loudly past it, uncertified runs
-                             # fall back to the partial hub set
 
 
 class ClassViolation(Exception):
@@ -296,26 +297,26 @@ def _edge(atom, report, depth):
     return TreeDecomposition([atom, {max(atom)}], [(0, 1)])
 
 
-def _structured(g, td, caps, report):
+def _structured(g, td, report):
     """Rebuild td over g with every bag a potential maximal clique.
 
     Only done within the structuring budget, and on uncertified runs only
     for small pieces: the minimal-completion step is what the certified
     bag accounting relies on, but it is expensive on dense graphs, and an
     uncertified width claims nothing."""
-    if g.n > caps.structure or (not report.certified and g.n > 30):
+    if g.n > STRUCTURE_CAP or (not report.certified and g.n > 30):
         return td
     return make_structured(g, td)
 
 
-def _hub_free(g, t, caps, report):
+def _hub_free(g, t):
     """Decomposition of a hub-free piece: greedy fill first, exact search
     when the greedy width misses the R(t,4) - 1 target and the piece is
     small enough."""
     td = greedy_fill_decomposition(g)
     target = ramsey(t, 4) - 1
-    if td.width > target and g.n <= caps.exact:
-        _, td = exact_treewidth(g, cap=caps.exact)
+    if td.width > target and g.n <= EXACT_TW_CAP:
+        _, td = exact_treewidth(g)
     return td
 
 
@@ -323,12 +324,12 @@ def _atom(g, t, caps, report, depth):
     """Decompose one clique-cutset-free connected piece; bags in g's ids."""
     # a cube inside a cutset-free class member forces fewer than 9t
     # vertices, so the single bag is already within budget
-    if g.n < 9 * t and detect.find_cube(g, cap=g.n) is not None:
+    if g.n < 9 * t and detect.find_cube(g) is not None:
         report.trace.append(
             {"depth": depth, "n": g.n, "branch": "cube-single-bag"})
         return TreeDecomposition([frozenset(g.vertices())], [])
 
-    hp = build_hub_partition(g, caps=caps.hole, budget=caps.hub_budget,
+    hp = build_hub_partition(g, caps=caps.hole, budget=HUB_BUDGET,
                              partial=not report.certified)
     report.delta_used = max(report.delta_used, hp.delta)
     report.hdim_used = max(report.hdim_used, hp.order)
@@ -381,8 +382,7 @@ def _shrink(g, ids, hp, hub, first, t, caps, report, depth, n):
                               "branch": "shrink"})
         sub, sub_ids = g.induced(central[0])
         if report.certified:
-            sub_hub = detect.hubs(sub, hole_cap=caps.hole,
-                                  budget=caps.hub_budget)
+            sub_hub = detect.hubs(sub, hole_cap=caps.hole, budget=HUB_BUDGET)
         else:
             # a wheel of an induced subgraph is a wheel of g, so g's hub
             # set restricted to the bag is a safe superset; only the width
@@ -390,7 +390,7 @@ def _shrink(g, ids, hp, hub, first, t, caps, report, depth, n):
             sub_hub = frozenset(i for i, x in enumerate(sub_ids) if x in hub)
         td = _shrink(sub, [ids[x] for x in sub_ids], hp, sub_hub, idx + 1,
                      t, caps, report, depth, n)
-        t_beta = _relabel(_structured(sub, td, caps, report), sub_ids)
+        t_beta = _relabel(_structured(sub, td, report), sub_ids)
         part_tds = _parts(g, g.components(removed=central[0]), t, caps,
                           report, depth + 1)
         return extend_tree(g, central, t_beta, part_tds)
@@ -398,7 +398,7 @@ def _shrink(g, ids, hp, hub, first, t, caps, report, depth, n):
     if report.certified and hub:
         raise BuildCheckFailed(f"depth {depth}: final central bag of {g.n} "
                                f"vertices still has hubs")
-    td = _hub_free(g, t, caps, report)
+    td = _hub_free(g, t)
     report.trace.append({"depth": depth, "n": n, "beta": g.n,
                          "branch": "hub-free"})
     return td
@@ -411,7 +411,7 @@ def _parts(g, parts, t, caps, report, depth):
     for part in parts:
         sub, ids = g.induced(part)
         td = _structured(sub, _any(sub, split(sub), t, caps, report, depth),
-                         caps, report)
+                         report)
         out.append(_relabel(td, ids))
     return out
 
@@ -421,6 +421,6 @@ def _balanced(g, v, hub, t, caps, report, depth):
     component of g minus N[v], solve the (wheel-free) contraction by the
     hub-free routine, recurse on the components, and extend back."""
     cg = build_contraction(g, v, hub)
-    t0 = _structured(cg.h, _hub_free(cg.h, t, caps, report), caps, report)
+    t0 = _structured(cg.h, _hub_free(cg.h, t), report)
     part_tds = _parts(g, cg.parts, t, caps, report, depth + 1)
     return extend_neighborhood(g, cg, t0, part_tds)

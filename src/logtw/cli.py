@@ -60,6 +60,9 @@ def _parse_caps(text):
         key, _, value = item.partition("=")
         if key not in {f.name for f in fields(Caps)}:
             raise ValueError(f"unknown cap {key!r}")
+        if not (value.isascii() and value.isdigit()):
+            raise ValueError(f"cap {key!r} must be an integer >= 0, "
+                             f"got {value!r}")
         caps[key] = int(value)
     return Caps(**caps)
 
@@ -108,7 +111,8 @@ def cmd_detect(args):
         cert.check(g)
         print(f"violation: {cert.kind} {dict(sorted(cert.roles.items()))}")
         return EXIT_CLASS
-    cert = _DETECTORS[args.what](g, cap=cap)
+    detect.check_cap(g, cap)
+    cert = _DETECTORS[args.what](g)
     if cert is None:
         print(f"{args.what}: none")
     else:

@@ -2,15 +2,16 @@
 (theta, pyramid, prism, pinched prism, cube, large cliques), the class
 membership test built on it, and the hub search.
 
-Every detector is an exhaustive search with pruning, capped by vertex count
-(DEFAULT_CAP, overridable per call); every positive answer carries a
-certificate whose verify() re-checks the full definition against the host
-graph.  The theta, pyramid and prism finders differ only in which ends
-they try: each is three induced paths between two ends (a vertex or a
-triangle), found by the one search `_three_paths`.  Their verifiers check
-the definition itself, three legs of at least two vertices between the
-given ends any two of which close into a hole, and share no code with that
-search.
+Every detector is an exhaustive search with pruning.  A caller bounds
+its cost through check_cap, once per graph, before any finder runs: the
+class membership test caps g at DEFAULT_CAP vertices unless told
+otherwise.  Every positive answer carries a certificate whose verify()
+re-checks the full definition against the host graph.  The theta,
+pyramid and prism finders differ only in which ends they try: each is
+three induced paths between two ends (a vertex or a triangle), found by
+the one search `_three_paths`.  Their verifiers check the definition
+itself, three legs of at least two vertices between the given ends any
+two of which close into a hole, and share no code with that search.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from .graph import (BuildCheckFailed, SizeCapExceeded, adjacency_masks,
 DEFAULT_CAP = 30
 
 
-def _check_cap(g, cap):
+def check_cap(g, cap):
     cap = DEFAULT_CAP if cap is None else cap
     if g.n > cap:
         raise SizeCapExceeded(f"detector capped at n <= {cap}, got n = {g.n}")
@@ -192,8 +193,7 @@ def _three_paths(g, legs):
     return None
 
 
-def find_theta(g, cap=None):
-    _check_cap(g, cap)
+def find_theta(g):
     for a in g.vertices():
         if g.degree(a) < 3:
             continue
@@ -216,8 +216,7 @@ def _triangles(g):
                     yield (u, v, w)
 
 
-def find_pyramid(g, cap=None):
-    _check_cap(g, cap)
+def find_pyramid(g):
     for base in _triangles(g):
         for a in g.vertices():
             # a pyramid has at most one leg of length 1, so its apex sees
@@ -235,8 +234,7 @@ def find_pyramid(g, cap=None):
     return None
 
 
-def find_prism(g, cap=None):
-    _check_cap(g, cap)
+def find_prism(g):
     tris = list(_triangles(g))
     for i, ta in enumerate(tris):
         for tb in tris[i + 1:]:
@@ -254,8 +252,7 @@ def find_prism(g, cap=None):
     return None
 
 
-def find_pinched_prism(g, cap=None):
-    _check_cap(g, cap)
+def find_pinched_prism(g):
     for hole in enumerate_holes(g, min_len=6, cap=g.n):
         hset = set(hole)
         for c in g.vertices():
@@ -292,11 +289,7 @@ def cubes(g):
                         yield ring + [b1, b2]
 
 
-def find_cube(g, cap=None):
-    # an 8-vertex pattern; polynomial enumeration, no cap needed, but we
-    # honor an explicit one for symmetry with the other detectors.
-    if cap is not None:
-        _check_cap(g, cap)
+def find_cube(g):
     for c in cubes(g):
         return Certificate("Cube", {"ring": c[:6], "b1": c[6], "b2": c[7]})
     return None
@@ -413,10 +406,10 @@ def in_class_Ct(g, t, caps=None, atoms=None):
         cert = has_clique(sub, t)
         if cert is not None:
             return False, _in_host(cert, ids)
-    _check_cap(g, caps)
+    check_cap(g, caps)
     for finder in (find_theta, find_pyramid, find_prism, find_pinched_prism):
         for sub, ids in pieces:
-            cert = finder(sub, cap=caps)
+            cert = finder(sub)
             if cert is not None:
                 return False, _in_host(cert, ids)
     return True, None

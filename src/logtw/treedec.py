@@ -4,9 +4,12 @@ and the dynamic-programming solvers that run in 2^O(width) time per bag.
 All solvers share one table walk over the decomposition (_dp). A DP
 state is one int packing a k-bit field per bag vertex, in ascending id
 order, so a state operation costs O(width) whatever n is; witnesses are
-back-pointer chains, turned into a set once at the root. Each solver
-supplies only its field width and its introduce, forget and join
-transitions on those fields.
+back-pointer chains, turned into a set once at the root. A table's
+value counts only the vertices already forgotten, each exactly once, so
+no join needs a correction. Each solver supplies only its field width,
+the field bits two joined states must agree on, the states introducing a
+vertex can give, and what forgetting a field gains or whether it drops
+the state.
 """
 
 import heapq
@@ -267,7 +270,7 @@ def _require_valid(g, t):
         raise ValueError(f"invalid decomposition: {report}")
 
 
-def _dp(g, t, k, introduce, keep, join_key, merge):
+def _dp(g, t, k, key, introduce, forget):
     """Run one table DP over t, rooted at bag 0; returns the (value,
     witness) of the empty state at the root, or None if no state survives.
 
@@ -280,19 +283,24 @@ def _dp(g, t, k, introduce, keep, join_key, merge):
     from the empty state 0, the arms of a bag's children are joined left
     to right in t.edges order, and the root bag is forgotten at the end.
 
-    Forgetting v drops its field and shifts the higher fields down, after
-    keep(field) says whether the state survives (keep None keeps every
-    state). Introducing v opens a zero field at v's rank, at bit offset f,
-    and introduce(state, f, nb, v) gives (state', gain, item) candidates;
-    nb has bit 0 of the field of each bag neighbour of v, so that
+    A value counts only the vertices already forgotten, and by the
+    running-intersection property each vertex is forgotten exactly once
+    (the root bag's at the end), so nothing is counted twice. Forgetting
+    v asks forget(field, v), once per field value, for None, which drops
+    the state, or (gain, item), which adds gain to the value and item (if
+    not None) to the witness; the field is dropped and the higher fields
+    shift down. Introducing v opens a zero field at v's rank, at bit
+    offset f, and introduce(state, f, nb) gives the candidate states; nb
+    has bit 0 of the field of each bag neighbour of v, so that
     state & nb << c tests bit c of v's neighbours. At a join, the states
-    of both sides with equal join_key(state) pair up, and
-    merge(left, right) gives (state', gain). A candidate replaces a table
-    entry only when its value is strictly larger, so the first of
-    equal-valued candidates is kept.
+    of both sides that agree on the key bits of every field pair up into
+    left | right, valued left + right, since the two sides have forgotten
+    disjoint vertex sets. A candidate replaces a table entry only when its
+    value is strictly larger, so the first of equal-valued candidates is
+    kept.
 
-    A witness is a back-pointer chain: None, (item, previous) for an
-    introduce with an item, or (_JOIN, left, right) at a join. Only the
+    A witness is a back-pointer chain: None, (item, previous) for a
+    forget with an item, or (_JOIN, left, right) at a join. Only the
     root's chain is walked, iteratively, into the frozenset of its items.
     The caller has validated t.
     """
@@ -310,6 +318,7 @@ def _dp(g, t, k, introduce, keep, join_key, merge):
                 children[i].append(j)
                 order.append(j)
     ones = (1 << k) - 1
+    mask = key * sum(1 << r * k for r in range(t.width + 1))  # in every field
 
     def move(tab, bag, target):
         ranks = sorted(bag)  # the vertices of tab's fields, in field order
@@ -318,12 +327,17 @@ def _dp(g, t, k, introduce, keep, join_key, merge):
             del ranks[r]
             f = r * k
             low = (1 << f) - 1
+            outcome = [forget(x, v) for x in range(ones + 1)]
             out = {}
-            for s, entry in tab.items():
-                if keep is None or keep(s >> f & ones):
+            for s, (val, wit) in tab.items():
+                kept = outcome[s >> f & ones]
+                if kept is not None:
+                    gain, item = kept
                     s2 = s & low | s >> f + k << f
-                    if s2 not in out or entry[0] > out[s2][0]:
-                        out[s2] = entry
+                    old = out.get(s2)
+                    if old is None or val + gain > old[0]:
+                        out[s2] = (val + gain,
+                                   wit if item is None else (item, wit))
             tab = out
         for v in sorted(target - bag):
             r = bisect_left(ranks, v)
@@ -333,27 +347,25 @@ def _dp(g, t, k, introduce, keep, join_key, merge):
             nbrs = g.adj[v]
             nb = sum(1 << i * k for i, w in enumerate(ranks) if w in nbrs)
             out = {}
-            for s, (val, wit) in tab.items():
-                for s2, gain, item in introduce(s & low | s >> f << f + k,
-                                                f, nb, v):
+            for s, entry in tab.items():
+                for s2 in introduce(s & low | s >> f << f + k, f, nb):
                     old = out.get(s2)
-                    if old is None or val + gain > old[0]:
-                        out[s2] = (val + gain,
-                                   wit if item is None else (item, wit))
+                    if old is None or entry[0] > old[0]:
+                        out[s2] = entry
             tab = out
         return tab
 
     def join(left, right):
         buckets = {}
         for s, entry in right.items():
-            buckets.setdefault(join_key(s), []).append((s, entry))
+            buckets.setdefault(s & mask, []).append((s, entry))
         out = {}
         for ls, (lv, lw) in left.items():
-            for rs, (rv, rw) in buckets.get(join_key(ls), ()):
-                s, gain = merge(ls, rs)
+            for rs, (rv, rw) in buckets.get(ls & mask, ()):
+                s = ls | rs
                 old = out.get(s)
-                if old is None or lv + rv + gain > old[0]:
-                    out[s] = (lv + rv + gain, (_JOIN, lw, rw))
+                if old is None or lv + rv > old[0]:
+                    out[s] = (lv + rv, (_JOIN, lw, rw))
         return out
 
     tables = {}
@@ -385,17 +397,16 @@ def _dp(g, t, k, introduce, keep, join_key, merge):
 def solve_stable_set(g, t):
     """(maximum stable set size, witness set).
 
-    State: one bit per bag vertex, set when it is in the stable set.
+    State: one bit per bag vertex, set when it is in the stable set; a
+    vertex in the set counts 1 when forgotten.
     """
     _require_valid(g, t)
 
-    def introduce(s, f, nb, v):
-        if s & nb:
-            return ((s, 0, None),)
-        return (s, 0, None), (s | 1 << f, 1, v)
+    def introduce(s, f, nb):
+        return (s,) if s & nb else (s, s | 1 << f)
 
-    val, wit = _dp(g, t, 1, introduce, None, lambda s: s,
-                   lambda ls, rs: (ls, -ls.bit_count()))
+    val, wit = _dp(g, t, 1, 1, introduce,
+                   lambda x, v: (1, v) if x else (0, None))
     if not (g.is_stable(wit) and len(wit) == val):
         raise BuildCheckFailed(f"stable-set witness {sorted(wit)} is not a "
                                f"stable set of size {val}")
@@ -415,17 +426,18 @@ def solve_dominating_set(g, t):
     State: two bits per bag vertex, bit 0 set when it is in the set
     (taken), bit 1 when it is not taken but has a taken neighbour
     (dominated); a vertex with neither still waits, and is dropped when
-    forgotten. Values are negated sizes.
+    forgotten. Values are negated sizes: a taken vertex counts -1 when
+    forgotten.
     """
     _require_valid(g, t)
-    taken = sum(1 << 2 * i for i in range(t.width + 1))  # every bit 0
 
-    def introduce(s, f, nb, v):
-        return ((s | 1 << f | (nb & ~s) << 1, -1, v),
-                (s | 2 << f if s & nb else s, 0, None))
+    def introduce(s, f, nb):
+        return s | 1 << f | (nb & ~s) << 1, (s | 2 << f if s & nb else s)
 
-    val, wit = _dp(g, t, 2, introduce, bool, lambda s: s & taken,
-                   lambda ls, rs: (ls | rs, (ls & taken).bit_count()))
+    def forget(x, v):  # a vertex still waiting was never dominated
+        return (-1, v) if x & 1 else (0, None) if x else None
+
+    val, wit = _dp(g, t, 2, 1, introduce, forget)
     if len(g.closed_neighborhood(wit)) != g.n or len(wit) != -val:
         raise BuildCheckFailed(f"dominating-set witness {sorted(wit)} does "
                                f"not dominate g with {-val} vertices")
@@ -435,7 +447,8 @@ def solve_dominating_set(g, t):
 def solve_q_coloring(g, t, q):
     """(colorable: bool, witness coloring dict or None) with q colors.
 
-    State: q bits per bag vertex, one-hot: bit c set when it has color c.
+    State: q bits per bag vertex, one-hot: bit c set when it has color c;
+    a forgotten vertex adds (vertex, color) to the witness.
     """
     if q < 1 or q > Q_COLORING_CAP:
         raise ValueError(f"q must be between 1 and {Q_COLORING_CAP}")
@@ -445,11 +458,11 @@ def solve_q_coloring(g, t, q):
 
 def _q_coloring(g, t, q):
     """solve_q_coloring on a decomposition t already validated."""
-    def introduce(s, f, nb, v):
-        return [(s | 1 << f + c, 0, (v, c)) for c in range(q)
-                if not s & nb << c]
+    def introduce(s, f, nb):
+        return [s | 1 << f + c for c in range(q) if not s & nb << c]
 
-    root = _dp(g, t, q, introduce, None, lambda s: s, lambda ls, rs: (ls, 0))
+    root = _dp(g, t, q, (1 << q) - 1, introduce,
+               lambda x, v: (0, (v, x.bit_length() - 1)))
     if root is None:
         return False, None
     wit = dict(root[1])

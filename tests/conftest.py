@@ -61,7 +61,7 @@ def wheel_bearing_cstar_graphs():
         for spokes in combinations(range(length), 3):
             g = cycle_with_hubs(length, spokes)
             if detect.hubs(g, hole_cap=g.n) and \
-                    lemmas.in_class_Cstar(g, caps=g.n)[0]:
+                    lemmas.in_class_Cstar(g)[0]:
                 out.append(g)
     assert len(out) >= 10
     return tuple(out)

@@ -6,19 +6,22 @@ cliques, component closures and the low-degree half; the theta,
 pyramid and prism checks as first written, property by property, a
 reference for detect's definition checks; and the clique-cutset split,
 glue and elimination orders as first written, references for the
-heap-selected and indexed versions.  The builder needs none of them; the
-tests import this module the way they import conftest.
+heap-selected and indexed versions; and the table DP with its solvers as
+first written, counting each vertex at introduce, a reference for the
+forget-time counting.  The builder needs none of them; the tests import
+this module the way they import conftest.
 """
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations
 
 from logtw import detect
-from logtw.graph import (SizeCapExceeded, enumerate_holes, is_induced_path,
-                         strict_degeneracy)
+from logtw.graph import (BuildCheckFailed, SizeCapExceeded, enumerate_holes,
+                         is_induced_path, strict_degeneracy)
 from logtw.separators import _madj, perfect_elimination_order
-from logtw.treedec import TreeDecomposition
+from logtw.treedec import TreeDecomposition, _require_valid
 
 SEPARATOR_ENUM_CAP = 20
 
@@ -224,11 +227,11 @@ def is_local_component(g, wheel, component):
     return any(touched <= set(s) for s in sectors(g, wheel))
 
 
-def in_class_Cstar(g, caps=None):
+def in_class_Cstar(g):
     """Is g cube-free and (theta, pyramid, generalized prism)-free?"""
     for finder in (detect.find_cube, detect.find_theta, detect.find_pyramid,
                    detect.find_prism, detect.find_pinched_prism):
-        cert = finder(g, cap=caps)
+        cert = finder(g)
         if cert is not None:
             return False, cert
     return True, None
@@ -718,3 +721,189 @@ def reference_min_fill_order(g):
                     adj[a].add(b)
         remaining.discard(v)
     return order
+
+
+# -- the DP as first written --------------------------------------------------
+#
+# A reference for treedec's forget-time counting, which must give the same
+# values and witnesses: here each vertex is counted when it is introduced,
+# and every solver undoes the double count at joins through its own
+# join_key and merge.
+
+_JOIN = object()  # tags a witness node that joins two witness chains
+
+
+def reference_dp(g, t, k, introduce, keep, join_key, merge):
+    """Run one table DP over t, rooted at bag 0; returns the (value,
+    witness) of the empty state at the root, or None if no state survives.
+
+    A state is one int holding a k-bit field per vertex of the current
+    bag, fields in ascending vertex-id order: the vertex of rank r (the
+    r-th smallest id in the bag) owns bits r*k .. r*k+k-1. A table maps
+    a state to (value, witness). Along each tree edge the child-only
+    vertices are forgotten, largest id first, then the parent-only
+    vertices are introduced, smallest id first; a leaf introduces its bag
+    from the empty state 0, the arms of a bag's children are joined left
+    to right in t.edges order, and the root bag is forgotten at the end.
+
+    Forgetting v drops its field and shifts the higher fields down, after
+    keep(field) says whether the state survives (keep None keeps every
+    state). Introducing v opens a zero field at v's rank, at bit offset f,
+    and introduce(state, f, nb, v) gives (state', gain, item) candidates;
+    nb has bit 0 of the field of each bag neighbour of v, so that
+    state & nb << c tests bit c of v's neighbours. At a join, the states
+    of both sides with equal join_key(state) pair up, and
+    merge(left, right) gives (state', gain). A candidate replaces a table
+    entry only when its value is strictly larger, so the first of
+    equal-valued candidates is kept.
+
+    A witness is a back-pointer chain: None, (item, previous) for an
+    introduce with an item, or (_JOIN, left, right) at a join. Only the
+    root's chain is walked, iteratively, into the frozenset of its items.
+    The caller has validated t.
+    """
+    adj = [[] for _ in t.bags]
+    for a, b in t.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    order = [0]
+    children = [[] for _ in t.bags]
+    seen = {0}
+    for i in order:
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                children[i].append(j)
+                order.append(j)
+    ones = (1 << k) - 1
+
+    def move(tab, bag, target):
+        ranks = sorted(bag)  # the vertices of tab's fields, in field order
+        for v in sorted(bag - target, reverse=True):
+            r = bisect_left(ranks, v)
+            del ranks[r]
+            f = r * k
+            low = (1 << f) - 1
+            out = {}
+            for s, entry in tab.items():
+                if keep is None or keep(s >> f & ones):
+                    s2 = s & low | s >> f + k << f
+                    if s2 not in out or entry[0] > out[s2][0]:
+                        out[s2] = entry
+            tab = out
+        for v in sorted(target - bag):
+            r = bisect_left(ranks, v)
+            ranks.insert(r, v)
+            f = r * k
+            low = (1 << f) - 1
+            nbrs = g.adj[v]
+            nb = sum(1 << i * k for i, w in enumerate(ranks) if w in nbrs)
+            out = {}
+            for s, (val, wit) in tab.items():
+                for s2, gain, item in introduce(s & low | s >> f << f + k,
+                                                f, nb, v):
+                    old = out.get(s2)
+                    if old is None or val + gain > old[0]:
+                        out[s2] = (val + gain,
+                                   wit if item is None else (item, wit))
+            tab = out
+        return tab
+
+    def join(left, right):
+        buckets = {}
+        for s, entry in right.items():
+            buckets.setdefault(join_key(s), []).append((s, entry))
+        out = {}
+        for ls, (lv, lw) in left.items():
+            for rs, (rv, rw) in buckets.get(join_key(ls), ()):
+                s, gain = merge(ls, rs)
+                old = out.get(s)
+                if old is None or lv + rv + gain > old[0]:
+                    out[s] = (lv + rv + gain, (_JOIN, lw, rw))
+        return out
+
+    tables = {}
+    for i in reversed(order):
+        bag = t.bags[i]
+        tab = None
+        for j in children[i]:
+            arm = move(tables.pop(j), t.bags[j], bag)
+            tab = arm if tab is None else join(tab, arm)
+        if tab is None:
+            tab = move({0: (0, None)}, frozenset(), bag)
+        tables[i] = tab
+    root = move(tables[0], t.bags[0], frozenset()).get(0)
+    if root is None:
+        return None
+    items = set()
+    stack = [root[1]]
+    while stack:
+        wit = stack.pop()
+        while wit is not None:
+            if wit[0] is _JOIN:
+                stack.append(wit[2])
+            else:
+                items.add(wit[0])
+            wit = wit[1]
+    return root[0], frozenset(items)
+
+
+def reference_stable_set(g, t):
+    """(maximum stable set size, witness set).
+
+    State: one bit per bag vertex, set when it is in the stable set.
+    """
+    _require_valid(g, t)
+
+    def introduce(s, f, nb, v):
+        if s & nb:
+            return ((s, 0, None),)
+        return (s, 0, None), (s | 1 << f, 1, v)
+
+    val, wit = reference_dp(g, t, 1, introduce, None, lambda s: s,
+                            lambda ls, rs: (ls, -ls.bit_count()))
+    if not (g.is_stable(wit) and len(wit) == val):
+        raise BuildCheckFailed(f"stable-set witness {sorted(wit)} is not a "
+                               f"stable set of size {val}")
+    return val, wit
+
+
+def reference_dominating_set(g, t):
+    """(minimum dominating set size, witness set).
+
+    State: two bits per bag vertex, bit 0 set when it is in the set
+    (taken), bit 1 when it is not taken but has a taken neighbour
+    (dominated); a vertex with neither still waits, and is dropped when
+    forgotten. Values are negated sizes.
+    """
+    _require_valid(g, t)
+    taken = sum(1 << 2 * i for i in range(t.width + 1))  # every bit 0
+
+    def introduce(s, f, nb, v):
+        return ((s | 1 << f | (nb & ~s) << 1, -1, v),
+                (s | 2 << f if s & nb else s, 0, None))
+
+    val, wit = reference_dp(g, t, 2, introduce, bool, lambda s: s & taken,
+                            lambda ls, rs: (ls | rs, (ls & taken).bit_count()))
+    if len(g.closed_neighborhood(wit)) != g.n or len(wit) != -val:
+        raise BuildCheckFailed(f"dominating-set witness {sorted(wit)} does "
+                               f"not dominate g with {-val} vertices")
+    return -val, wit
+
+
+def reference_q_coloring(g, t, q):
+    """(colorable, witness coloring dict or None) with q colors, on a
+    decomposition t already validated."""
+    def introduce(s, f, nb, v):
+        return [(s | 1 << f + c, 0, (v, c)) for c in range(q)
+                if not s & nb << c]
+
+    root = reference_dp(g, t, q, introduce, None, lambda s: s,
+                        lambda ls, rs: (ls, 0))
+    if root is None:
+        return False, None
+    wit = dict(root[1])
+    if len(wit) != g.n or any(wit[u] == wit[v] for u, v in g.edges()):
+        raise BuildCheckFailed(f"{q}-coloring witness is not a proper "
+                               "coloring of g")
+    return True, wit

@@ -217,7 +217,7 @@ def _c5():
         for s in range(50):
             g = generators.random_graph(n, 0.15 + 0.012 * s, 10_000 + count)
             for kind, finder in finders:
-                cert = finder(g, cap=g.n)
+                cert = finder(g)
                 assert (cert is not None) == \
                     oracle.brute_contains_induced(g, kind), (kind, n, s)
                 if cert is not None:
@@ -232,10 +232,10 @@ def _c5():
                 ("cube", generators.cube()),
                 ("clique6", generators.clique(6)),
                 ("cycle7", generators.cycle(7))]
-    columns = finders + [("clique6", lambda g, cap=None:
+    columns = finders + [("clique6", lambda g:
                           detect.has_clique(g, 6))]
     for fam_name, g in families:
-        hits = [col for col, f in columns if f(g, cap=g.n) is not None]
+        hits = [col for col, f in columns if f(g) is not None]
         if fam_name == "cycle7":
             assert hits == [], hits
         else:

@@ -247,7 +247,7 @@ def test_bogus_certificate_is_never_reported(monkeypatch, tmp_path,
     from logtw import cli
     bogus = detect.Certificate("Theta", {"a": 0, "b": 1,
                                          "paths": [[0, 1]] * 3})
-    monkeypatch.setattr(detect, "find_theta", lambda g, cap=None: bogus)
+    monkeypatch.setattr(detect, "find_theta", lambda g: bogus)
     monkeypatch.setitem(cli._DETECTORS, "theta", detect.find_theta)
     for uncertified_ok in (False, True):
         with pytest.raises(builder.BuildCheckFailed):

@@ -1,10 +1,12 @@
 """File formats and the command-line interface, driven through main()."""
 
 import io
+from dataclasses import fields
 
 import pytest
 
 from logtw import generators, treedec
+from logtw.builder import Caps
 from logtw.cli import main
 from logtw.formats import (FormatError, read_graph, read_td, write_graph,
                            write_td)
@@ -141,16 +143,37 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["decompose", "--in", str(c40), "--t", "3",
                  "--caps", "detect=40,hole=30"]) == 4
     capsys.readouterr()
+    # and so does a single finder above its --cap, checked before it runs
+    assert main(["detect", "--in", str(c40), "--what", "theta",
+                 "--cap", "10"]) == 4
+    assert "detector capped at n <= 10, got n = 40" in \
+        capsys.readouterr().err
 
 
 def test_cli_caps_accepts_every_caps_field(tmp_path, capsys):
     gpath = tmp_path / "g.gr"
     main(["gen", "cycle", "12", "--out", str(gpath)])
-    assert main(["decompose", "--in", str(gpath), "--t", "3",
-                 "--caps", "hub_budget=10"]) == 0
-    assert main(["decompose", "--in", str(gpath), "--t", "3",
-                 "--caps", "nonsense=10"]) == 2
+    for f in fields(Caps):
+        assert main(["decompose", "--in", str(gpath), "--t", "3",
+                     "--caps", f"{f.name}=12"]) == 0
+    for caps in ("nonsense=10", "exact=10", "structure=10",
+                 "hub_budget=10"):
+        assert main(["decompose", "--in", str(gpath), "--t", "3",
+                     "--caps", caps]) == 2
+        assert "unknown cap" in capsys.readouterr().err
+    # a value that is not an integer >= 0 is a usage error naming its key,
+    # not a silently uncertified build or a cap hit
+    theta = tmp_path / "theta.gr"
+    main(["gen", "theta", "2", "2", "2", "--out", str(theta)])
     capsys.readouterr()
+    for path, caps in ((theta, "detect=-1"), (gpath, "hole=-3"),
+                       (gpath, "detect"), (gpath, "hole=1.5"),
+                       (gpath, "detect=12,hole=")):
+        assert main(["decompose", "--in", str(path), "--t", "3",
+                     "--caps", caps]) == 2
+        key = caps.split(",")[-1].partition("=")[0]
+        assert f"cap {key!r} must be an integer >= 0" in \
+            capsys.readouterr().err
 
 
 def test_cli_verify_rejects_wrong_decomposition(tmp_path, capsys):

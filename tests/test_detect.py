@@ -30,7 +30,7 @@ def test_finders_agree_with_brute_force_on_random_graphs():
     for g in random_corpus(8, 30, p=0.35, seed_base=400) + \
             random_corpus(9, 20, p=0.3, seed_base=500):
         for kind, finder in FINDERS.items():
-            cert = finder(g, cap=g.n)
+            cert = finder(g)
             assert (cert is not None) == oracle.brute_contains_induced(g, kind)
             if cert is not None:
                 assert cert.verify(g)
@@ -48,7 +48,7 @@ def test_finders_on_named_families():
         (generators.cube(), "cube"),
     ]
     for g, kind in cases:
-        cert = FINDERS[kind](g, cap=g.n)
+        cert = FINDERS[kind](g)
         assert cert is not None and cert.verify(g)
 
 
@@ -68,7 +68,7 @@ def test_three_path_certificates_are_pinned():
     for g in corpus:
         for finder in (detect.find_theta, detect.find_pyramid,
                        detect.find_prism):
-            cert = finder(g, cap=g.n)
+            cert = finder(g)
             out.append(None if cert is None
                        else (cert.kind, sorted(cert.roles.items())))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
@@ -140,7 +140,7 @@ def test_verify_rejects_corrupted_certificates():
     for g, finder in ((generators.theta(2, 3, 4), detect.find_theta),
                       (generators.pyramid(1, 2, 2), detect.find_pyramid),
                       (generators.prism(1, 2, 3), detect.find_prism)):
-        cert = finder(g, cap=g.n)
+        cert = finder(g)
         assert cert.verify(g)
         found[cert.kind] = g, cert
     for what, kinds, corrupt in _CORRUPTIONS:
@@ -158,7 +158,7 @@ def test_prism_verifier_rejects_one_vertex_leg():
     g = generators.pinched_prism(2, 2)
     roles = {"triangle_a": [6, 1, 0], "triangle_b": [6, 3, 4],
              "paths": [[6], [1, 2, 3], [0, 5, 4]]}
-    assert detect.find_prism(g, cap=g.n) is None
+    assert detect.find_prism(g) is None
     assert not detect.Certificate("Prism", roles).verify(g)
     assert not lemmas.reference_verify_prism(g, roles)
 
@@ -226,7 +226,7 @@ def test_verifiers_match_reference_on_mutations():
     certs = [(g, cert) for g in corpus
              for finder in (detect.find_theta, detect.find_pyramid,
                             detect.find_prism)
-             for cert in [finder(g, cap=g.n)] if cert is not None]
+             for cert in [finder(g)] if cert is not None]
     assert {cert.kind for _, cert in certs} == {"Theta", "Pyramid", "Prism"}
     verdicts = Counter()
     for _ in range(5000):
@@ -244,7 +244,7 @@ def test_verifiers_match_reference_on_mutations():
 def test_finders_negative_on_plain_graphs():
     for g in (generators.cycle(9), generators.path(8), generators.clique(6)):
         for finder in FINDERS.values():
-            assert finder(g, cap=g.n) is None
+            assert finder(g) is None
 
 
 def test_clique_detection():

@@ -134,11 +134,11 @@ _FAMILIES = [
 ]
 
 _DETECTORS = [
-    ("theta", lambda g: detect.find_theta(g, cap=g.n)),
-    ("pyramid", lambda g: detect.find_pyramid(g, cap=g.n)),
-    ("prism", lambda g: detect.find_prism(g, cap=g.n)),
-    ("pinched_prism", lambda g: detect.find_pinched_prism(g, cap=g.n)),
-    ("cube", lambda g: detect.find_cube(g, cap=g.n)),
+    ("theta", detect.find_theta),
+    ("pyramid", detect.find_pyramid),
+    ("prism", detect.find_prism),
+    ("pinched_prism", detect.find_pinched_prism),
+    ("cube", detect.find_cube),
     ("clique", lambda g: detect.has_clique(g, 6)),
 ]
 

@@ -83,9 +83,9 @@ def _cube_bearing_theta_pyramid_free():
     shift = [(u + 8, v + 8) for u, v in base]
     graphs.append(Graph(16, base + shift + [(0, 8)]))
     for g in graphs:
-        assert detect.find_theta(g, cap=g.n) is None
-        assert detect.find_pyramid(g, cap=g.n) is None
-        assert detect.find_cube(g, cap=g.n) is not None
+        assert detect.find_theta(g) is None
+        assert detect.find_pyramid(g) is None
+        assert detect.find_cube(g) is not None
     return graphs
 
 
@@ -187,7 +187,7 @@ def test_core_sides_are_loosely_laminar():
 
 def test_central_bag_guarantees():
     for t, g in _members():
-        if detect.find_cube(g, cap=g.n) is not None:
+        if detect.find_cube(g) is not None:
             continue
         hub = _hub_set(g)
         for s in _stable_unbalanced_sets(g):

@@ -2,6 +2,7 @@
 the dynamic-programming solvers against brute force."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -153,6 +154,48 @@ def test_solver_outputs_are_pinned():
                treedec.solve_chromatic(g, t)])
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
         "ef78fa6bae559fe6774ca864206b2b5d2866c99247970f688d860d9171a1a4db")
+
+
+def _rerooted(t, rng):
+    """t with its bags and tree edges shuffled, so that another bag is
+    bag 0, where the DP roots t, and each bag's children come in another
+    order."""
+    old = list(range(len(t.bags)))
+    rng.shuffle(old)  # old[i] is the bag that becomes bag i
+    new = {b: i for i, b in enumerate(old)}
+    edges = [(new[a], new[b]) for a, b in t.edges]
+    rng.shuffle(edges)
+    return TreeDecomposition([t.bags[b] for b in old], edges)
+
+
+def test_solvers_match_the_introduce_time_reference():
+    # the DP counts a vertex when it is forgotten; the first-written DP,
+    # kept in lemmas, counted it when introduced and undid the double
+    # count at joins.  Both must pick the same optimum and witness on
+    # every decomposition, whichever bag is the root
+    rng = random.Random(14)
+    graphs = [*random_corpus(9, 10, p=0.3, seed_base=1800),
+              *(relabelled(generators.wall(k), seed=k) for k in (3, 4, 5))]
+    for g in graphs:
+        ts = [treedec.greedy_fill_decomposition(g)]
+        if g.n <= 12:  # the builder's widths on wall(4) and wall(5) are 9, 23
+            ts += [treedec.exact_treewidth(g)[1],
+                   decompose(g, 3, uncertified_ok=True)[0]]
+        for t in ts:
+            for _ in range(3):
+                t = _rerooted(t, rng)
+                alpha, stable = lemmas.reference_stable_set(g, t)
+                assert treedec.solve_stable_set(g, t) == (alpha, stable)
+                assert treedec.solve_vertex_cover(g, t) == (
+                    g.n - alpha, frozenset(g.vertices()) - stable)
+                assert treedec.solve_dominating_set(g, t) == \
+                    lemmas.reference_dominating_set(g, t)
+                colorings = {q: lemmas.reference_q_coloring(g, t, q)
+                             for q in range(1, 5)}
+                for q, coloring in colorings.items():
+                    assert treedec.solve_q_coloring(g, t, q) == coloring
+                assert treedec.solve_chromatic(g, t) == min(
+                    q for q, (ok, _) in colorings.items() if ok)
 
 
 def test_solvers_reject_invalid_decomposition():
