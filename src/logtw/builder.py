@@ -369,11 +369,11 @@ def _shrink(g, ids, hp, hub, first, t, caps, report, depth, n):
         sprime = [x for x in sorted(hub) if ids[x] in layer]
         if not sprime:
             continue
-        bal = [x for x in sprime if is_balanced(g, x)]
-        if bal:
+        bal = next((x for x in sprime if is_balanced(g, x)), None)
+        if bal is not None:
             report.levels.append({"beta": g.n, "sprime": len(sprime),
                                   "branch": "balanced"})
-            td = _balanced(g, bal[0], hub, t, caps, report, depth)
+            td = _balanced(g, bal, hub, t, caps, report, depth)
             report.trace.append({"depth": depth, "n": n, "beta": g.n,
                                  "branch": "balanced"})
             return td

@@ -182,6 +182,8 @@ def cmd_bench(args):
     sizes = [int(s) for s in args.sizes.split(",")]
     if min(sizes) < 1:
         raise ValueError("--sizes must all be >= 1")
+    if args.t < 3:
+        raise ValueError(f"--t must be >= 3, got {args.t}")
     if not 0 <= args.p_mult <= min(sizes):
         raise ValueError(f"the edge probability --p-mult / n must be in "
                          f"[0, 1] for every n in --sizes; got --p-mult "

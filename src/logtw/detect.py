@@ -2,16 +2,19 @@
 (theta, pyramid, prism, pinched prism, cube, large cliques), the class
 membership test built on it, and the hub search.
 
-Every detector is an exhaustive search with pruning.  A caller bounds
-its cost through check_cap, once per graph, before any finder runs: the
-class membership test caps g at DEFAULT_CAP vertices unless told
-otherwise.  Every positive answer carries a certificate whose verify()
-re-checks the full definition against the host graph.  The theta,
-pyramid and prism finders differ only in which ends they try: each is
-three induced paths between two ends (a vertex or a triangle), found by
-the one search `_three_paths`.  Their verifiers check the definition
-itself, three legs of at least two vertices between the given ends any
-two of which close into a hole, and share no code with that search.
+Every detector is an exhaustive search with pruning, and the first
+structure it finds ends it.  A caller bounds its cost through check_cap,
+once per graph, before any finder runs: the class membership test caps g
+at DEFAULT_CAP vertices unless told otherwise.  Every positive answer
+carries a certificate whose verify() re-checks the full definition
+against the host graph.  A pinched prism is a prism whose two triangles
+share a vertex: that vertex is its third leg, a path of length zero.  So
+the theta, pyramid, prism and pinched-prism finders differ only in which
+ends they try: each is three induced paths between two ends (a vertex or
+a triangle), found by the one search `_three_paths`.  Their verifiers
+check the definition itself, three legs between the given ends any two of
+which close into a hole, a one-vertex leg in a pinched prism only, and
+share no code with that search.
 """
 
 from dataclasses import dataclass, field
@@ -52,13 +55,14 @@ class Certificate:
 
 # -- definition checks on explicit roles -----------------------------------
 
-def _legs(paths, starts, ends):
+def _legs(paths, starts, ends, pinched=0):
     """There are exactly three paths, path i running from starts[i] to
-    ends[i] over at least two vertices (a one-vertex leg would let a
-    prism's triangles share a vertex)."""
+    ends[i], and exactly `pinched` of them are a single vertex (one that
+    a prism's triangles share)."""
     return len(paths) == len(starts) == len(ends) == 3 and all(
-        len(p) > 1 and p[0] == s and p[-1] == e
-        for p, s, e in zip(paths, starts, ends))
+        p and p[0] == s and p[-1] == e
+        for p, s, e in zip(paths, starts, ends)) and \
+        sum(len(p) == 1 for p in paths) == pinched
 
 
 def _closes_holes(g, paths, back):
@@ -87,19 +91,10 @@ def _verify_prism(g, roles):
 
 
 def _verify_pinched_prism(g, roles):
-    center, hole = roles["center"], roles["hole"]
-    if len(hole) < 6 or center in hole or \
-            not is_induced_path(g, hole, cycle=True):
-        return False
-    nbrs = [x for x in hole if g.has_edge(center, x)]
-    if len(nbrs) != 4:
-        return False
-    edges = {frozenset((u, v)) for u in nbrs for v in nbrs
-             if u < v and g.has_edge(u, v)}
-    if len(edges) != 2:
-        return False
-    return not (set.union(*map(set, edges)) - set(nbrs)) and \
-        len(set.union(*map(set, edges))) == 4
+    paths = roles["paths"]
+    return _legs(paths, roles["triangle_a"], roles["triangle_b"],
+                 pinched=1) and \
+        _closes_holes(g, paths, lambda q: q[::-1])
 
 
 def _verify_cube(g, roles):
@@ -159,7 +154,9 @@ def _induced_paths(g, a, b, banned):
 
 
 def _leg_paths(g, a, b, banned):
-    if g.has_edge(a, b):
+    if a == b:
+        yield [a]
+    elif g.has_edge(a, b):
         yield [a, b]
     else:
         yield from _induced_paths(g, a, b, banned)
@@ -168,7 +165,7 @@ def _leg_paths(g, a, b, banned):
 def _three_paths(g, legs):
     """Three induced paths, one per (start, end) leg, with disjoint
     interiors and no edge between two of them except among the ends, or
-    None: the legs of a theta, pyramid or prism.
+    None: the legs of a theta, pyramid, prism or pinched prism.
 
     An end shared by all three legs (a theta's a and b, a pyramid's apex)
     may be seen by every leg; any other end only by its own leg, so a
@@ -206,14 +203,17 @@ def find_theta(g):
     return None
 
 
+def _edges_within(g, vs):
+    """The edges of g[vs], each as (u, v) with u < v, in id order."""
+    return [(u, v) for u in sorted(vs) for v in sorted(g.adj[u] & vs)
+            if u < v]
+
+
 def _triangles(g):
-    for u in g.vertices():
-        for v in sorted(g.adj[u]):
-            if v <= u:
-                continue
-            for w in sorted(g.adj[u] & g.adj[v]):
-                if w > v:
-                    yield (u, v, w)
+    for u, v in _edges_within(g, set(g.vertices())):
+        for w in sorted(g.adj[u] & g.adj[v]):
+            if w > v:
+                yield (u, v, w)
 
 
 def find_pyramid(g):
@@ -253,19 +253,18 @@ def find_prism(g):
 
 
 def find_pinched_prism(g):
-    for hole in enumerate_holes(g, min_len=6, cap=g.n):
-        hset = set(hole)
-        for c in g.vertices():
-            if c in hset:
-                continue
-            nbrs = [x for x in hole if g.has_edge(c, x)]
-            if len(nbrs) != 4:
-                continue
-            edges = [(u, v) for i, u in enumerate(nbrs)
-                     for v in nbrs[i + 1:] if g.has_edge(u, v)]
-            if len(edges) == 2 and len({x for e in edges for x in e}) == 4:
-                return Certificate("PinchedPrism",
-                                   {"center": c, "hole": list(hole)})
+    for c in g.vertices():
+        for p, q in _edges_within(g, g.adj[c]):
+            # rs shares no vertex with pq and has no edge to it; each pair
+            # of edges is tried once, the one with the smaller end first
+            far = {x for x in g.adj[c] - g.adj[p] - g.adj[q] if x > p}
+            for r, s in _edges_within(g, far):
+                for end in ([c, r, s], [c, s, r]):
+                    paths = _three_paths(g, list(zip([c, p, q], end)))
+                    if paths is not None:
+                        return Certificate("PinchedPrism", {
+                            "triangle_a": [c, p, q], "triangle_b": end,
+                            "paths": paths})
     return None
 
 
@@ -297,38 +296,31 @@ def find_cube(g):
 
 # -- cliques ---------------------------------------------------------------
 
-def clique_number(g):
-    """Exact maximum clique size, by branch and bound along the reverse
-    degeneracy order."""
+def has_clique(g, t):
+    """A K_t of g, or None: cliques grow along the degeneracy order, each
+    vertex extended by its later neighbours, smallest id first, and the
+    first one of t vertices is returned."""
+    if t < 1:
+        raise ValueError(f"the clique size t must be >= 1, got t = {t}")
     order, _ = degeneracy_order(g)
     pos = {v: i for i, v in enumerate(order)}
-    best = [0]
-    best_set = [frozenset()]
 
-    def expand(current, cands):
-        if not cands:
-            if len(current) > best[0]:
-                best[0] = len(current)
-                best_set[0] = frozenset(current)
-            return
-        if len(current) + len(cands) <= best[0]:
-            return
+    def grow(clique, cands):
+        if len(clique) == t:
+            return clique
         for v in sorted(cands):
+            if len(clique) + len(cands) < t:
+                return None
             cands = cands - {v}
-            if len(current) + 1 + len(cands & g.adj[v]) <= best[0]:
-                continue
-            expand(current | {v}, cands & g.adj[v])
+            found = grow(clique + [v], cands & g.adj[v])
+            if found is not None:
+                return found
+        return None
 
     for v in order:
-        later = {w for w in g.adj[v] if pos[w] > pos[v]}
-        expand({v}, later)
-    return best[0], sorted(best_set[0])
-
-
-def has_clique(g, t):
-    size, verts = clique_number(g)
-    if size >= t:
-        return Certificate("CliqueKt", {"vertices": verts[:t]})
+        found = grow([v], {w for w in g.adj[v] if pos[w] > pos[v]})
+        if found is not None:
+            return Certificate("CliqueKt", {"vertices": sorted(found)})
     return None
 
 

@@ -4,12 +4,14 @@ local vertices and components, the restricted class C*, minimal connected
 connectors, cube partitions, minimal separators, potential maximal
 cliques, component closures and the low-degree half; the theta,
 pyramid and prism checks as first written, property by property, a
-reference for detect's definition checks; and the clique-cutset split,
-glue and elimination orders as first written, references for the
-heap-selected and indexed versions; and the table DP with its solvers as
-first written, counting each vertex at introduce, a reference for the
-forget-time counting.  The builder needs none of them; the tests import
-this module the way they import conftest.
+reference for detect's definition checks; the pinched-prism search over
+holes, its centre-and-hole check and the maximum-clique search as first
+written, references for detect's three-path and direct K_t searches; the
+clique-cutset split, glue and elimination orders as first written,
+references for the heap-selected and indexed versions; and the table DP
+with its solvers as first written, counting each vertex at introduce, a
+reference for the forget-time counting.  The builder needs none of them;
+the tests import this module the way they import conftest.
 """
 
 import heapq
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from logtw import detect
-from logtw.graph import (BuildCheckFailed, SizeCapExceeded, enumerate_holes,
-                         is_induced_path, strict_degeneracy)
+from logtw.graph import (BuildCheckFailed, SizeCapExceeded, degeneracy_order,
+                         enumerate_holes, is_induced_path, strict_degeneracy)
 from logtw.separators import _madj, perfect_elimination_order
 from logtw.treedec import TreeDecomposition, _require_valid
 
@@ -117,10 +119,103 @@ def reference_verify_prism(g, roles):
     return True
 
 
+# -- pinched prisms and cliques as first found ------------------------------
+#
+# The pinched-prism search over every hole of length >= 6, its check of a
+# centre and a hole, and the maximum-clique search: references for
+# detect's three-path pinched-prism finder, its prism-with-a-shared-vertex
+# check and its direct K_t search.
+
+def reference_find_pinched_prism(g):
+    for hole in enumerate_holes(g, min_len=6, cap=g.n):
+        hset = set(hole)
+        for c in g.vertices():
+            if c in hset:
+                continue
+            nbrs = [x for x in hole if g.has_edge(c, x)]
+            if len(nbrs) != 4:
+                continue
+            edges = [(u, v) for i, u in enumerate(nbrs)
+                     for v in nbrs[i + 1:] if g.has_edge(u, v)]
+            if len(edges) == 2 and len({x for e in edges for x in e}) == 4:
+                return detect.Certificate("PinchedPrism",
+                                          {"center": c, "hole": list(hole)})
+    return None
+
+
+def reference_verify_pinched_prism(g, roles):
+    center, hole = roles["center"], roles["hole"]
+    if len(hole) < 6 or center in hole or \
+            not is_induced_path(g, hole, cycle=True):
+        return False
+    nbrs = [x for x in hole if g.has_edge(center, x)]
+    if len(nbrs) != 4:
+        return False
+    edges = {frozenset((u, v)) for u in nbrs for v in nbrs
+             if u < v and g.has_edge(u, v)}
+    if len(edges) != 2:
+        return False
+    return not (set.union(*map(set, edges)) - set(nbrs)) and \
+        len(set.union(*map(set, edges))) == 4
+
+
+def reference_verify_pinched_prism_legs(g, roles):
+    """The centre-and-hole check on a pinched prism given as a prism: the
+    one-vertex leg is the centre, both triangles are cliques holding it at
+    its index, and the two other legs, running from triangle_a to
+    triangle_b over at least two vertices, close into the hole."""
+    tri_a, tri_b, paths = roles["triangle_a"], roles["triangle_b"], \
+        roles["paths"]
+    if not len(tri_a) == len(tri_b) == len(paths) == 3:
+        return False
+    centre = [i for i, p in enumerate(paths) if len(p) == 1]
+    if len(centre) != 1 or not (g.is_clique(tri_a) and g.is_clique(tri_b)):
+        return False
+    i = centre[0]
+    c = paths[i][0]
+    if tri_a[i] != c or tri_b[i] != c:
+        return False
+    legs = [j for j in range(3) if j != i]
+    if any(len(paths[j]) < 2 or paths[j][0] != tri_a[j] or
+           paths[j][-1] != tri_b[j] for j in legs):
+        return False
+    hole = list(paths[legs[0]]) + list(paths[legs[1]])[::-1]
+    return reference_verify_pinched_prism(g, {"center": c, "hole": hole})
+
+
+def reference_clique_number(g):
+    """Exact maximum clique size, by branch and bound along the reverse
+    degeneracy order."""
+    order, _ = degeneracy_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    best = [0]
+    best_set = [frozenset()]
+
+    def expand(current, cands):
+        if not cands:
+            if len(current) > best[0]:
+                best[0] = len(current)
+                best_set[0] = frozenset(current)
+            return
+        if len(current) + len(cands) <= best[0]:
+            return
+        for v in sorted(cands):
+            cands = cands - {v}
+            if len(current) + 1 + len(cands & g.adj[v]) <= best[0]:
+                continue
+            expand(current | {v}, cands & g.adj[v])
+
+    for v in order:
+        later = {w for w in g.adj[v] if pos[w] > pos[v]}
+        expand({v}, later)
+    return best[0], sorted(best_set[0])
+
+
 REFERENCE_VERIFIERS = {
     "Theta": reference_verify_theta,
     "Pyramid": reference_verify_pyramid,
     "Prism": reference_verify_prism,
+    "PinchedPrism": reference_verify_pinched_prism_legs,
 }
 
 

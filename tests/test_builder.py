@@ -5,11 +5,12 @@ import hashlib
 
 import pytest
 
-from logtw import builder, detect, generators, oracle, treedec
+from logtw import builder, detect, generators, treedec
 from logtw.builder import Caps, ClassViolation, decompose, width_bound
 from logtw.graph import Graph
 from logtw.treedec import TreeDecomposition
 
+import brute
 import lemmas
 from conftest import class_members, hub_layer_cases, random_tree, relabelled
 
@@ -94,7 +95,7 @@ def test_decompose_class_members_certified_and_bounded():
             assert treedec.validate(g, td) is None
             assert report.certified
             assert td.width <= report.bound
-            assert td.width >= oracle.brute_treewidth(g)
+            assert td.width >= brute.brute_treewidth(g)
             assert report.n == g.n and report.t == t_param
 
 

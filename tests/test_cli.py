@@ -65,6 +65,15 @@ def test_cli_gen_detect_decompose_verify(tmp_path, capsys):
     assert "valid" in capsys.readouterr().out
     assert "achieved_width=" in rpath.read_text()
 
+    # the pinched prism's certificate is a prism whose triangles share
+    # the centre, its one-vertex leg
+    ppath = tmp_path / "pp.gr"
+    assert main(["gen", "pinched-prism", "2", "2", "--out", str(ppath)]) == 0
+    assert main(["detect", "--in", str(ppath), "--what", "pinched-prism"]) == 0
+    assert capsys.readouterr().out == (
+        "pinched-prism: found {'paths': [[6], [0, 5, 4], [1, 2, 3]], "
+        "'triangle_a': [6, 0, 1], 'triangle_b': [6, 4, 3]}\n")
+
 
 def test_cli_solve(tmp_path, capsys):
     gpath = tmp_path / "c5.gr"
@@ -130,6 +139,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["bench", *argv]) == 2
         err = capsys.readouterr().err
         assert "--sizes" in err and "--p-mult" in err
+
+    # so is a clique size t below 1, rejected before any search, and a
+    # bench --t below the 3 that decompose needs, before any sampling
+    for t in ("0", "-1"):
+        assert main(["detect", "--in", str(theta), "--what", "class",
+                     "--t", t]) == 2
+        assert f"t must be >= 1, got t = {t}" in capsys.readouterr().err
+    assert main(["gen", "random-in-class", "10", "0.3", "0"]) == 2
+    assert "t must be >= 1, got t = 0" in capsys.readouterr().err
+    for t in ("2", "1"):
+        assert main(["bench", "--sizes", "16", "--t", t]) == 2
+        assert f"--t must be >= 3, got {t}" in capsys.readouterr().err
 
     missing = tmp_path / "nope.gr"
     assert main(["detect", "--in", str(missing), "--what", "theta"]) == 2

@@ -10,9 +10,10 @@ from itertools import product
 
 import pytest
 
-from logtw import builder, detect, generators, oracle
+from logtw import builder, detect, generators
 from logtw.graph import Graph, SizeCapExceeded, enumerate_holes
 
+import brute
 import lemmas
 from conftest import random_corpus, relabelled
 
@@ -31,7 +32,7 @@ def test_finders_agree_with_brute_force_on_random_graphs():
             random_corpus(9, 20, p=0.3, seed_base=500):
         for kind, finder in FINDERS.items():
             cert = finder(g)
-            assert (cert is not None) == oracle.brute_contains_induced(g, kind)
+            assert (cert is not None) == brute.brute_contains_induced(g, kind)
             if cert is not None:
                 assert cert.verify(g)
 
@@ -161,6 +162,10 @@ def test_prism_verifier_rejects_one_vertex_leg():
     assert detect.find_prism(g) is None
     assert not detect.Certificate("Prism", roles).verify(g)
     assert not lemmas.reference_verify_prism(g, roles)
+    # the same roles are the pinched prism's own
+    assert detect.Certificate("PinchedPrism", roles).verify(g)
+    assert lemmas.reference_verify_pinched_prism_legs(g, roles)
+
 
 def _mutate(rng, g, roles):
     """g and roles after one random edit: an edge added or removed among
@@ -241,6 +246,37 @@ def test_verifiers_match_reference_on_mutations():
     assert len(verdicts) == 6 and min(verdicts.values()) >= 25
 
 
+def test_pinched_prism_verifier_matches_reference_on_mutations():
+    # a pinched prism and a prism share their role keys, so finder
+    # certificates of both, under 0-3 random edits, are checked as both
+    # kinds against the centre-and-hole reference and the prism's
+    rng = random.Random(15)
+    corpus = [generators.random_graph(n, p, seed=1500 + 10 * n + s)
+              for n in range(7, 12) for p in (0.4, 0.5) for s in range(6)]
+    named = [generators.pinched_prism(a, b) for a, b in ((2, 2), (2, 3),
+                                                          (3, 4))]
+    named += [generators.prism(1, 1, 1), generators.prism(1, 2, 3)]
+    corpus += named + [relabelled(g, seed=k) for k, g in enumerate(named)]
+    certs = [(g, cert) for g in corpus
+             for finder in (detect.find_prism, detect.find_pinched_prism)
+             for cert in [finder(g)] if cert is not None]
+    assert {cert.kind for _, cert in certs} == {"Prism", "PinchedPrism"}
+    verdicts = Counter()
+    for _ in range(5000):
+        g, cert = rng.choice(certs)
+        roles = cert.roles
+        for _ in range(rng.randint(0, 3)):
+            g, roles = _mutate(rng, g, roles)
+        for kind in ("Prism", "PinchedPrism"):
+            ok = detect.Certificate(kind, roles).verify(g)
+            assert ok == lemmas.REFERENCE_VERIFIERS[kind](g, roles), (
+                kind, roles, sorted(g.edges()))
+            verdicts[cert.kind, kind, ok] += 1
+    assert verdicts["PinchedPrism", "PinchedPrism", True] >= 100
+    assert verdicts["Prism", "Prism", True] >= 100
+    assert verdicts["PinchedPrism", "PinchedPrism", False] >= 100
+
+
 def test_finders_negative_on_plain_graphs():
     for g in (generators.cycle(9), generators.path(8), generators.clique(6)):
         for finder in FINDERS.values():
@@ -248,13 +284,39 @@ def test_finders_negative_on_plain_graphs():
 
 
 def test_clique_detection():
-    size, verts = detect.clique_number(generators.clique(6))
-    assert size == 6 and len(verts) == 6
-    assert detect.clique_number(generators.cycle(5))[0] == 2
+    k6, c5 = generators.clique(6), generators.cycle(5)
+    cert = detect.has_clique(k6, 6)
+    assert cert is not None and len(cert.roles["vertices"]) == 6
+    assert cert.verify(k6) and detect.has_clique(k6, 7) is None
+    assert detect.has_clique(c5, 2).verify(c5)
+    assert detect.has_clique(c5, 3) is None
     assert detect.has_clique(generators.clique(5), 5).verify(generators.clique(5))
     assert detect.has_clique(generators.cycle(6), 3) is None
     cert = detect.has_clique(generators.complete_bipartite(3, 3), 2)
     assert cert is not None and cert.verify(generators.complete_bipartite(3, 3))
+    for t in (0, -1):
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            detect.has_clique(c5, t)
+
+
+def test_has_clique_matches_maximum_clique_reference():
+    # a K_t is found exactly when the maximum clique has >= t vertices, and
+    # the certificate is t vertices of a clique
+    corpus = [generators.random_graph(n, p, seed=1600 + 10 * n + s)
+              for n in range(1, 21) for p in (0.1, 0.3, 0.5, 0.7, 0.9)
+              for s in range(3)]
+    found = Counter()
+    for g in corpus:
+        omega = lemmas.reference_clique_number(g)[0]
+        for t in range(1, 9):
+            cert = detect.has_clique(g, t)
+            assert (cert is None) == (omega < t), (t, sorted(g.edges()))
+            if cert is not None:
+                verts = cert.roles["vertices"]
+                assert len(set(verts)) == len(verts) == t
+                assert g.is_clique(verts) and cert.verify(g)
+            found[cert is None] += 1
+    assert min(found.values()) >= 500
 
 
 def _wheel_graph():
@@ -489,3 +551,60 @@ def test_in_class_by_atoms_keeps_the_cap_order():
         with pytest.raises(SizeCapExceeded,
                            match="detector capped at n <= 30, got n = 40"):
             detect.in_class_Ct(c40, 3, atoms=atoms_of(c40))
+
+
+def _pinched_prism_corpus():
+    """G(n, p) up to dense p, pinched prisms, walls and random clique
+    sums, relabelled where named."""
+    rng = random.Random(16)
+    corpus = [generators.random_graph(n, p, seed=1700 + 10 * n + s)
+              for n in range(5, 15) for p in (0.2, 0.4, 0.6, 0.8)
+              for s in range(8)]
+    named = [generators.pinched_prism(a, b) for a in (2, 3) for b in (2, 4)]
+    corpus += named + [relabelled(g, seed=k) for k, g in enumerate(named)]
+    corpus += [generators.wall(k) for k in (3, 4, 5)]
+    return corpus + [_clique_sum(rng) for _ in range(80)]
+
+
+def test_pinched_prism_finder_matches_hole_reference():
+    # the three-path search finds a pinched prism exactly when the search
+    # over every hole of length >= 6 does, and its certificate holds
+    found = Counter()
+    for g in _pinched_prism_corpus():
+        cert = detect.find_pinched_prism(g)
+        assert (cert is None) == \
+            (lemmas.reference_find_pinched_prism(g) is None), sorted(g.edges())
+        if cert is not None:
+            assert cert.verify(g)
+            assert lemmas.reference_verify_pinched_prism_legs(g, cert.roles)
+        found[cert is None] += 1
+    assert min(found.values()) >= 40
+
+
+def test_in_class_enumerates_no_hole(monkeypatch):
+    # class membership gives the reference verdict and first kind, whole
+    # or atom by atom, without enumerating a single hole
+    def expected(g, t):
+        if lemmas.reference_clique_number(g)[0] >= t:
+            return False, "CliqueKt"
+        for finder in (detect.find_theta, detect.find_pyramid,
+                       detect.find_prism, lemmas.reference_find_pinched_prism):
+            cert = finder(g)
+            if cert is not None:
+                return False, cert.kind
+        return True, None
+
+    cases = [(g, t, expected(g, t)) for g in _pinched_prism_corpus()
+             for t in (3, 4)]
+
+    def no_holes(*args, **kwargs):
+        raise AssertionError("a hole was enumerated")
+
+    monkeypatch.setattr(detect, "enumerate_holes", no_holes)
+    verdicts = Counter()
+    for g, t, want in cases:
+        for atoms in (None, builder.class_atoms(builder.split(g), t)):
+            ok, cert = detect.in_class_Ct(g, t, caps=g.n, atoms=atoms)
+            assert (ok, None if ok else cert.kind) == want
+        verdicts[want] += 1
+    assert verdicts[False, "PinchedPrism"] > 0 and verdicts[True, None] > 0

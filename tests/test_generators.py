@@ -10,7 +10,8 @@ from logtw import detect
 from logtw.generators import (clique, complete_bipartite, cube, cycle,
                               pinched_prism, prism, pyramid, random_graph,
                               random_in_class, theta, wall)
-from logtw.oracle import brute_contains_induced, brute_treewidth
+
+from brute import brute_contains_induced, brute_treewidth
 
 
 def test_theta_minimum_is_k23():

@@ -7,7 +7,7 @@ import pytest
 from logtw.graph import (Graph, SizeCapExceeded, degeneracy_order,
                          enumerate_holes, is_induced_path, strict_degeneracy)
 from logtw.generators import clique, complete_bipartite, cycle, path, wall
-from logtw.oracle import brute_holes
+from brute import brute_holes
 from conftest import random_corpus, relabelled
 
 

@@ -43,18 +43,14 @@ def _names(nodes):
 def test_src_names_reach_the_product():
     # every top-level function, class and constant of src/logtw, and every
     # method, must be reachable from the command line or the benchmark;
-    # checks that only the tests need belong in tests/lemmas.py.  oracle.py
-    # is exempt: the benchmark's output checks and the tests use its
-    # brute-force references, and a reference shares no code with what it
-    # checks.  Dunders are exempt, and count as part of their class:
-    # Python itself looks them up.  A reference is a bare name or an
-    # attribute name, matched by name in every module; a method is
-    # matched by its own name.
+    # checks and references that only the tests need belong in
+    # tests/lemmas.py or tests/brute.py.  Dunders are exempt, and count as
+    # part of their class: Python itself looks them up.  A reference is a
+    # bare name or an attribute name, matched by name in every module; a
+    # method is matched by its own name.
     src = Path(logtw.__file__).parent
     refs = {}  # (module, qualified name) -> names its definition refers to
     for path in sorted(src.glob("*.py")):
-        if path.name == "oracle.py":
-            continue
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef):
                 methods = [f for f in node.body

@@ -4,11 +4,12 @@ cutsets — each checked against brute force where one exists."""
 
 import pytest
 
-from logtw import generators, oracle, separators, treedec
+from logtw import generators, separators, treedec
 from logtw.builder import glue_at_clique
 from logtw.graph import Graph
 from logtw.treedec import TreeDecomposition
 
+import brute
 import lemmas
 from conftest import random_corpus, split_corpus
 
@@ -32,7 +33,7 @@ def test_minimal_separator_enumeration_matches_brute():
               generators.path(6), generators.cycle(7),
               Graph(5, [(0, 1), (2, 3)]), generators.clique(4)]:
         got = set(lemmas.enumerate_minimal_separators(g))
-        assert got == oracle.brute_minimal_separators(g)
+        assert got == brute.brute_minimal_separators(g)
         for x in got:
             assert lemmas.is_minimal_separator(g, x)
 
@@ -122,7 +123,7 @@ def _brute_atoms(g):
     minimal separator S into the pieces C + N(C), one per component C of
     g minus S, and recurse. The atoms do not depend on the choice of S
     (Leimer 1993)."""
-    for x in oracle.brute_minimal_separators(g):
+    for x in brute.brute_minimal_separators(g):
         if g.is_clique(x):
             atoms = set()
             for c in g.components(removed=x):

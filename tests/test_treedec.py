@@ -13,6 +13,7 @@ from logtw.formats import write_td
 from logtw.graph import BuildCheckFailed, Graph, SizeCapExceeded
 from logtw.treedec import TreeDecomposition
 
+import brute
 import lemmas
 from conftest import random_corpus, relabelled, split_corpus
 
@@ -58,7 +59,7 @@ def test_exact_treewidth_matches_brute():
               *random_corpus(8, 20, p=0.3, seed_base=1200)]:
         w, t = treedec.exact_treewidth(g)
         assert treedec.validate(g, t) is None
-        assert t.width == w == oracle.brute_treewidth(g)
+        assert t.width == w == brute.brute_treewidth(g)
 
 
 def test_exact_treewidth_named_graphs():
