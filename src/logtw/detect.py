@@ -237,8 +237,17 @@ def find_pyramid(g):
 def find_prism(g):
     tris = list(_triangles(g))
     for i, ta in enumerate(tris):
+        # the edges between a prism's triangles are its one-edge legs, a
+        # matching; a second triangle that meets ta, or whose edges to ta
+        # are no matching, fits no permutation below
+        sa = set(ta)
+        sees = {x: g.adj[x] & sa for x in g.vertices() if x not in sa}
+        once = {x for x, seen in sees.items() if len(seen) <= 1}
         for tb in tris[i + 1:]:
-            if set(ta) & set(tb):
+            if not once.issuperset(tb):
+                continue
+            seen = [a for x in tb for a in sees[x]]
+            if len(set(seen)) < len(seen):
                 continue
             for perm in permutations(tb):
                 if any(g.has_edge(ta[x], perm[y])

@@ -7,6 +7,7 @@ All iteration orders are deterministic (ids ascending) so that certificates
 and decompositions are reproducible.
 """
 
+import heapq
 from collections import deque
 
 
@@ -179,19 +180,27 @@ def degeneracy_order(g):
     Returns (ordering, d) where d is the maximum degree seen at removal
     time; every subgraph of g then has a vertex of degree <= d, i.e. g is
     (d+1)-degenerate under the strict convention.
+
+    The next vertex comes off a lazy min-heap of (degree, id) entries:
+    a degree only falls, so an entry whose degree is no longer current,
+    or whose vertex is gone, is stale and dropped as it surfaces.
     """
-    deg = {v: g.degree(v) for v in g.vertices()}
-    alive = set(g.vertices())
+    deg = [g.degree(v) for v in g.vertices()]
+    heap = [(k, v) for v, k in enumerate(deg)]
+    heapq.heapify(heap)
     order = []
     d = 0
-    while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
-        d = max(d, deg[v])
+    while heap:
+        k, v = heapq.heappop(heap)
+        if deg[v] != k:
+            continue
+        d = max(d, k)
         order.append(v)
-        alive.remove(v)
+        deg[v] = None
         for w in g.adj[v]:
-            if w in alive:
+            if deg[w] is not None:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     return order, d
 
 

@@ -16,10 +16,13 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from . import detect
 from .graph import (BuildCheckFailed, SizeCapExceeded, adjacency_masks,
-                    strict_degeneracy)
+                    greedy_color_by_degeneracy)
 
 EXACT_TW_CAP = 14
+# the largest q of a q-coloring DP; solve_chromatic needs one only when
+# its greedy and clique bounds leave a q above the clique bound open
 Q_COLORING_CAP = 8
 
 
@@ -262,6 +265,7 @@ def greedy_fill_decomposition(g):
 # -- solvers ------------------------------------------------------------------
 
 _JOIN = object()  # tags a witness node that joins two witness chains
+_UNASKED = object()  # a field value forget has not been asked about yet
 
 
 def _require_valid(g, t):
@@ -286,18 +290,18 @@ def _dp(g, t, k, key, introduce, forget):
     A value counts only the vertices already forgotten, and by the
     running-intersection property each vertex is forgotten exactly once
     (the root bag's at the end), so nothing is counted twice. Forgetting
-    v asks forget(field, v), once per field value, for None, which drops
-    the state, or (gain, item), which adds gain to the value and item (if
-    not None) to the witness; the field is dropped and the higher fields
-    shift down. Introducing v opens a zero field at v's rank, at bit
-    offset f, and introduce(state, f, nb) gives the candidate states; nb
-    has bit 0 of the field of each bag neighbour of v, so that
-    state & nb << c tests bit c of v's neighbours. At a join, the states
-    of both sides that agree on the key bits of every field pair up into
-    left | right, valued left + right, since the two sides have forgotten
-    disjoint vertex sets. A candidate replaces a table entry only when its
-    value is strictly larger, so the first of equal-valued candidates is
-    kept.
+    v asks forget(field, v), once for each field value that occurs in the
+    table, when it first occurs, for None, which drops the state, or
+    (gain, item), which adds gain to the value and item (if not None) to
+    the witness; the field is dropped and the higher fields shift down.
+    Introducing v opens a zero field at v's rank, at bit offset f, and
+    introduce(state, f, nb) gives the candidate states; nb has bit 0 of
+    the field of each bag neighbour of v, so that state & nb << c tests
+    bit c of v's neighbours. At a join, the states of both sides that
+    agree on the key bits of every field pair up into left | right,
+    valued left + right, since the two sides have forgotten disjoint
+    vertex sets. A candidate replaces a table entry only when its value
+    is strictly larger, so the first of equal-valued candidates is kept.
 
     A witness is a back-pointer chain: None, (item, previous) for a
     forget with an item, or (_JOIN, left, right) at a join. Only the
@@ -327,10 +331,13 @@ def _dp(g, t, k, key, introduce, forget):
             del ranks[r]
             f = r * k
             low = (1 << f) - 1
-            outcome = [forget(x, v) for x in range(ones + 1)]
+            outcome = [_UNASKED] * (ones + 1)
             out = {}
             for s, (val, wit) in tab.items():
-                kept = outcome[s >> f & ones]
+                x = s >> f & ones
+                kept = outcome[x]
+                if kept is _UNASKED:
+                    kept = outcome[x] = forget(x, v)
                 if kept is not None:
                     gain, item = kept
                     s2 = s & low | s >> f + k << f
@@ -493,9 +500,14 @@ def _is_bipartite(g):
 def solve_chromatic(g, t):
     """Chromatic number of g, after checking that t decomposes g.
 
-    Edgeless and bipartite graphs are answered directly; otherwise the
-    q-coloring DP tries q = 3 upward, and the strict degeneracy bound
-    guarantees termination within the q-coloring cap when it is <= 8.
+    Edgeless and bipartite graphs are answered directly.  Otherwise chi
+    is bracketed first: a greedy coloring along the degeneracy order
+    gives the upper bound high, at most degeneracy + 1 (Szekeres and
+    Wilf), and the lower bound starts at 3 and rises past every q for
+    which g has a K_{q+1}.  The q-coloring DP runs only for q from the
+    lower bound up to high - 1, and high is the answer when each fails.
+    On (theta, triangle)-free graphs the greedy bound is already 3
+    (Radovanovic and Vuskovic), so no DP runs.
     """
     _require_valid(g, t)
     if g.n == 0:
@@ -504,13 +516,19 @@ def solve_chromatic(g, t):
         return 1
     if _is_bipartite(g):
         return 2
-    limit = min(strict_degeneracy(g), g.n)
-    for q in range(3, limit + 1):
+    color = greedy_color_by_degeneracy(g)
+    if any(color[u] == color[v] for u, v in g.edges()):
+        raise BuildCheckFailed("the greedy degeneracy coloring is not a "
+                               "proper coloring of g")
+    high = max(color) + 1
+    low = 3
+    while low < high and detect.has_clique(g, low + 1) is not None:
+        low += 1
+    for q in range(low, high):
         if q > Q_COLORING_CAP:
             raise SizeCapExceeded(
                 f"chromatic search needs q > {Q_COLORING_CAP}")
         ok, _ = _q_coloring(g, t, q)
         if ok:
             return q
-    raise BuildCheckFailed(f"no coloring with at most {limit} colors, "
-                           f"the strict degeneracy bound")
+    return high

@@ -7,11 +7,11 @@ pyramid and prism checks as first written, property by property, a
 reference for detect's definition checks; the pinched-prism search over
 holes, its centre-and-hole check and the maximum-clique search as first
 written, references for detect's three-path and direct K_t searches; the
-clique-cutset split, glue and elimination orders as first written,
-references for the heap-selected and indexed versions; and the table DP
-with its solvers as first written, counting each vertex at introduce, a
-reference for the forget-time counting.  The builder needs none of them;
-the tests import this module the way they import conftest.
+clique-cutset split, glue, elimination and degeneracy orders as first
+written, references for the heap-selected and indexed versions; and the
+table DP with its solvers as first written, counting each vertex at
+introduce, a reference for the forget-time counting.  The builder needs
+none of them; the tests import this module the way they import conftest.
 """
 
 import heapq
@@ -654,9 +654,10 @@ def low_degree_half(g):
 # -- the split, glue and elimination orders as first written ------------------
 #
 # References for separators' heap-selected searches, the builder's indexed
-# glue and treedec's heap-selected min-fill, which must give the same
-# output: each rescans every unnumbered vertex per step, every component
-# per generator, or every earlier bag per glue clique.
+# glue, treedec's heap-selected min-fill and graph's heap-selected
+# degeneracy order, which must give the same output: each rescans every
+# unnumbered vertex per step, every component per generator, or every
+# earlier bag per glue clique.
 
 def reference_minimal_triangulation(g):
     """An inclusion-minimal chordal fill via maximum cardinality search
@@ -816,6 +817,24 @@ def reference_min_fill_order(g):
                     adj[a].add(b)
         remaining.discard(v)
     return order
+
+
+def reference_degeneracy_order(g):
+    """(order, d) of degeneracy_order as first written: a minimum-degree
+    vertex, smallest id on ties, taken by a scan of every live vertex."""
+    deg = {v: g.degree(v) for v in g.vertices()}
+    alive = set(g.vertices())
+    order = []
+    d = 0
+    while alive:
+        v = min(alive, key=lambda x: (deg[x], x))
+        d = max(d, deg[v])
+        order.append(v)
+        alive.remove(v)
+        for w in g.adj[v]:
+            if w in alive:
+                deg[w] -= 1
+    return order, d
 
 
 # -- the DP as first written --------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from logtw.graph import (Graph, SizeCapExceeded, degeneracy_order,
                          enumerate_holes, is_induced_path, strict_degeneracy)
 from logtw.generators import clique, complete_bipartite, cycle, path, wall
+import lemmas
 from brute import brute_holes
 from conftest import random_corpus, relabelled
 
@@ -149,3 +150,18 @@ def test_degeneracy():
     assert strict_degeneracy(clique(5)) == 5
     order, d = degeneracy_order(complete_bipartite(3, 3))
     assert d == 3 and len(order) == 6
+
+
+def test_degeneracy_order_matches_its_reference():
+    # the heap-selected order removes the vertex the first-written scan,
+    # kept in lemmas, takes: minimum degree, smallest id on ties.  Cycles,
+    # walls and sparse draws tie at every step; relabelled copies break
+    # the ties another way
+    graphs = [*random_corpus(12, 20, p=0.2, seed_base=2100),
+              *random_corpus(30, 10, p=1.5 / 30, seed_base=2200),
+              *random_corpus(16, 10, p=0.6, seed_base=2300),
+              cycle(9), clique(5), complete_bipartite(3, 4), path(7),
+              wall(4), Graph(0), Graph(3)]
+    graphs += [relabelled(g, seed=i) for i, g in enumerate(graphs)]
+    for g in graphs:
+        assert degeneracy_order(g) == lemmas.reference_degeneracy_order(g)

@@ -10,7 +10,8 @@ from logtw import generators, oracle, treedec
 from logtw.builder import decompose
 from logtw.cli import EXIT_INVALID, main
 from logtw.formats import write_td
-from logtw.graph import BuildCheckFailed, Graph, SizeCapExceeded
+from logtw.graph import (BuildCheckFailed, Graph, SizeCapExceeded,
+                         greedy_color_by_degeneracy, strict_degeneracy)
 from logtw.treedec import TreeDecomposition
 
 import brute
@@ -219,6 +220,51 @@ def test_chromatic_rejects_invalid_decomposition_before_direct_answers():
         [frozenset()], [])) == 0
 
 
+def test_chromatic_bounds_decide_without_the_dp(monkeypatch):
+    # odd cycles and 2-degenerate non-bipartite draws get 3 colors from
+    # the greedy degeneracy coloring, and K_n finds its own K_n as the
+    # lower bound, so no q-coloring DP runs, even above Q_COLORING_CAP
+    def no_dp(g, t, q):
+        raise AssertionError(f"the {q}-coloring DP ran")
+
+    monkeypatch.setattr(treedec, "_q_coloring", no_dp)
+    sparse = [g for n in range(10, 60, 5) for seed in range(6)
+              for g in [generators.random_graph(n, 2 / n, seed=seed)]
+              if strict_degeneracy(g) <= 3 and not treedec._is_bipartite(g)]
+    assert len(sparse) >= 10
+    for g in [*map(generators.cycle, range(3, 16, 2)), *sparse]:
+        assert treedec.solve_chromatic(
+            g, treedec.greedy_fill_decomposition(g)) == 3
+    for n in range(4, 13):
+        g = generators.clique(n)
+        assert treedec.solve_chromatic(
+            g, TreeDecomposition([range(n)], [])) == n
+
+
+def test_chromatic_dp_decides_between_the_bounds(monkeypatch):
+    # random_graph(10, 0.25, seed=1603), from test_solvers_match_brute_force's
+    # corpus: the greedy degeneracy coloring needs 4 colors and g has no
+    # K_4, so the 3-coloring DP decides, and succeeds; the 5-wheel's
+    # 3-coloring DP fails, so the greedy bound 4 is the answer
+    asked = []
+
+    def recorded(g, t, q, dp=treedec._q_coloring):
+        asked.append(q)
+        return dp(g, t, q)
+
+    monkeypatch.setattr(treedec, "_q_coloring", recorded)
+    wheel = Graph(6, [(5, i) for i in range(5)] +
+                  [(i, (i + 1) % 5) for i in range(5)])
+    for g, chi in ((generators.random_graph(10, 0.25, seed=1603), 3),
+                   (wheel, 4)):
+        assert max(greedy_color_by_degeneracy(g)) + 1 == 4
+        assert oracle.brute_chromatic(g) == chi
+        asked.clear()
+        assert treedec.solve_chromatic(
+            g, treedec.greedy_fill_decomposition(g)) == chi
+        assert asked == [3]
+
+
 def test_solvers_walk_long_decompositions():
     # a path eliminated end to end, as min-fill orders it: bags {i, i+1}
     # chained 2,999 deep below bag 0
@@ -238,6 +284,10 @@ def test_failed_solver_check_raises_and_exits_invalid(monkeypatch, tmp_path,
                                                       capsys):
     g = generators.cycle(5)
     _, t = treedec.exact_treewidth(g)
+    monkeypatch.setattr(treedec, "greedy_color_by_degeneracy",
+                        lambda g: [0] * g.n)
+    with pytest.raises(BuildCheckFailed, match="greedy degeneracy coloring"):
+        treedec.solve_chromatic(g, t)
     monkeypatch.setattr(Graph, "is_stable", lambda self, s: False)
     with pytest.raises(BuildCheckFailed):
         treedec.solve_stable_set(g, t)
