@@ -3,15 +3,15 @@ report.
 
 The pipeline: split each connected component of the input at clique
 cutsets, once; certify class membership atom by atom on that split, then
-build from the same split.  Inside each atom, return a single bag when a
-cube forces a small vertex count, else partition the hub vertices into
-stable low-degree layers and shrink the graph recursively, one layer at a
-time: each step cuts its piece down to a central bag, decomposes that bag
-by the next step, and extends the bag's decomposition back over the
-components it cut off (each split the same way).  The recursion ends at a
-central bag that is hub-free (solved by bounded-width search) or owns a
-balanced layer vertex (solved through the contraction graph).  The atom
-decompositions are glued at their cutset cliques.
+build from the same split.  Inside each atom, decompose by the hub-free
+routine when a cube forces a small vertex count, else partition the hub
+vertices into stable low-degree layers and shrink the graph recursively,
+one layer at a time: each step cuts its piece down to a central bag,
+decomposes that bag by the next step, and extends the bag's decomposition
+back over the components it cut off (each split the same way).  The
+recursion ends at a central bag that is hub-free (solved by bounded-width
+search) or owns a balanced layer vertex (solved through the contraction
+graph).  The atom decompositions are glued at their cutset cliques.
 """
 
 from bisect import bisect_left
@@ -202,18 +202,9 @@ def split(g):
     """The clique-cutset split of g: one (atoms, glue) per component of g,
     in g.components() order, atoms and glue cliques in g's ids.  A
     component of at most two vertices is its own single atom; every other
-    is induced and cut by clique_cutset_atoms once."""
-    out = []
-    for c in g.components():
-        if len(c) <= 2:
-            out.append(([c], []))
-            continue
-        comp, ids = g.induced(c)
-        atoms, glue = clique_cutset_atoms(comp)
-        out.append(([frozenset(ids[x] for x in a) for a in atoms],
-                    [(i, j, frozenset(ids[x] for x in s))
-                     for i, j, s in glue]))
-    return out
+    is cut in place by clique_cutset_atoms once."""
+    return [([c], []) if len(c) <= 2 else clique_cutset_atoms(g, c)
+            for c in g.components()]
 
 
 def class_atoms(pieces, t):
@@ -323,11 +314,11 @@ def _hub_free(g, t):
 def _atom(g, t, caps, report, depth):
     """Decompose one clique-cutset-free connected piece; bags in g's ids."""
     # a cube inside a cutset-free class member forces fewer than 9t
-    # vertices, so the single bag is already within budget
+    # vertices, so any decomposition is within budget; the hub-free
+    # routine gives a small one
     if g.n < 9 * t and detect.find_cube(g) is not None:
-        report.trace.append(
-            {"depth": depth, "n": g.n, "branch": "cube-single-bag"})
-        return TreeDecomposition([frozenset(g.vertices())], [])
+        report.trace.append({"depth": depth, "n": g.n, "branch": "cube"})
+        return _hub_free(g, t)
 
     hp = build_hub_partition(g, caps=caps.hole, budget=HUB_BUDGET,
                              partial=not report.certified)
@@ -391,9 +382,9 @@ def _shrink(g, ids, hp, hub, first, t, caps, report, depth, n):
         td = _shrink(sub, [ids[x] for x in sub_ids], hp, sub_hub, idx + 1,
                      t, caps, report, depth, n)
         t_beta = _relabel(_structured(sub, td, report), sub_ids)
-        part_tds = _parts(g, g.components(removed=central[0]), t, caps,
-                          report, depth + 1)
-        return extend_tree(g, central, t_beta, part_tds)
+        comps = g.components(removed=central[0])
+        part_tds = _parts(g, comps, t, caps, report, depth + 1)
+        return extend_tree(central, t_beta, zip(comps, part_tds))
 
     if report.certified and hub:
         raise BuildCheckFailed(f"depth {depth}: final central bag of {g.n} "

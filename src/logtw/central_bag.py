@@ -5,7 +5,7 @@ decomposition)."""
 
 from dataclasses import dataclass
 
-from .graph import BuildCheckFailed, Graph
+from .graph import Graph
 from .treedec import TreeDecomposition
 from .hub_partition import big_component
 
@@ -146,23 +146,18 @@ def extend_neighborhood(g, cg, t0, part_tds):
     return TreeDecomposition(bags, edges)
 
 
-def extend_tree(g, central, t_beta, part_tds):
-    """Tree decomposition of g from one of the central bag beta (bags in
-    g ids) and one of each component of g minus beta (in g ids), where
-    central is the (beta, core_set, stars) triple that central_bag
-    returned for g.
+def extend_tree(central, t_beta, parts):
+    """Tree decomposition of a graph g from one of its central bag beta
+    and one of each component of g minus beta, all in g ids: central is
+    the (beta, core_set, stars) triple that central_bag returned for g,
+    and parts lists each component with its decomposition.
 
     Central-bag nodes absorb C(v) for every core vertex v they hold; the
     tree over component D absorbs C(r(D)) where r(D) is the smallest-id
     core vertex whose A-side contains D, and hangs off a central-bag node
     holding r(D).
     """
-    beta, core_set, stars = central
-    comps = g.components(removed=beta)
-    if len(comps) != len(part_tds):
-        raise BuildCheckFailed(f"{len(part_tds)} component decompositions "
-                               f"for {len(comps)} components")
-
+    _, core_set, stars = central
     bags = []
     for bag0 in t_beta.bags:
         bag = set(bag0)
@@ -170,7 +165,7 @@ def extend_tree(g, central, t_beta, part_tds):
             bag |= stars[v].c
         bags.append(frozenset(bag))
     edges = list(t_beta.edges)
-    for d, td in zip(comps, part_tds):
+    for d, td in parts:
         roots = [v for v in sorted(core_set) if d <= stars[v].a]
         if not roots:
             raise ValueError("component not inside any core A-side")

@@ -1,6 +1,14 @@
 """Clique-cutset atoms, minimal chordal completions, clique trees, bag
 structuring into potential maximal cliques, and the Ramsey table used by
-the width bounds."""
+the width bounds.
+
+Both maximum cardinality searches (MCS for elimination orders, MCS-M for
+minimal completions) run on a union of components of the graph, in the
+graph's own ids, and record as they go which vertices bumped which.  That
+record is each vertex's neighbourhood later in the order, in the graph the
+search completes, so the clique-cutset atoms and the clique trees read
+their separators straight off it: no completed graph is built, and no
+component is induced or relabelled."""
 
 import heapq
 from math import comb
@@ -33,17 +41,24 @@ def ramsey(t, s):
 
 # -- clique cutsets ----------------------------------------------------------
 
-def _max_cardinality_search(g, bump):
-    """Maximum cardinality search: number the heaviest unnumbered vertex,
-    smallest id on ties, then add one to the weight of each vertex that
+def _max_cardinality_search(g, vertices, bump):
+    """Maximum cardinality search over vertices, a union of components of
+    g, in g's ids: number the heaviest unnumbered vertex, smallest id on
+    ties, then add one to the weight of each vertex that
     bump(v, weight, remaining, top) returns, where top is the largest
     weight left among unnumbered vertices.  The next vertex comes off a
     lazy max-heap of (-weight, id) entries, one pushed per increment;
-    stale entries are dropped as they surface.  Returns the numbering
-    reversed, an elimination order."""
-    weight = [0] * g.n
-    remaining = set(g.vertices())
-    heap = [(0, v) for v in g.vertices()]  # sorted, so already a heap
+    stale entries are dropped as they surface.
+
+    Returns (order, madj): order is the numbering reversed, an
+    elimination order, and madj[u] is the set of vertices whose numbering
+    bumped u.  Those are u's neighbours after it in the order, in the
+    graph that joins every vertex to the vertices it bumps: g itself when
+    bump returns unnumbered neighbours, its completion under MCS-M."""
+    weight = dict.fromkeys(vertices, 0)
+    madj = {v: set() for v in weight}
+    remaining = set(weight)
+    heap = [(0, v) for v in sorted(weight)]  # sorted, so already a heap
     order = []
 
     def top():
@@ -59,17 +74,19 @@ def _max_cardinality_search(g, bump):
         order.append(v)
         for u in bump(v, weight, remaining, top()):
             weight[u] += 1
+            madj[u].add(v)
             heapq.heappush(heap, (-weight[u], u))
     order.reverse()  # eliminate in this order
-    return order
+    return order, madj
 
 
-def minimal_triangulation(g):
-    """An inclusion-minimal chordal fill via maximum cardinality search
-    with fill tracking (MCS-M). Returns (fill, order) where g plus fill
-    is chordal with minimal fill and order is a perfect elimination
-    order of the completion."""
-    fill = set()
+def minimal_triangulation(g, vertices):
+    """An inclusion-minimal chordal completion of g on vertices, a union
+    of its components, by maximum cardinality search with fill tracking
+    (MCS-M).  Returns (order, madj): order is a perfect elimination order
+    of the completion and madj[x] the neighbours of x after it there, so
+    the fill is every pair {x, y}, y in madj[x], that is not an edge of
+    g."""
 
     def bump(v, weight, remaining, top):
         # u joins S(v) when some path v..u runs through unnumbered
@@ -88,21 +105,9 @@ def minimal_triangulation(g):
                 if nd < dist.get(z, top):
                     dist[z] = nd
                     heapq.heappush(heap, (nd, z))
-        reached = [u for u, d in dist.items() if d < weight[u]]
-        fill.update(frozenset((u, v)) for u in reached
-                    if not g.has_edge(u, v))
-        return reached
+        return [u for u, d in dist.items() if d < weight[u]]
 
-    order = _max_cardinality_search(g, bump)
-    return fill, order
-
-
-def _madj(adj, order):
-    """madj(x) for every x: the neighbours of x (under adj) that come
-    after x in the elimination order."""
-    pos = {v: i for i, v in enumerate(order)}
-    return {v: frozenset(w for w in adj[v] if pos[w] > pos[v])
-            for v in order}
+    return _max_cardinality_search(g, vertices, bump)
 
 
 def find_clique_cutset(g):
@@ -111,32 +116,29 @@ def find_clique_cutset(g):
     clique of clique_cutset_atoms."""
     if g.n == 0 or not g.is_connected():
         return None
-    _, glue = clique_cutset_atoms(g)
+    _, glue = clique_cutset_atoms(g, g.vertices())
     if not glue:
         return None
     clique = glue[0][2]
     return clique, g.components(removed=clique)
 
 
-def clique_cutset_atoms(g):
-    """Clique minimal separator decomposition of a connected graph, read
-    off one MCS-M elimination order (Berry, Pogorelcnik and Simonet 2010).
+def clique_cutset_atoms(g, component):
+    """Clique minimal separator decomposition of one component of g, in
+    g's ids, read off one MCS-M elimination order (Berry, Pogorelcnik and
+    Simonet 2010).
 
     Returns (atoms, glue_tree): atoms are vertex sets with no clique
     cutset; glue_tree is a list of (i, j, clique) entries meaning atoms i
     and j were split along that clique. Gluing the atoms back along the
-    recorded cliques reproduces g.
+    recorded cliques reproduces g[component].
 
     x generates the minimal separator madj(x) of the completion when
     |madj(x)| <= |madj(next vertex)|, the MCS-M weight test. Walking the
     order, each generator whose separator S is a clique of g cuts off the
     component of what is left that holds x, together with S, as an atom.
     """
-    if not g.is_connected():
-        raise ValueError("clique-cutset decomposition expects a connected "
-                         "graph; decompose components separately")
-    fill, order = minimal_triangulation(g)
-    madj = _madj(g.with_edges(tuple(sorted(e)) for e in fill).adj, order)
+    order, madj = minimal_triangulation(g, component)
     removed = set()
     atoms = []
     cuts = []
@@ -152,9 +154,9 @@ def clique_cutset_atoms(g):
                         comp.add(w)
                         stack.append(w)
             atoms.append(frozenset(comp | s))
-            cuts.append(s)
+            cuts.append(frozenset(s))
             removed |= comp
-    atoms.append(frozenset(g.vertices()) - removed)
+    atoms.append(frozenset(component) - removed)
     # atom i hangs off the first later atom that holds its separator
     glue = [(i, next(j for j in range(i + 1, len(atoms)) if s <= atoms[j]),
              s) for i, s in enumerate(cuts)]
@@ -164,12 +166,15 @@ def clique_cutset_atoms(g):
 # -- chordality, fills, clique trees ------------------------------------------
 
 def perfect_elimination_order(g):
-    """A PEO via maximum cardinality search, or None if g is not chordal."""
-    order = _max_cardinality_search(
-        g, lambda v, weight, remaining, top: g.adj[v] & remaining)
-    if not all(g.is_clique(s) for s in _madj(g.adj, order).values()):
+    """(order, madj) from a maximum cardinality search of g, or None if
+    g is not chordal: order is then a PEO, and madj[x] the neighbours of
+    x after it in order."""
+    order, madj = _max_cardinality_search(
+        g, g.vertices(),
+        lambda v, weight, remaining, top: g.adj[v] & remaining)
+    if not all(g.is_clique(s) for s in madj.values()):
         return None
-    return order
+    return order, madj
 
 
 def clique_tree(g):
@@ -183,13 +188,13 @@ def clique_tree(g):
     current bag. A bag with empty madj starts a new component and hangs
     off bag 0.
     """
-    order = perfect_elimination_order(g)
-    if order is None:
+    peo = perfect_elimination_order(g)
+    if peo is None:
         raise ValueError("clique_tree requires a chordal graph")
+    order, madj = peo
     if not order:
         return treedec.TreeDecomposition([frozenset()], [])
     pos = {v: i for i, v in enumerate(order)}
-    madj = _madj(g.adj, order)
     bags = []
     edges = []
     bag_of = {}

@@ -111,3 +111,36 @@ def split_corpus():
     for n in (64, 128):
         out += class_members(3, n, 3, p=1.2 / n)
     return tuple(out)
+
+
+def ladder(rungs):
+    """Two paths 0..k-1 and k..2k-1 joined by the rungs {i, k + i}."""
+    k = rungs
+    return Graph(2 * k, [(i, i + 1) for i in range(k - 1)]
+                 + [(k + i, k + i + 1) for i in range(k - 1)]
+                 + [(i, k + i) for i in range(k)])
+
+
+def caterpillar(spine):
+    """A path 0..k-1 with one leaf k + i on each spine vertex i, spine ids
+    first."""
+    k = spine
+    return Graph(2 * k, [(i, i + 1) for i in range(k - 1)]
+                 + [(i, k + i) for i in range(k)])
+
+
+@lru_cache(maxsize=None)
+def search_corpus():
+    """split_corpus() widened for the searches that run in the input's
+    own ids: a relabelled copy of each graph, ladders and caterpillars in
+    both labellings, and graphs with isolated vertices and edges, whose
+    ids the relabelled copies scatter among the other components'."""
+    base = list(split_corpus())
+    for k in (2, 3, 5, 8, 20):
+        base += [ladder(k), caterpillar(k)]
+    for g in split_corpus()[::9]:
+        n = g.n
+        base.append(Graph(n + 6, [*g.edges(), (n + 1, n + 2),
+                                  (n + 4, n + 5)]))
+    base += [Graph(0), Graph(1), Graph(4, [(1, 2)])]
+    return tuple(base + [relabelled(g, seed=i) for i, g in enumerate(base)])

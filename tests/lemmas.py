@@ -22,7 +22,7 @@ from itertools import permutations
 from logtw import detect
 from logtw.graph import (BuildCheckFailed, SizeCapExceeded, degeneracy_order,
                          enumerate_holes, is_induced_path, strict_degeneracy)
-from logtw.separators import _madj, perfect_elimination_order
+from logtw.separators import perfect_elimination_order
 from logtw.treedec import TreeDecomposition, _require_valid
 
 SEPARATOR_ENUM_CAP = 20
@@ -653,11 +653,39 @@ def low_degree_half(g):
 
 # -- the split, glue and elimination orders as first written ------------------
 #
-# References for separators' heap-selected searches, the builder's indexed
-# glue, treedec's heap-selected min-fill and graph's heap-selected
-# degeneracy order, which must give the same output: each rescans every
-# unnumbered vertex per step, every component per generator, or every
-# earlier bag per glue clique.
+# References for separators' heap-selected searches and the madj they
+# record, the builder's in-place split, its indexed glue, treedec's
+# heap-selected min-fill and graph's heap-selected degeneracy order, which
+# must give the same output: each rescans every unnumbered vertex per
+# step, every component per generator, or every earlier bag per glue
+# clique, recomputes madj over the completed graph, or induces and
+# relabels every component it splits.
+
+def reference_madj(adj, order):
+    """madj(x) for every x: the neighbours of x (under adj) that come
+    after x in the elimination order."""
+    pos = {v: i for i, v in enumerate(order)}
+    return {v: frozenset(w for w in adj[v] if pos[w] > pos[v])
+            for v in order}
+
+
+def reference_split(g):
+    """The clique-cutset split of g: one (atoms, glue) per component of g,
+    in g.components() order, atoms and glue cliques in g's ids.  A
+    component of at most two vertices is its own single atom; every other
+    is induced and cut by clique_cutset_atoms once."""
+    out = []
+    for c in g.components():
+        if len(c) <= 2:
+            out.append(([c], []))
+            continue
+        comp, ids = g.induced(c)
+        atoms, glue = reference_clique_cutset_atoms(comp)
+        out.append(([frozenset(ids[x] for x in a) for a in atoms],
+                    [(i, j, frozenset(ids[x] for x in s))
+                     for i, j, s in glue]))
+    return out
+
 
 def reference_minimal_triangulation(g):
     """An inclusion-minimal chordal fill via maximum cardinality search
@@ -716,7 +744,8 @@ def reference_clique_cutset_atoms(g):
         raise ValueError("clique-cutset decomposition expects a connected "
                          "graph; decompose components separately")
     fill, order = reference_minimal_triangulation(g)
-    madj = _madj(g.with_edges(tuple(sorted(e)) for e in fill).adj, order)
+    madj = reference_madj(g.with_edges(tuple(sorted(e)) for e in fill).adj,
+                          order)
     removed = set()
     atoms = []
     cuts = []
@@ -747,7 +776,8 @@ def reference_perfect_elimination_order(g):
         for w in g.adj[v] & remaining:
             weight[w] += 1
     order.reverse()  # eliminate in this order
-    if not all(g.is_clique(s) for s in _madj(g.adj, order).values()):
+    if not all(g.is_clique(s)
+               for s in reference_madj(g.adj, order).values()):
         return None
     return order
 

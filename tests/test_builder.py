@@ -141,6 +141,21 @@ def test_certified_member_builds_are_pinned():
         "7db10be286655bc3e1521064ed9a1773c68730fd2000353df4eba3c403fdf9ce")
 
 
+def test_cube_atoms_get_their_treewidth():
+    # a cube atom is decomposed by the hub-free routine, not put in one
+    # bag of all eight vertices (width 7); the cube has treewidth 3
+    q = generators.cube()
+    tail = Graph(10, [*q.edges(), (0, 8), (8, 9)])
+    for t in (3, 4, 5):
+        for g in (q, tail):
+            td, report = decompose(g, t)
+            assert report.certified
+            assert treedec.validate(g, td) is None
+            assert td.width == treedec.exact_treewidth(g)[0] == 3
+            assert [e["branch"] for e in report.trace if e["n"] == 8] == [
+                "cube"]
+
+
 def test_long_thin_graphs_decompose_at_width_one():
     # 2999 clique-cutset atoms each, all of them edges
     for g in (generators.path(3000), random_tree(3000, seed=7)):
@@ -192,9 +207,10 @@ def test_one_clique_cutset_pass_per_component(monkeypatch):
     calls = []
     real = builder.clique_cutset_atoms
 
-    def counted(h):
-        calls.append(h.n)
-        return real(h)
+    def counted(h, component):
+        assert h is g
+        calls.append(len(component))
+        return real(h, component)
     monkeypatch.setattr(builder, "clique_cutset_atoms", counted)
     td, report = decompose(g, 4)
     assert report.certified and td.width == 2

@@ -73,8 +73,8 @@ def test_extend_tree_produces_valid_decomposition():
     comps = p.components(removed=beta)
     assert [sorted(c) for c in comps] == [[0, 1, 2]]
     part = TreeDecomposition([{0, 1}, {1, 2}], [(0, 1)])  # g ids
-    t = central_bag.extend_tree(p, central_bag.central_bag(p, s), t_beta,
-                                [part])
+    t = central_bag.extend_tree(central_bag.central_bag(p, s), t_beta,
+                                [(comps[0], part)])
     assert treedec.validate(p, t) is None
     # width grows only by the absorbed C(v) sets
     assert t.width <= t_beta.width + 2

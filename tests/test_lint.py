@@ -5,7 +5,8 @@ import re
 from pathlib import Path
 
 import logtw
-from logtw import detect
+from logtw import builder, detect, generators
+from logtw.graph import Graph
 
 
 def test_no_assert_statements():
@@ -31,6 +32,41 @@ def test_benchmark_tracer_names_resolve():
     missing = [f"{module.__name__}.{attr}" for module, attr in names
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_benchmark_tracer_counts_the_split(monkeypatch):
+    # `benchmark/run.py --trace 1` counts atoms off what the wrapped
+    # clique_cutset_atoms returns, and its calls; both must match the
+    # splits the build makes, one call per component of more than two
+    # vertices, shrink levels' splits included
+    path = Path(__file__).parent.parent / "benchmark" / "tracing.py"
+    tracing = {}  # executed from its text, so no bytecode is written there
+    exec(compile(path.read_text(), str(path), "exec"), tracing)
+    pieces = []
+    real = builder.split
+
+    def recorded(g):
+        out = real(g)
+        pieces.extend(out)
+        return out
+    monkeypatch.setattr(builder, "split", recorded)
+    g = Graph(17, [(0, 1), (1, 2), (2, 3), (3, 4),           # a path
+                   (5, 6), (6, 7), (7, 8), (8, 9), (9, 10),
+                   (10, 5),                                   # a 6-hole
+                   (11, 12), (12, 13), (13, 11), (13, 14),   # K_3 + a leaf
+                   (15, 16)])                                 # an edge
+    tracer = tracing["Tracer"]()
+    tracer.install()
+    try:
+        builder.decompose(g, 4)
+        builder.decompose(generators.wall(3), 3, uncertified_ok=True)
+    finally:
+        tracer.uninstall()
+    cut = [atoms for atoms, _ in pieces
+           if len(frozenset().union(*atoms)) > 2]
+    assert len(cut) > sum(len(c) > 2 for c in g.components()) + 1
+    assert tracer.calls["separators.clique_cutset_atoms"] == len(cut)
+    assert tracer.counts["separators.atoms"] == sum(map(len, cut))
 
 
 def _names(nodes):

@@ -4,14 +4,14 @@ cutsets — each checked against brute force where one exists."""
 
 import pytest
 
-from logtw import generators, separators, treedec
+from logtw import builder, generators, separators, treedec
 from logtw.builder import glue_at_clique
 from logtw.graph import Graph
 from logtw.treedec import TreeDecomposition
 
 import brute
 import lemmas
-from conftest import random_corpus, split_corpus
+from conftest import random_corpus, search_corpus
 
 
 def test_ramsey_table_and_fallback():
@@ -58,10 +58,17 @@ def test_is_pmc():
     assert not lemmas.is_pmc(p4, {0, 3})
 
 
+def _fill(g, madj):
+    """The completion's edges that g lacks, read off madj."""
+    return {(min(x, y), max(x, y)) for x in madj for y in madj[x]
+            if not g.has_edge(x, y)}
+
+
 def test_minimal_triangulation_is_chordal_and_minimal():
     for g in [*random_corpus(9, 15, p=0.3, seed_base=950),
               generators.cycle(8), generators.complete_bipartite(3, 3)]:
-        fill, order = separators.minimal_triangulation(g)
+        _, madj = separators.minimal_triangulation(g, g.vertices())
+        fill = _fill(g, madj)
         h = g.with_edges(fill)
         assert lemmas.is_chordal(h)
         assert not (set(fill) & set(g.edges()))
@@ -73,8 +80,8 @@ def test_minimal_triangulation_is_chordal_and_minimal():
 
 def test_clique_tree_is_valid_decomposition():
     for g in random_corpus(9, 10, p=0.35, seed_base=970):
-        fill, _ = separators.minimal_triangulation(g)
-        h = g.with_edges(fill)
+        _, madj = separators.minimal_triangulation(g, g.vertices())
+        h = g.with_edges(_fill(g, madj))
         t = separators.clique_tree(h)
         assert treedec.validate(h, t) is None
         assert len(set(t.bags)) == len(t.bags)
@@ -139,7 +146,7 @@ def test_clique_cutset_atoms():
               *random_corpus(10, 30, p=0.3, seed_base=1050)]:
         if not g.is_connected():
             continue
-        atoms, glue = separators.clique_cutset_atoms(g)
+        atoms, glue = separators.clique_cutset_atoms(g, g.vertices())
         assert len(set(atoms)) == len(atoms)
         assert set(atoms) == _brute_atoms(g)
         assert not any(a < b for a in atoms for b in atoms)
@@ -162,30 +169,67 @@ def test_clique_cutset_atoms():
         assert treedec.validate(g, glue_at_clique(decomps, glue)) is None
 
 
-def test_split_and_glue_match_their_references():
-    # the heap-selected MCS and MCS-M, the component search per generator
-    # and the indexed glue give exactly what the first-written versions,
-    # kept in lemmas, give
-    for g in split_corpus():
-        fill, order = separators.minimal_triangulation(g)
-        assert (fill, order) == lemmas.reference_minimal_triangulation(g)
+def _mcs(g):
+    return separators._max_cardinality_search(
+        g, g.vertices(),
+        lambda v, weight, remaining, top: g.adj[v] & remaining)
+
+
+def test_searches_match_their_references():
+    # MCS and MCS-M give the first-written orders, and the madj they
+    # record is madj recomputed over the graph they complete, on whole
+    # graphs and on each component searched in the graph's own ids
+    for g in search_corpus():
+        order, madj = separators.minimal_triangulation(g, g.vertices())
+        fill, want = lemmas.reference_minimal_triangulation(g)
         h = g.with_edges(tuple(sorted(e)) for e in fill)
+        assert order == want
+        assert madj == lemmas.reference_madj(h.adj, order)
+        assert _fill(g, madj) == {tuple(sorted(e)) for e in fill}
         for x in (g, h):
-            assert separators.perfect_elimination_order(x) == \
-                lemmas.reference_perfect_elimination_order(x)
-        if not g.is_connected():
-            continue
-        atoms, glue = separators.clique_cutset_atoms(g)
-        assert (atoms, glue) == lemmas.reference_clique_cutset_atoms(g)
-        decomps = []
-        for a in atoms:
-            sub, ids = g.induced(a)
-            td = treedec.greedy_fill_decomposition(sub)
-            decomps.append(TreeDecomposition(
-                [frozenset(ids[v] for v in b) for b in td.bags], td.edges))
-        glued = glue_at_clique(decomps, glue)
-        want = lemmas.reference_glue_at_clique(decomps, glue)
-        assert (glued.bags, glued.edges) == (want.bags, want.edges)
+            order, madj = _mcs(x)
+            assert madj == lemmas.reference_madj(x.adj, order)
+            peo = lemmas.reference_perfect_elimination_order(x)
+            got = separators.perfect_elimination_order(x)
+            assert got == (None if peo is None else (peo, madj))
+            if peo is not None:
+                assert order == peo
+        for c in g.components():
+            sub, ids = g.induced(c)
+            order, madj = separators.minimal_triangulation(g, c)
+            _, want = lemmas.reference_minimal_triangulation(sub)
+            assert order == [ids[x] for x in want]
+            assert set(madj) == c
+
+
+def test_split_and_glue_match_their_references():
+    # the in-place split, its component search per generator and the
+    # indexed glue give exactly what the first-written versions, kept in
+    # lemmas, give; disconnected graphs included
+    for g in search_corpus():
+        pieces = builder.split(g)
+        assert pieces == lemmas.reference_split(g)
+        for atoms, glue in pieces:
+            decomps = []
+            for a in atoms:
+                sub, ids = g.induced(a)
+                td = treedec.greedy_fill_decomposition(sub)
+                decomps.append(TreeDecomposition(
+                    [frozenset(ids[v] for v in b) for b in td.bags],
+                    td.edges))
+            glued = glue_at_clique(decomps, glue)
+            want = lemmas.reference_glue_at_clique(decomps, glue)
+            assert (glued.bags, glued.edges) == (want.bags, want.edges)
+
+
+def test_split_cuts_in_place(monkeypatch):
+    # the split neither induces a component nor builds a completed graph
+    def never(*args, **kwargs):
+        raise AssertionError("the split built a graph")
+    want = [builder.split(g) for g in search_corpus()]
+    monkeypatch.setattr(Graph, "induced", never)
+    monkeypatch.setattr(Graph, "with_edges", never)
+    assert [builder.split(g) for g in search_corpus()] == want
 
 
 def test_make_structured_preserves_width_and_gives_pmcs():
@@ -214,7 +258,8 @@ def test_make_structured_fill_is_minimal():
 def test_perfect_elimination_order():
     assert separators.perfect_elimination_order(generators.cycle(5)) is None
     tree = Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
-    order = separators.perfect_elimination_order(tree)
-    assert order is not None and sorted(order) == list(range(5))
+    order, madj = separators.perfect_elimination_order(tree)
+    assert sorted(order) == list(range(5))
+    assert sum(map(len, madj.values())) == tree.m
     assert lemmas.is_chordal(generators.clique(6))
     assert not lemmas.is_chordal(generators.cycle(4))
