@@ -2,16 +2,18 @@
 report.
 
 The pipeline: split each connected component of the input at clique
-cutsets, once; certify class membership atom by atom on that split, then
-build from the same split.  Inside each atom, decompose by the hub-free
-routine when a cube forces a small vertex count, else partition the hub
-vertices into stable low-degree layers and shrink the graph recursively,
-one layer at a time: each step cuts its piece down to a central bag,
-decomposes that bag by the next step, and extends the bag's decomposition
-back over the components it cut off (each split the same way).  The
-recursion ends at a central bag that is hub-free (solved by bounded-width
-search) or owns a balanced layer vertex (solved through the contraction
-graph).  The atom decompositions are glued at their cutset cliques.
+cutsets, once; induce each atom of more than two vertices once; certify
+class membership atom by atom on those atoms, then build from the same
+split and the same induced atoms.  Inside each atom, decompose by the
+hub-free routine when a cube forces a small vertex count, else partition
+the hub vertices into stable low-degree layers and shrink the graph
+recursively, one layer at a time: each step cuts its piece down to a
+central bag, decomposes that bag by the next step, and extends the bag's
+decomposition back over the components it cut off (each split the same
+way).  The recursion ends at a central bag that is hub-free (solved by
+bounded-width search) or owns a balanced layer vertex (solved through the
+contraction graph).  The atom decompositions are glued at their cutset
+cliques.
 """
 
 from bisect import bisect_left
@@ -208,21 +210,22 @@ def split(g):
 
 
 def class_atoms(pieces, t):
-    """The atoms of a split that can hold a forbidden structure for t, for
-    detect.in_class_Ct: all of them when t < 3, else those of more than
-    two vertices, since K_t then has more, and so has every theta, pyramid
-    and generalized prism."""
+    """The atoms of a split that can hold a forbidden structure for t, whose
+    induced subgraphs detect.in_class_Ct searches: all of them when t < 3,
+    else those of more than two vertices, since K_t then has more, and so
+    has every theta, pyramid and generalized prism."""
     return [a for atoms, _ in pieces for a in atoms if t < 3 or len(a) > 2]
 
 
 def decompose(g, t, caps=None, uncertified_ok=False):
     """(TreeDecomposition, BuildReport) for g.
 
-    g is split into clique-cutset atoms once; that split feeds both the
-    class-membership check and the build.  Membership is verified atom by
-    atom, before any atom is built, when g fits under the detection cap; a
-    violation raises ClassViolation unless uncertified_ok, in which case
-    the build still runs but the report is marked uncertified.  A
+    g is split into clique-cutset atoms once, and each atom of more than
+    two vertices is induced once; those feed both the class-membership
+    check and the build.  Membership is verified atom by atom, before any
+    atom is built, when g fits under the detection cap; a violation raises
+    ClassViolation unless uncertified_ok, in which case the build still
+    runs but the report is marked uncertified.  A
     violation certificate that fails its own check, or on certified runs a
     width above width_bound, or any failed output check, raises
     BuildCheckFailed.  t < 3 raises width_bound's ValueError before any
@@ -233,16 +236,16 @@ def decompose(g, t, caps=None, uncertified_ok=False):
     caps = caps or Caps()
     report = BuildReport(t=t, n=g.n)
     pieces = split(g)
+    induced = [g.induced(a) for a in class_atoms(pieces, t)]
     if g.n <= caps.detect:
-        ok, cert = detect.in_class_Ct(g, t, caps=caps.detect,
-                                      atoms=class_atoms(pieces, t))
+        ok, cert = detect.in_class_Ct(g, t, caps=caps.detect, atoms=induced)
         if not ok:
             cert.check(g)
             if not uncertified_ok:
                 raise ClassViolation(cert)
         report.certified = ok
 
-    td = _any(g, pieces, t, caps, report, 0)
+    td = _any(g, pieces, iter(induced), t, caps, report, 0)
 
     report.achieved_width = td.width
     report.bound = width_bound(t, max(g.n, 1), report.delta_used,
@@ -256,12 +259,14 @@ def decompose(g, t, caps=None, uncertified_ok=False):
     return td, report
 
 
-def _any(g, pieces, t, caps, report, depth):
-    """Decompose g from its split; bags in g's ids.  Each atom is induced
-    from g once, built by _atom, relabelled once and glued at its cutset
-    cliques, except that an edge atom is built by _edge; a component that
-    is a lone atom of at most two vertices is one bag.  The components'
-    trees are chained in order."""
+def _any(g, pieces, induced, t, caps, report, depth):
+    """Decompose g from its split; bags in g's ids.  induced yields
+    g.induced(a) for each atom a of more than two vertices, in split
+    order, as class_atoms lists them for t >= 3; each such atom is built
+    by _atom, relabelled once and glued at its cutset cliques, an edge
+    atom is built by _edge, and a component that is a lone atom of at
+    most two vertices is one bag.  The components' trees are chained in
+    order."""
     report.depth_final = max(report.depth_final, depth)
     out = []
     for atoms, glue in pieces:
@@ -273,7 +278,7 @@ def _any(g, pieces, t, caps, report, depth):
             if len(a) == 2:
                 decomps.append(_edge(a, report, depth))
                 continue
-            sub, ids = g.induced(a)
+            sub, ids = next(induced)
             decomps.append(_relabel(_atom(sub, t, caps, report, depth), ids))
         out.append(glue_at_clique(decomps, glue))
     return _chain(out)
@@ -401,8 +406,10 @@ def _parts(g, parts, t, caps, report, depth):
     out = []
     for part in parts:
         sub, ids = g.induced(part)
-        td = _structured(sub, _any(sub, split(sub), t, caps, report, depth),
-                         report)
+        pieces = split(sub)
+        induced = (sub.induced(a) for a in class_atoms(pieces, t))
+        td = _structured(sub, _any(sub, pieces, induced, t, caps, report,
+                                   depth), report)
         out.append(_relabel(td, ids))
     return out
 

@@ -16,8 +16,9 @@ from .builder import Caps, ClassViolation, class_atoms, decompose, split
 from .formats import (FormatError, read_graph, read_td, write_graph,
                       write_report, write_td)
 from .graph import BuildCheckFailed, SizeCapExceeded
-from .treedec import (solve_chromatic, solve_dominating_set, solve_q_coloring,
-                      solve_stable_set, solve_vertex_cover, validate)
+from .treedec import (Q_COLORING_CAP, solve_chromatic, solve_dominating_set,
+                      solve_q_coloring, solve_stable_set, solve_vertex_cover,
+                      validate)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -103,8 +104,8 @@ def cmd_detect(args):
     g = _load_graph(args.infile)
     cap = args.cap if args.cap else g.n
     if args.what == "class":
-        ok, cert = detect.in_class_Ct(g, args.t, caps=cap,
-                                      atoms=class_atoms(split(g), args.t))
+        atoms = [g.induced(a) for a in class_atoms(split(g), args.t)]
+        ok, cert = detect.in_class_Ct(g, args.t, caps=cap, atoms=atoms)
         if ok:
             print(f"in-class t={args.t}")
             return EXIT_OK
@@ -153,27 +154,37 @@ def cmd_verify(args):
 
 
 def cmd_solve(args):
+    if args.problem == "q-coloring" and not 1 <= args.q <= Q_COLORING_CAP:
+        raise ValueError(f"--q must be between 1 and {Q_COLORING_CAP}, "
+                         f"got {args.q}")
+    if not args.td and args.t < 3:
+        raise ValueError(f"--t must be >= 3, got {args.t}")
     g = _load_graph(args.graph)
     if args.td:
         with open(args.td) as fh:
             td, n = read_td(fh)
-        if n != g.n or validate(g, td) is not None:
+        if n != g.n:
             print("supplied decomposition does not fit the graph",
                   file=sys.stderr)
             return EXIT_INVALID
     else:
         td, _ = decompose(g, args.t, uncertified_ok=True)
-    if args.problem == "stable-set":
-        value, _ = solve_stable_set(g, td)
-    elif args.problem == "vertex-cover":
-        value, _ = solve_vertex_cover(g, td)
-    elif args.problem == "dominating-set":
-        value, _ = solve_dominating_set(g, td)
-    elif args.problem == "coloring":
-        value = solve_chromatic(g, td)
-    else:  # q-coloring
-        ok, _ = solve_q_coloring(g, td, args.q)
-        value = "yes" if ok else "no"
+    try:
+        if args.problem == "stable-set":
+            value, _ = solve_stable_set(g, td)
+        elif args.problem == "vertex-cover":
+            value, _ = solve_vertex_cover(g, td)
+        elif args.problem == "dominating-set":
+            value, _ = solve_dominating_set(g, td)
+        elif args.problem == "coloring":
+            value = solve_chromatic(g, td)
+        else:  # q-coloring
+            ok, _ = solve_q_coloring(g, td, args.q)
+            value = "yes" if ok else "no"
+    except ValueError:  # with the arguments checked: the solver's check of td
+        print("supplied decomposition does not fit the graph",
+              file=sys.stderr)
+        return EXIT_INVALID
     print(value)
     return EXIT_OK
 

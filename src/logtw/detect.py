@@ -394,15 +394,15 @@ def in_class_Ct(g, t, caps=None, atoms=None):
 
     None of these structures has a clique cutset, so each lies inside one
     clique-cutset atom (Tarjan 1985), and g is in the class exactly when
-    every atom is.  Given `atoms`, vertex sets of g that between them hold
-    every forbidden structure of g, each finder runs over the induced
-    atoms in turn before the next finder starts, so the kind found is the
-    one the whole-graph search finds; the certificate's roles are in g's
-    ids.  Without atoms g is searched whole.  The size cap applies to g
-    either way, after the clique search.
+    every atom is.  Given `atoms`, induced subgraphs of g as (sub, ids)
+    pairs from Graph.induced that between them hold every forbidden
+    structure of g, each finder runs over the atoms in turn before the
+    next finder starts, so the kind found is the one the whole-graph
+    search finds; the certificate's roles are in g's ids.  Without atoms g
+    is searched whole.  The size cap applies to g either way, after the
+    clique search.
     """
-    pieces = ([(g, range(g.n))] if atoms is None
-              else [g.induced(a) for a in atoms])
+    pieces = [(g, range(g.n))] if atoms is None else atoms
     for sub, ids in pieces:
         cert = has_clique(sub, t)
         if cert is not None:

@@ -154,8 +154,9 @@ def random_in_class(n, p, t, seed, max_tries=200, caps=None):
     Each draw is checked atom by atom on the builder's split."""
     for i in range(max_tries):
         g = random_graph(n, p, seed * 100003 + i)
-        ok, _ = detect.in_class_Ct(
-            g, t, caps=caps, atoms=builder.class_atoms(builder.split(g), t))
+        atoms = builder.class_atoms(builder.split(g), t)
+        ok, _ = detect.in_class_Ct(g, t, caps=caps,
+                                   atoms=[g.induced(a) for a in atoms])
         if ok:
             return g
     return None

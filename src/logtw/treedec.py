@@ -9,7 +9,9 @@ value counts only the vertices already forgotten, each exactly once, so
 no join needs a correction. Each solver supplies only its field width,
 the field bits two joined states must agree on, the states introducing a
 vertex can give, and what forgetting a field gains or whether it drops
-the state.
+the state. Introduce reads only the new vertex's neighbour fields and
+only sets bits, so it is asked once per neighbour pattern, not once per
+state; a join whose key is the whole state is one lookup per state.
 """
 
 import heapq
@@ -297,11 +299,18 @@ def _dp(g, t, k, key, introduce, forget):
     Introducing v opens a zero field at v's rank, at bit offset f, and
     introduce(state, f, nb) gives the candidate states; nb has bit 0 of
     the field of each bag neighbour of v, so that state & nb << c tests
-    bit c of v's neighbours. At a join, the states of both sides that
+    bit c of v's neighbours. introduce must read only the neighbours'
+    fields and only set bits: introduce(s, f, nb) is
+    [s | c for c in introduce(s & nb * ones, f, nb)], ones being a
+    field of k set bits. So it is asked once per neighbour pattern
+    s & nb * ones, and each state ORs the pattern's candidates into
+    itself, in the same order. At a join, the states of both sides that
     agree on the key bits of every field pair up into left | right,
     valued left + right, since the two sides have forgotten disjoint
-    vertex sets. A candidate replaces a table entry only when its value
-    is strictly larger, so the first of equal-valued candidates is kept.
+    vertex sets; when the key is every bit of a field, only equal states
+    agree, and each left state looks its partner up. A candidate
+    replaces a table entry only when its value is strictly larger, so
+    the first of equal-valued candidates is kept.
 
     A witness is a back-pointer chain: None, (item, previous) for a
     forget with an item, or (_JOIN, left, right) at a join. Only the
@@ -353,9 +362,17 @@ def _dp(g, t, k, key, introduce, forget):
             low = (1 << f) - 1
             nbrs = g.adj[v]
             nb = sum(1 << i * k for i, w in enumerate(ranks) if w in nbrs)
+            nbm = nb * ones  # every bit of the neighbours' fields
+            asked = {}
             out = {}
             for s, entry in tab.items():
-                for s2 in introduce(s & low | s >> f << f + k, f, nb):
+                base = s & low | s >> f << f + k
+                pattern = base & nbm
+                cands = asked.get(pattern)
+                if cands is None:
+                    cands = asked[pattern] = introduce(pattern, f, nb)
+                for c in cands:
+                    s2 = base | c
                     old = out.get(s2)
                     if old is None or entry[0] > old[0]:
                         out[s2] = entry
@@ -363,6 +380,13 @@ def _dp(g, t, k, key, introduce, forget):
         return tab
 
     def join(left, right):
+        if key == ones:  # only equal states agree on every bit
+            out = {}
+            for s, (lv, lw) in left.items():
+                r = right.get(s)
+                if r is not None:
+                    out[s] = (lv + r[0], (_JOIN, lw, r[1]))
+            return out
         buckets = {}
         for s, entry in right.items():
             buckets.setdefault(s & mask, []).append((s, entry))

@@ -2,6 +2,7 @@
 class members, and the exact small-graph fallback."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -216,6 +217,38 @@ def test_one_clique_cutset_pass_per_component(monkeypatch):
     assert report.certified and td.width == 2
     assert len(calls) == sum(len(c) > 2 for c in g.components()) == 3
     assert sorted(calls) == [4, 5, 6]
+
+
+def test_each_atom_is_induced_once(monkeypatch):
+    # certification and the build share the induced atoms: on a certified
+    # build each atom of more than two vertices is induced from the input
+    # once, and no other vertex set is
+    rng = random.Random(18)
+    graphs = [generators.cycle(12), generators.wall(3),
+              Graph(9, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
+                        (5, 6), (6, 3), (7, 8)])]
+    graphs += [relabelled(generators.random_graph(n, 2.5 / n, seed=n),
+                          seed=n) for n in range(8, 30, 3)]
+    real = Graph.induced
+    asked = []
+
+    def counted(self, vertices):
+        if self is g:
+            asked.append(frozenset(vertices))
+        return real(self, vertices)
+    monkeypatch.setattr(Graph, "induced", counted)
+    certified = 0
+    for g in graphs:
+        asked.clear()
+        t = rng.choice((3, 4))
+        _, report = decompose(g, t, caps=Caps(detect=g.n, hole=g.n),
+                              uncertified_ok=True)
+        certified += report.certified
+        atoms = builder.class_atoms(builder.split(g), t)
+        assert sorted(asked, key=sorted) == sorted(map(frozenset, atoms),
+                                                   key=sorted)
+        assert len(set(asked)) == len(asked)
+    assert certified >= 3
 
 
 def test_decompose_medium_class_member():

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from logtw import generators, treedec
+from logtw import cli, generators, treedec
 from logtw.builder import Caps
 from logtw.cli import main
 from logtw.formats import (FormatError, read_graph, read_td, write_graph,
@@ -151,6 +151,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     for t in ("2", "1"):
         assert main(["bench", "--sizes", "16", "--t", t]) == 2
         assert f"--t must be >= 3, got {t}" in capsys.readouterr().err
+    # solve checks --q and --t before it reads a file, so a missing graph
+    # is not what is reported
+    nowhere = str(tmp_path / "none.gr")
+    for q in ("0", "-1", str(treedec.Q_COLORING_CAP + 1)):
+        assert main(["solve", "--graph", nowhere, "--problem", "q-coloring",
+                     "--q", q]) == 2
+        assert (f"--q must be between 1 and {treedec.Q_COLORING_CAP}, "
+                f"got {q}") in capsys.readouterr().err
+    for t in ("2", "0"):
+        assert main(["solve", "--graph", nowhere, "--problem", "stable-set",
+                     "--t", t]) == 2
+        assert f"--t must be >= 3, got {t}" in capsys.readouterr().err
 
     missing = tmp_path / "nope.gr"
     assert main(["detect", "--in", str(missing), "--what", "theta"]) == 2
@@ -195,6 +207,48 @@ def test_cli_caps_accepts_every_caps_field(tmp_path, capsys):
         key = caps.split(",")[-1].partition("=")[0]
         assert f"cap {key!r} must be an integer >= 0" in \
             capsys.readouterr().err
+
+
+def test_cli_solve_validates_a_supplied_decomposition_once(
+        tmp_path, capsys, monkeypatch):
+    g = generators.cycle(8)
+    gpath = tmp_path / "c8.gr"
+    good = tmp_path / "good.td"
+    bad = tmp_path / "bad.td"
+    short = tmp_path / "short.td"
+    main(["gen", "cycle", "8", "--out", str(gpath)])
+    with open(good, "w") as fh:
+        write_td(treedec.exact_treewidth(g)[1], g.n, fh)
+    with open(bad, "w") as fh:  # a path decomposition misses edge 0-7
+        write_td(treedec.decomposition_from_elimination(
+            generators.path(8), list(range(8))), g.n, fh)
+    with open(short, "w") as fh:
+        write_td(treedec.exact_treewidth(generators.cycle(7))[1], 7, fh)
+    capsys.readouterr()
+    calls = []
+    real = treedec.validate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(treedec, "validate", counted)
+    monkeypatch.setattr(cli, "validate", counted)
+    problems = ("stable-set", "vertex-cover", "dominating-set", "coloring",
+                "q-coloring")
+    for problem in problems:
+        calls.clear()
+        assert main(["solve", "--graph", str(gpath), "--td", str(good),
+                     "--problem", problem]) == 0
+        assert len(calls) == 1, problem
+    capsys.readouterr()
+    for td in (bad, short):
+        for problem in problems:
+            calls.clear()
+            assert main(["solve", "--graph", str(gpath), "--td", str(td),
+                         "--problem", problem]) == 3
+            assert len(calls) == (td == bad)
+            assert capsys.readouterr().err == (
+                "supplied decomposition does not fit the graph\n")
 
 
 def test_cli_verify_rejects_wrong_decomposition(tmp_path, capsys):

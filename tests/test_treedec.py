@@ -265,6 +265,92 @@ def test_chromatic_dp_decides_between_the_bounds(monkeypatch):
         assert asked == [3]
 
 
+def _solver_transitions(monkeypatch, g, t):
+    """(name, (k, key, introduce, forget)) of every DP the solvers run on
+    (g, t), captured by wrapping _dp."""
+    seen = []
+    real = treedec._dp
+
+    def spy(g, t, *transitions):
+        seen.append(transitions)
+        return real(g, t, *transitions)
+    monkeypatch.setattr(treedec, "_dp", spy)
+    out = []
+    for name, solve in (
+            ("stable set", treedec.solve_stable_set),
+            ("dominating set", treedec.solve_dominating_set),
+            *((f"{q}-coloring", lambda g, t, q=q:
+               treedec.solve_q_coloring(g, t, q)) for q in range(1, 5))):
+        seen.clear()
+        solve(g, t)
+        out += [(name, transitions) for transitions in seen]
+    monkeypatch.setattr(treedec, "_dp", real)
+    return out
+
+
+def test_introduce_reads_only_neighbour_fields(monkeypatch):
+    # _dp asks introduce once per neighbour pattern and ORs each candidate
+    # into the state; that gives every state its own answer exactly when
+    # introduce reads only the neighbours' fields and only sets bits
+    g = generators.cycle(5)
+    rng = random.Random(18)
+    for name, (k, _, introduce, _) in _solver_transitions(
+            monkeypatch, g, treedec.exact_treewidth(g)[1]):
+        ones = (1 << k) - 1
+        for _ in range(300):
+            width = rng.randint(1, 7)
+            r = rng.randrange(width)
+            f = r * k
+            nb = sum(1 << i * k for i in range(width)
+                     if i != r and rng.random() < 0.5)
+            s = rng.getrandbits(width * k) & ~(ones << f)
+            got = list(introduce(s, f, nb))
+            assert got == [s | c for c in introduce(s & nb * ones, f, nb)], (
+                name, s, f, nb)
+            assert all(c & s == s for c in got), (name, s, f, nb)
+
+
+class _Marked(tuple):
+    """A graph's adjacency that logs each lookup of a vertex's
+    neighbours, so that the log splits into one run per introduced
+    vertex."""
+
+    def __new__(cls, adj, log):
+        self = super().__new__(cls, adj)
+        self.log = log
+        return self
+
+    def __getitem__(self, v):
+        self.log.append(None)
+        return super().__getitem__(v)
+
+
+def test_dp_asks_introduce_once_per_neighbour_pattern(monkeypatch):
+    g = generators.wall(5)
+    t = treedec.greedy_fill_decomposition(g)
+    log = []
+    g.adj = _Marked(g.adj, log)
+    for name, (k, key, introduce, forget) in _solver_transitions(
+            monkeypatch, g, t):
+        ones = (1 << k) - 1
+
+        def asked(s, f, nb):
+            log.append((s, nb))
+            return introduce(s, f, nb)
+        log.clear()
+        treedec._dp(g, t, k, key, asked, forget)
+        runs = [[]]
+        for entry in log:
+            if entry is None:
+                runs.append([])
+            else:
+                runs[-1].append(entry)
+        for run in runs:
+            assert len(set(run)) == len(run), name
+            assert all(s & nb * ones == s for s, nb in run), name
+        assert any(runs), name
+
+
 def test_solvers_walk_long_decompositions():
     # a path eliminated end to end, as min-fill orders it: bags {i, i+1}
     # chained 2,999 deep below bag 0
