@@ -128,7 +128,9 @@ def glue_at_clique(decomps, glue_tree):
     every step it is a run of its final list that starts at its root.  With
     atoms ranked by their place in the final lists and each vertex's bags
     listed in rank order, the candidates on one side are a slice of the
-    list of one clique vertex.
+    list of one clique vertex.  Glue entries that form no tree, or a
+    clique no candidate bag holds, raise BuildCheckFailed: the split or an
+    atom's decomposition is at fault, not the input.
     """
     bags = []
     edges = []
@@ -155,7 +157,7 @@ def glue_at_clique(decomps, glue_tree):
     for i, j, clique in glue_tree:
         ri, rj = find(i), find(j)
         if ri == rj:
-            raise ValueError("glue entries must form a tree")
+            raise BuildCheckFailed("glue entries must form a tree")
         links.append(((ri, size[ri]), (rj, size[rj]), clique))
         parent[rj] = ri
         size[ri] += size[rj]
@@ -190,7 +192,7 @@ def glue_at_clique(decomps, glue_tree):
         for b in map(h.__getitem__, range(start, start + count)):
             if clique <= bags[b]:
                 return b
-        raise ValueError("no bag contains the glue clique")
+        raise BuildCheckFailed("no bag contains the glue clique")
 
     for side_i, side_j, clique in links:
         edges.append((bag_holding(*side_i, clique),
@@ -209,43 +211,45 @@ def split(g):
             for c in g.components()]
 
 
-def class_atoms(pieces, t):
-    """The atoms of a split that can hold a forbidden structure for t, whose
-    induced subgraphs detect.in_class_Ct searches: all of them when t < 3,
-    else those of more than two vertices, since K_t then has more, and so
-    has every theta, pyramid and generalized prism."""
-    return [a for atoms, _ in pieces for a in atoms if t < 3 or len(a) > 2]
+def class_atoms(g, pieces, t):
+    """The atoms of g's split that can hold a forbidden structure for t,
+    each induced once, as (sub, ids) pairs from Graph.induced in split
+    order: all of them when t < 3, else those of more than two vertices,
+    since K_t then has more, and so has every theta, pyramid and
+    generalized prism.  None of these has a clique cutset (Tarjan 1985),
+    so detect.in_class_Ct searching these atoms searches all of g; the
+    build takes the same copies for its atoms."""
+    return [g.induced(a) for atoms, _ in pieces for a in atoms
+            if t < 3 or len(a) > 2]
 
 
 def decompose(g, t, caps=None, uncertified_ok=False):
     """(TreeDecomposition, BuildReport) for g.
 
-    g is split into clique-cutset atoms once, and each atom of more than
-    two vertices is induced once; those feed both the class-membership
-    check and the build.  Membership is verified atom by atom, before any
-    atom is built, when g fits under the detection cap; a violation raises
-    ClassViolation unless uncertified_ok, in which case the build still
-    runs but the report is marked uncertified.  A
-    violation certificate that fails its own check, or on certified runs a
-    width above width_bound, or any failed output check, raises
-    BuildCheckFailed.  t < 3 raises width_bound's ValueError before any
-    work.
+    g is split into clique-cutset atoms once, and class_atoms induces
+    each atom of more than two vertices once; those feed both the
+    class-membership check and the build.  Membership is verified atom by
+    atom, before any atom is built, when g fits under the detection cap; a
+    violation raises ClassViolation unless uncertified_ok, in which case
+    the build still runs but the report is marked uncertified.  A
+    violation certificate that fails its own check (in_class_Ct checks
+    each one it reports), or on certified runs a width above width_bound,
+    or any failed output check, raises BuildCheckFailed.  t < 3 raises
+    width_bound's ValueError before any work.
     """
     if t < 3:
         raise ValueError("need t >= 3 and n >= 1")
     caps = caps or Caps()
     report = BuildReport(t=t, n=g.n)
     pieces = split(g)
-    induced = [g.induced(a) for a in class_atoms(pieces, t)]
+    induced = class_atoms(g, pieces, t)
     if g.n <= caps.detect:
         ok, cert = detect.in_class_Ct(g, t, caps=caps.detect, atoms=induced)
-        if not ok:
-            cert.check(g)
-            if not uncertified_ok:
-                raise ClassViolation(cert)
+        if not ok and not uncertified_ok:
+            raise ClassViolation(cert)
         report.certified = ok
 
-    td = _any(g, pieces, iter(induced), t, caps, report, 0)
+    td = _any(g, pieces, induced, t, caps, report, 0)
 
     report.achieved_width = td.width
     report.bound = width_bound(t, max(g.n, 1), report.delta_used,
@@ -260,14 +264,14 @@ def decompose(g, t, caps=None, uncertified_ok=False):
 
 
 def _any(g, pieces, induced, t, caps, report, depth):
-    """Decompose g from its split; bags in g's ids.  induced yields
-    g.induced(a) for each atom a of more than two vertices, in split
-    order, as class_atoms lists them for t >= 3; each such atom is built
+    """Decompose g from its split; bags in g's ids.  induced is
+    class_atoms(g, pieces, t) for t >= 3; each of its atoms is built
     by _atom, relabelled once and glued at its cutset cliques, an edge
     atom is built by _edge, and a component that is a lone atom of at
     most two vertices is one bag.  The components' trees are chained in
     order."""
     report.depth_final = max(report.depth_final, depth)
+    induced = iter(induced)
     out = []
     for atoms, glue in pieces:
         if len(atoms) == 1 and len(atoms[0]) <= 2:
@@ -407,9 +411,8 @@ def _parts(g, parts, t, caps, report, depth):
     for part in parts:
         sub, ids = g.induced(part)
         pieces = split(sub)
-        induced = (sub.induced(a) for a in class_atoms(pieces, t))
-        td = _structured(sub, _any(sub, pieces, induced, t, caps, report,
-                                   depth), report)
+        td = _structured(sub, _any(sub, pieces, class_atoms(sub, pieces, t),
+                                   t, caps, report, depth), report)
         out.append(_relabel(td, ids))
     return out
 

@@ -5,7 +5,7 @@ decomposition)."""
 
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import BuildCheckFailed, Graph
 from .treedec import TreeDecomposition
 from .hub_partition import big_component
 
@@ -155,7 +155,8 @@ def extend_tree(central, t_beta, parts):
     Central-bag nodes absorb C(v) for every core vertex v they hold; the
     tree over component D absorbs C(r(D)) where r(D) is the smallest-id
     core vertex whose A-side contains D, and hangs off a central-bag node
-    holding r(D).
+    holding r(D).  A component inside no core vertex's A-side is a fault
+    of the central bag and raises BuildCheckFailed.
     """
     _, core_set, stars = central
     bags = []
@@ -168,7 +169,7 @@ def extend_tree(central, t_beta, parts):
     for d, td in parts:
         roots = [v for v in sorted(core_set) if d <= stars[v].a]
         if not roots:
-            raise ValueError("component not inside any core A-side")
+            raise BuildCheckFailed("component not inside any core A-side")
         r = roots[0]
         anchor = next(u for u, bag0 in enumerate(t_beta.bags)
                       if r in bag0)

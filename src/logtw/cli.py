@@ -11,8 +11,8 @@ import argparse
 import sys
 from dataclasses import fields
 
-from . import detect, generators
-from .builder import Caps, ClassViolation, class_atoms, decompose, split
+from . import builder, detect, generators
+from .builder import Caps, ClassViolation, decompose
 from .formats import (FormatError, read_graph, read_td, write_graph,
                       write_report, write_td)
 from .graph import BuildCheckFailed, SizeCapExceeded
@@ -77,10 +77,9 @@ def cmd_gen(args):
     elif args.family == "random-in-class":
         if len(args.params) != 3:
             raise ValueError("random-in-class needs: n p t")
-        n = int(args.params[0])
-        g = generators.random_in_class(n, float(args.params[1]),
-                                       int(args.params[2]), args.seed,
-                                       caps=n)
+        g = generators.random_in_class(int(args.params[0]),
+                                       float(args.params[1]),
+                                       int(args.params[2]), args.seed)
         if g is None:
             print("no class member found within the try budget",
                   file=sys.stderr)
@@ -104,12 +103,11 @@ def cmd_detect(args):
     g = _load_graph(args.infile)
     cap = args.cap if args.cap else g.n
     if args.what == "class":
-        atoms = [g.induced(a) for a in class_atoms(split(g), args.t)]
+        atoms = builder.class_atoms(g, builder.split(g), args.t)
         ok, cert = detect.in_class_Ct(g, args.t, caps=cap, atoms=atoms)
         if ok:
             print(f"in-class t={args.t}")
             return EXIT_OK
-        cert.check(g)
         print(f"violation: {cert.kind} {dict(sorted(cert.roles.items()))}")
         return EXIT_CLASS
     detect.check_cap(g, cap)
@@ -202,7 +200,7 @@ def cmd_bench(args):
     rows = []
     for n in sizes:
         g = generators.random_in_class(n, args.p_mult / n, args.t,
-                                       seed=args.seed, caps=n)
+                                       seed=args.seed)
         if g is None:
             print(f"n={n}: no class member found", file=sys.stderr)
             return EXIT_INVALID

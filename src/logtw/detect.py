@@ -46,11 +46,12 @@ class Certificate:
         return _VERIFIERS[self.kind](g, self.roles)
 
     def check(self, g):
-        """Raise BuildCheckFailed unless verify(g) holds; a detector's
-        answer is reported only after this check."""
+        """The certificate itself, or BuildCheckFailed unless verify(g)
+        holds; a detector's answer is reported only after this check."""
         if not self.verify(g):
             raise BuildCheckFailed(f"{self.kind} certificate fails its "
                                    f"check: {dict(sorted(self.roles.items()))}")
+        return self
 
 
 # -- definition checks on explicit roles -----------------------------------
@@ -394,23 +395,24 @@ def in_class_Ct(g, t, caps=None, atoms=None):
 
     None of these structures has a clique cutset, so each lies inside one
     clique-cutset atom (Tarjan 1985), and g is in the class exactly when
-    every atom is.  Given `atoms`, induced subgraphs of g as (sub, ids)
-    pairs from Graph.induced that between them hold every forbidden
-    structure of g, each finder runs over the atoms in turn before the
-    next finder starts, so the kind found is the one the whole-graph
-    search finds; the certificate's roles are in g's ids.  Without atoms g
-    is searched whole.  The size cap applies to g either way, after the
-    clique search.
+    every atom is.  Given `atoms`, the (sub, ids) pairs that
+    builder.class_atoms induces from g's split, each finder runs over the
+    atoms in turn before the next finder starts, so the kind found is the
+    one the whole-graph search finds; the certificate's roles are in g's
+    ids.  Without atoms g is searched whole.  Every certificate is checked
+    against g before it is returned, so a finder's answer that fails the
+    definition raises BuildCheckFailed instead.  The size cap applies to
+    g either way, after the clique search.
     """
     pieces = [(g, range(g.n))] if atoms is None else atoms
     for sub, ids in pieces:
         cert = has_clique(sub, t)
         if cert is not None:
-            return False, _in_host(cert, ids)
+            return False, _in_host(cert, ids).check(g)
     check_cap(g, caps)
     for finder in (find_theta, find_pyramid, find_prism, find_pinched_prism):
         for sub, ids in pieces:
             cert = finder(sub)
             if cert is not None:
-                return False, _in_host(cert, ids)
+                return False, _in_host(cert, ids).check(g)
     return True, None

@@ -148,15 +148,16 @@ def random_graph(n, p, seed):
     return Graph(n, edges)
 
 
-def random_in_class(n, p, t, seed, max_tries=200, caps=None):
+def random_in_class(n, p, t, seed, max_tries=200):
     """Rejection-sample G(n, p) until the graph excludes thetas, pyramids,
     generalized prisms and K_t; returns None when tries are exhausted.
-    Each draw is checked atom by atom on the builder's split."""
+    Each draw is searched whole, with no size cap, atom by atom on the
+    builder's class_atoms; in_class_Ct checks the certificate of every
+    rejected draw."""
     for i in range(max_tries):
         g = random_graph(n, p, seed * 100003 + i)
-        atoms = builder.class_atoms(builder.split(g), t)
-        ok, _ = detect.in_class_Ct(g, t, caps=caps,
-                                   atoms=[g.induced(a) for a in atoms])
+        atoms = builder.class_atoms(g, builder.split(g), t)
+        ok, _ = detect.in_class_Ct(g, t, caps=g.n, atoms=atoms)
         if ok:
             return g
     return None

@@ -190,24 +190,21 @@ def _optimal_order(g):
     full = (1 << n) - 1
     dp = {0: 0}
     choice = {}
-    masks_by_size = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        masks_by_size[bin(mask).count("1")].append(mask)
-    for size in range(n):
-        for mask in masks_by_size[size]:
-            if mask not in dp:
-                continue
-            base = dp[mask]
-            rest = full & ~mask
-            f = rest
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                val = max(base, cost(mask, v))
-                nxt = mask | (1 << v)
-                if nxt not in dp or val < dp[nxt]:
-                    dp[nxt] = val
-                    choice[nxt] = v
+    # every predecessor of a mask is numerically smaller, so ascending
+    # order settles each mask before it is extended
+    for mask in range(full):
+        if mask not in dp:
+            continue
+        base = dp[mask]
+        f = full & ~mask
+        while f:
+            v = (f & -f).bit_length() - 1
+            f &= f - 1
+            val = max(base, cost(mask, v))
+            nxt = mask | (1 << v)
+            if nxt not in dp or val < dp[nxt]:
+                dp[nxt] = val
+                choice[nxt] = v
     tw = dp[full]
     order = []
     mask = full
@@ -550,8 +547,8 @@ def solve_chromatic(g, t):
         low += 1
     for q in range(low, high):
         if q > Q_COLORING_CAP:
-            raise SizeCapExceeded(
-                f"chromatic search needs q > {Q_COLORING_CAP}")
+            raise SizeCapExceeded(f"chromatic search capped at q <= "
+                                  f"{Q_COLORING_CAP}, got q = {q}")
         ok, _ = _q_coloring(g, t, q)
         if ok:
             return q

@@ -24,7 +24,7 @@ def class_members(t, n, count, p=None, seed_base=0):
     out = []
     seed = seed_base
     while len(out) < count and seed < seed_base + 12 * count:
-        g = random_in_class(n, p, t, seed=seed, max_tries=30, caps=n)
+        g = random_in_class(n, p, t, seed=seed, max_tries=30)
         if g is not None:
             out.append(g)
         seed += 1

@@ -7,8 +7,9 @@ pyramid and prism checks as first written, property by property, a
 reference for detect's definition checks; the pinched-prism search over
 holes, its centre-and-hole check and the maximum-clique search as first
 written, references for detect's three-path and direct K_t searches; the
-clique-cutset split, glue, elimination and degeneracy orders as first
-written, references for the heap-selected and indexed versions; and the
+clique-cutset split, glue, elimination and degeneracy orders and the
+exact-treewidth DP as first written, references for the heap-selected,
+indexed and unbucketed versions; and the
 table DP with its solvers as first written, counting each vertex at
 introduce, a reference for the forget-time counting.  The builder needs
 none of them; the tests import this module the way they import conftest.
@@ -20,8 +21,9 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from logtw import detect
-from logtw.graph import (BuildCheckFailed, SizeCapExceeded, degeneracy_order,
-                         enumerate_holes, is_induced_path, strict_degeneracy)
+from logtw.graph import (BuildCheckFailed, SizeCapExceeded, adjacency_masks,
+                         degeneracy_order, enumerate_holes, is_induced_path,
+                         strict_degeneracy)
 from logtw.separators import perfect_elimination_order
 from logtw.treedec import TreeDecomposition, _require_valid
 
@@ -655,11 +657,12 @@ def low_degree_half(g):
 #
 # References for separators' heap-selected searches and the madj they
 # record, the builder's in-place split, its indexed glue, treedec's
-# heap-selected min-fill and graph's heap-selected degeneracy order, which
-# must give the same output: each rescans every unnumbered vertex per
-# step, every component per generator, or every earlier bag per glue
-# clique, recomputes madj over the completed graph, or induces and
-# relabels every component it splits.
+# heap-selected min-fill, its exact-treewidth DP walking masks in numeric
+# order and graph's heap-selected degeneracy order, which must give the
+# same output: each rescans every unnumbered vertex per step, every
+# component per generator, or every earlier bag per glue clique,
+# recomputes madj over the completed graph, induces and relabels every
+# component it splits, or buckets the DP's masks by size.
 
 def reference_madj(adj, order):
     """madj(x) for every x: the neighbours of x (under adj) that come
@@ -865,6 +868,67 @@ def reference_degeneracy_order(g):
             if w in alive:
                 deg[w] -= 1
     return order, d
+
+
+def reference_optimal_order(g):
+    """(treewidth, optimal elimination order) of a nonempty graph, as
+    _optimal_order first walked the masks: in buckets by size.
+
+    Dynamic program over subsets of eliminated vertices (as bitmasks): the
+    cost of eliminating v after the set S is the number of vertices
+    outside S reachable from v through S, which is order-independent.
+    """
+    n = g.n
+    nbr_mask = adjacency_masks(g)
+
+    def cost(mask, v):
+        # vertices outside mask reachable from v via mask
+        seen = 1 << v
+        frontier = 1 << v
+        out = 0
+        while frontier:
+            reach = 0
+            f = frontier
+            while f:
+                u = (f & -f).bit_length() - 1
+                f &= f - 1
+                reach |= nbr_mask[u]
+            reach &= ~seen
+            seen |= reach
+            out |= reach & ~mask
+            frontier = reach & mask
+        return bin(out).count("1")
+
+    full = (1 << n) - 1
+    dp = {0: 0}
+    choice = {}
+    masks_by_size = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        masks_by_size[bin(mask).count("1")].append(mask)
+    for size in range(n):
+        for mask in masks_by_size[size]:
+            if mask not in dp:
+                continue
+            base = dp[mask]
+            rest = full & ~mask
+            f = rest
+            while f:
+                v = (f & -f).bit_length() - 1
+                f &= f - 1
+                val = max(base, cost(mask, v))
+                nxt = mask | (1 << v)
+                if nxt not in dp or val < dp[nxt]:
+                    dp[nxt] = val
+                    choice[nxt] = v
+    tw = dp[full]
+    order = []
+    mask = full
+    while mask:
+        v = choice[mask]
+        order.append(v)
+        mask &= ~(1 << v)
+    order.reverse()
+    return tw, order
 
 
 # -- the DP as first written --------------------------------------------------

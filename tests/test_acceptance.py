@@ -79,12 +79,12 @@ def _corpus():
                             f"random(n={n},p={p:.3f},seed={seed})"))
     for n in (15, 20, 25, 30, 40, 50):
         for s in range(4):
-            g = generators.random_in_class(n, 1.5 / n, 3, 7000 + s, caps=n)
+            g = generators.random_in_class(n, 1.5 / n, 3, 7000 + s)
             if g is not None:
                 out.append((3, g, f"member3(n={n},seed={s})"))
     for n in (15, 20, 25):
         for s in range(4):
-            g = generators.random_in_class(n, 2.0 / n, 4, 8000 + s, caps=n)
+            g = generators.random_in_class(n, 2.0 / n, 4, 8000 + s)
             if g is not None:
                 out.append((4, g, f"member4(n={n},seed={s})"))
     assert len(out) >= 200, f"corpus too small: {len(out)}"

@@ -8,7 +8,7 @@ import pytest
 
 from logtw import builder, detect, generators, treedec
 from logtw.builder import Caps, ClassViolation, decompose, width_bound
-from logtw.graph import Graph
+from logtw.graph import BuildCheckFailed, Graph
 from logtw.treedec import TreeDecomposition
 
 import brute
@@ -51,9 +51,9 @@ def test_glue_at_clique_takes_the_reference_bag():
     got = builder.glue_at_clique(decomps, glue)
     want = lemmas.reference_glue_at_clique(decomps, glue)
     assert (got.bags, got.edges) == (want.bags, want.edges)
-    with pytest.raises(ValueError, match="form a tree"):
+    with pytest.raises(BuildCheckFailed, match="form a tree"):
         builder.glue_at_clique(decomps[:2], [(0, 1, frozenset({1}))] * 2)
-    with pytest.raises(ValueError, match="no bag contains"):
+    with pytest.raises(BuildCheckFailed, match="no bag contains"):
         builder.glue_at_clique(decomps[:2], [(0, 1, frozenset({0, 2}))])
 
 
@@ -133,7 +133,7 @@ def test_certified_member_builds_are_pinned():
     out = []
     for n in (32, 64, 128):
         for k in (1, 2, 3):
-            g = generators.random_in_class(n, 1.2 / n, 3, seed=k, caps=n)
+            g = generators.random_in_class(n, 1.2 / n, 3, seed=k)
             td, report = decompose(g, 3, caps=Caps(detect=n, hole=n))
             assert report.certified
             out.append(([sorted(b) for b in td.bags], td.edges,
@@ -186,8 +186,8 @@ def test_split_is_in_host_ids():
         every = [a for atoms, _ in pieces for a in atoms]
         assert all(any({u, v} <= a for a in every) for u, v in g.edges())
         for t in (2, 3, 4):
-            assert builder.class_atoms(pieces, t) == [
-                a for a in every if t < 3 or len(a) > 2]
+            assert [set(ids) for _, ids in builder.class_atoms(
+                g, pieces, t)] == [a for a in every if t < 3 or len(a) > 2]
 
 
 def test_decompose_disconnected_input():
@@ -239,12 +239,13 @@ def test_each_atom_is_induced_once(monkeypatch):
     monkeypatch.setattr(Graph, "induced", counted)
     certified = 0
     for g in graphs:
-        asked.clear()
         t = rng.choice((3, 4))
+        atoms = [ids for _, ids in builder.class_atoms(g, builder.split(g),
+                                                       t)]
+        asked.clear()
         _, report = decompose(g, t, caps=Caps(detect=g.n, hole=g.n),
                               uncertified_ok=True)
         certified += report.certified
-        atoms = builder.class_atoms(builder.split(g), t)
         assert sorted(asked, key=sorted) == sorted(map(frozenset, atoms),
                                                    key=sorted)
         assert len(set(asked)) == len(asked)
@@ -252,7 +253,7 @@ def test_each_atom_is_induced_once(monkeypatch):
 
 
 def test_decompose_medium_class_member():
-    g = generators.random_in_class(50, 1.5 / 50, 3, 11, caps=50)
+    g = generators.random_in_class(50, 1.5 / 50, 3, 11)
     assert g is not None
     td, report = decompose(g, 3, caps=Caps(detect=50, hole=50))
     assert treedec.validate(g, td) is None
@@ -328,3 +329,30 @@ def test_decompose_rejects_small_t_before_any_work(monkeypatch, tmp_path,
         assert main(["decompose", "--in", str(gpath), "--t", "2"]
                     + flags) == EXIT_PARSE
         assert "need t >= 3" in capsys.readouterr().err
+
+
+def test_every_caller_takes_its_atoms_from_class_atoms(monkeypatch, tmp_path,
+                                                       capsys):
+    # decompose, detect --what class, gen random-in-class and bench search
+    # the atoms class_atoms induces, starting from the whole input
+    from logtw.cli import main
+    gpath = tmp_path / "c8.gr"
+    main(["gen", "cycle", "8", "--out", str(gpath)])
+    calls = []
+    real = builder.class_atoms
+
+    def recorded(g, pieces, t):
+        calls.append((g.n, t))
+        return real(g, pieces, t)
+    monkeypatch.setattr(builder, "class_atoms", recorded)
+    for argv, first in (
+            (["decompose", "--in", str(gpath), "--t", "3"], (8, 3)),
+            (["detect", "--in", str(gpath), "--what", "class", "--t", "4"],
+             (8, 4)),
+            (["gen", "random-in-class", "12", "0.2", "3", "--seed", "2"],
+             (12, 3)),
+            (["bench", "--sizes", "16"], (16, 3))):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert calls and calls[0] == first, argv
+    capsys.readouterr()

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from logtw import cli, generators, treedec
+from logtw import builder, cli, generators, treedec
 from logtw.builder import Caps
 from logtw.cli import main
 from logtw.formats import (FormatError, read_graph, read_td, write_graph,
@@ -271,3 +271,20 @@ def test_cli_bench_small(tmp_path):
     assert len(lines) == 3
     first = lines[1].split("\t")
     assert first[0] == "16" and first[4] == "yes"
+
+
+def test_cli_failed_glue_exits_invalid(tmp_path, capsys, monkeypatch):
+    # a glue clique that no atom holds is a failed internal check of the
+    # build, not a usage error
+    real = builder.clique_cutset_atoms
+
+    def unheld(g, component):
+        atoms, glue = real(g, component)
+        return atoms, [(i, j, frozenset(component)) for i, j, _ in glue]
+    monkeypatch.setattr(builder, "clique_cutset_atoms", unheld)
+    gpath = tmp_path / "p6.gr"
+    main(["gen", "path", "6", "--out", str(gpath)])
+    capsys.readouterr()
+    assert main(["decompose", "--in", str(gpath), "--t", "3"]) == \
+        cli.EXIT_INVALID
+    assert "no bag contains the glue clique" in capsys.readouterr().err

@@ -11,7 +11,8 @@ from itertools import product
 import pytest
 
 from logtw import builder, detect, generators
-from logtw.graph import Graph, SizeCapExceeded, enumerate_holes
+from logtw.graph import (BuildCheckFailed, Graph, SizeCapExceeded,
+                         enumerate_holes)
 
 import brute
 import lemmas
@@ -522,11 +523,6 @@ def _clique_sum(rng):
     return relabelled(Graph(n, sorted(edges)), rng.randrange(10 ** 6))
 
 
-def _induced_atoms(g, t):
-    """The builder's class atoms of g, induced, as in_class_Ct takes them."""
-    return [g.induced(a) for a in builder.class_atoms(builder.split(g), t)]
-
-
 def test_in_class_by_atoms_matches_whole_graph():
     # the verdict and the kind found first are the same whether g is
     # searched whole or atom by atom, and the atom certificate holds in g
@@ -536,7 +532,7 @@ def test_in_class_by_atoms_matches_whole_graph():
         g = _clique_sum(rng)
         for t in (3, 4):
             ok, cert = detect.in_class_Ct(g, t, caps=g.n)
-            atoms = _induced_atoms(g, t)
+            atoms = builder.class_atoms(g, builder.split(g), t)
             ok_a, cert_a = detect.in_class_Ct(g, t, caps=g.n, atoms=atoms)
             assert ok_a == ok
             verdicts.add(ok)
@@ -549,7 +545,8 @@ def test_in_class_by_atoms_matches_whole_graph():
 def test_in_class_by_atoms_keeps_the_cap_order():
     # the clique search runs before the size cap, which limits g itself
     k40, c40 = generators.clique(40), generators.cycle(40)
-    for atoms_of in (lambda g: None, lambda g: _induced_atoms(g, 3)):
+    for atoms_of in (lambda g: None,
+                     lambda g: builder.class_atoms(g, builder.split(g), 3)):
         ok, cert = detect.in_class_Ct(k40, 3, atoms=atoms_of(k40))
         assert not ok and cert.kind == "CliqueKt"
         with pytest.raises(SizeCapExceeded,
@@ -607,8 +604,25 @@ def test_in_class_enumerates_no_hole(monkeypatch):
     monkeypatch.setattr(detect, "enumerate_holes", no_holes)
     verdicts = Counter()
     for g, t, want in cases:
-        for atoms in (None, _induced_atoms(g, t)):
+        for atoms in (None, builder.class_atoms(g, builder.split(g), t)):
             ok, cert = detect.in_class_Ct(g, t, caps=g.n, atoms=atoms)
             assert (ok, None if ok else cert.kind) == want
         verdicts[want] += 1
     assert verdicts[False, "PinchedPrism"] > 0 and verdicts[True, None] > 0
+
+
+def test_in_class_checks_every_certificate_it_reports(monkeypatch):
+    # a finder's answer that fails the definition is an internal fault,
+    # whether g is searched whole or atom by atom, and the sampler, which
+    # only reads the verdict, meets it too
+    bogus = detect.Certificate("Theta", {"a": 0, "b": 1,
+                                         "paths": [[0, 1]] * 3})
+    monkeypatch.setattr(detect, "find_theta", lambda g: bogus)
+    g = generators.cycle(8)
+    for atoms in (None, builder.class_atoms(g, builder.split(g), 3)):
+        with pytest.raises(BuildCheckFailed,
+                           match="Theta certificate fails its check"):
+            detect.in_class_Ct(g, 3, caps=g.n, atoms=atoms)
+    with pytest.raises(BuildCheckFailed,
+                       match="Theta certificate fails its check"):
+        generators.random_in_class(8, 0.4, 3, seed=1)

@@ -112,7 +112,7 @@ def test_random_in_class_matches_whole_graph_sampling(capsys):
                 if detect.in_class_Ct(want, 3, caps=n)[0]:
                     break
                 rejected += 1
-            got = random_in_class(n, 1.5 / n, 3, seed, caps=n)
+            got = random_in_class(n, 1.5 / n, 3, seed)
             assert sorted(got.edges()) == sorted(want.edges()), (n, seed)
     assert rejected >= 10
     # `logtw gen random-in-class 64 0.02 3 --seed 1`, recorded from the
@@ -160,3 +160,13 @@ def test_confusion_matrix_matches_oracle():
         for kind in oracle_kinds:
             assert brute_contains_induced(g, kind) == (fam == kind), (fam,
                                                                       kind)
+
+
+def test_random_in_class_searches_the_whole_draw():
+    # no size cap applies to the draws: n = 64 is above the detector's
+    # default cap of 30, and the graph is the one a search capped at
+    # n <= 64 accepts
+    g = random_in_class(64, 1.2 / 64, 3, seed=1)
+    assert (g.n, g.m) == (64, 38)
+    assert hashlib.sha256(repr(sorted(g.edges())).encode()).hexdigest() == (
+        "acc343310b12a0293d4839949d6eb875f54a7abfb4e27bf3439a6c74fcdd1276")

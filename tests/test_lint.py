@@ -69,6 +69,41 @@ def test_benchmark_tracer_counts_the_split(monkeypatch):
     assert tracer.counts["separators.atoms"] == sum(map(len, cut))
 
 
+def _rendered(node):
+    """The text of a string or f-string node, each placeholder as 7."""
+    if isinstance(node, ast.Constant):
+        return str(node.value)
+    return "".join(_rendered(v) if isinstance(v, ast.Constant) else "7"
+                   for v in node.values)
+
+
+def test_cap_messages_name_their_size():
+    # every SizeCapExceeded says which size hit which cap: "<what> capped
+    # at <x> <= <cap>, got ...", or for the hub search "... budget of <n>
+    # holes ...".  The benchmark counts a cap exit only when its message
+    # matches CAP_MESSAGE, so every shape a benchmark input can reach
+    # must match it too: all but the chromatic search's cap on q, which no
+    # `solve` input reaches (its colour bracket closes below the cap)
+    path = Path(__file__).parent.parent / "benchmark" / "checks.py"
+    checks = {}  # executed from its text, so no bytecode is written there
+    exec(compile(path.read_text(), str(path), "exec"), checks)
+    shape = re.compile(r"capped at (\w+) <= 7, got |budget of 7 holes")
+    found = {}
+    for path in sorted(Path(logtw.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and \
+                    isinstance(node.exc, ast.Call) and \
+                    getattr(node.exc.func, "id", None) == "SizeCapExceeded":
+                found[f"{path.name}:{node.lineno}"] = _rendered(
+                    node.exc.args[0])
+    assert len(found) >= 6
+    for where, text in found.items():
+        match = shape.search(text)
+        assert match, (where, text)
+        if match[1] != "q":
+            assert checks["CAP_MESSAGE"].search(text), (where, text)
+
+
 def _names(nodes):
     """Every bare name and attribute name referred to inside nodes."""
     return {n.id if isinstance(n, ast.Name) else n.attr

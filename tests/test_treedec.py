@@ -8,8 +8,8 @@ import pytest
 
 from logtw import generators, oracle, treedec
 from logtw.builder import decompose
-from logtw.cli import EXIT_INVALID, main
-from logtw.formats import write_td
+from logtw.cli import EXIT_CAP, EXIT_INVALID, main
+from logtw.formats import write_graph, write_td
 from logtw.graph import (BuildCheckFailed, Graph, SizeCapExceeded,
                          greedy_color_by_degeneracy, strict_degeneracy)
 from logtw.treedec import TreeDecomposition
@@ -93,6 +93,36 @@ def test_min_fill_order_matches_its_reference():
         assert treedec.greedy_fill_decomposition(g) == \
             treedec.decomposition_from_elimination(
                 g, lemmas.reference_min_fill_order(g))
+
+
+def test_optimal_order_matches_its_reference():
+    # walking the masks in numeric order gives the width and the order
+    # that the first-written walk by size buckets, kept in lemmas, gives
+    graphs = [generators.random_graph(n, p, seed=100 * n + s)
+              for n in range(1, 12) for p in (0.3, 0.5, 0.8)
+              for s in range(3)]
+    graphs = [g for g in graphs if len(g.components()) == 1]
+    assert len(graphs) >= 60
+    for g in [*graphs, generators.cycle(9), generators.path(8),
+              generators.clique(6), generators.complete_bipartite(3, 4)]:
+        assert treedec._optimal_order(g) == lemmas.reference_optimal_order(g)
+
+
+def test_chromatic_cap_names_its_size(monkeypatch, tmp_path, capsys):
+    # the 5-wheel needs the 3-coloring DP, which a cap of 2 refuses
+    monkeypatch.setattr(treedec, "Q_COLORING_CAP", 2)
+    wheel = Graph(6, [(5, i) for i in range(5)] +
+                  [(i, (i + 1) % 5) for i in range(5)])
+    with pytest.raises(SizeCapExceeded,
+                       match="chromatic search capped at q <= 2, got q = 3"):
+        treedec.solve_chromatic(wheel, treedec.greedy_fill_decomposition(
+            wheel))
+    gpath = tmp_path / "w5.gr"
+    with open(gpath, "w") as fh:
+        write_graph(wheel, fh)
+    assert main(["solve", "--graph", str(gpath),
+                 "--problem", "coloring"]) == EXIT_CAP
+    assert "capped at q <= 2, got q = 3" in capsys.readouterr().err
 
 
 def test_solvers_match_brute_force():
