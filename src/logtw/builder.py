@@ -12,8 +12,9 @@ central bag, decomposes that bag by the next step, and extends the bag's
 decomposition back over the components it cut off (each split the same
 way).  The recursion ends at a central bag that is hub-free (solved by
 bounded-width search) or owns a balanced layer vertex (solved through the
-contraction graph).  The atom decompositions are glued at their cutset
-cliques.
+contraction graph).  Each atom's bags are written once, in the split graph's
+ids, into the one bag list the build returns; the glue adds only the
+tree edges that link the atoms at their cutset cliques.
 """
 
 from bisect import bisect_left
@@ -39,7 +40,7 @@ HUB_BUDGET = 5000  # holes examined per hub search; certified runs fail
 class Caps:
     """Exact-search budgets for one build."""
     detect: int = detect.DEFAULT_CAP  # class membership verified only up to here
-    hole: int = HOLE_ENUM_VERTEX_CAP  # hub search's hole-enumeration budget
+    hole: int = HOLE_ENUM_VERTEX_CAP  # hub search's enumerate_holes vertex cap
 
 
 class ClassViolation(Exception):
@@ -96,26 +97,11 @@ def _relabel(td, ids):
         [frozenset(ids[x] for x in bag) for bag in td.bags], td.edges)
 
 
-def _chain(decomps):
-    """One tree from several, linked leaf-to-leaf in order."""
-    if not decomps:
-        return TreeDecomposition([frozenset()], [])
-    bags = []
-    edges = []
-    heads = []
-    for td in decomps:
-        off = len(bags)
-        heads.append(off)
-        bags.extend(td.bags)
-        edges.extend((a + off, b + off) for a, b in td.edges)
-    for a, b in zip(heads, heads[1:]):
-        edges.append((a, b))
-    return TreeDecomposition(bags, edges)
-
-
-def glue_at_clique(decomps, glue_tree):
-    """Join atom decompositions back into one tree along the recorded
-    cutset cliques.
+def glue_at_clique(bags, starts, glue_tree):
+    """The link edges that join atom decompositions into one tree along
+    the recorded cutset cliques; atom a's bags are the run of bags that
+    starts at starts[a] and ends where the next atom's starts, the last
+    atom's at the end of bags.
 
     Each glue entry (i, j, clique) links the partial trees currently
     containing atoms i and j at bags holding the clique; a clique always
@@ -132,15 +118,8 @@ def glue_at_clique(decomps, glue_tree):
     clique no candidate bag holds, raise BuildCheckFailed: the split or an
     atom's decomposition is at fault, not the input.
     """
-    bags = []
-    edges = []
-    offsets = []
-    for td in decomps:
-        offsets.append(len(bags))
-        edges.extend((a + offsets[-1], b + offsets[-1]) for a, b in td.edges)
-        bags.extend(td.bags)
-
-    parent = list(range(len(decomps)))
+    ends = starts[1:] + [len(bags)]
+    parent = list(range(len(starts)))
 
     def find(x):
         while parent[x] != x:
@@ -150,9 +129,9 @@ def glue_at_clique(decomps, glue_tree):
 
     # unions first, recording each side's root and run length; each
     # final list is a linked list from its root
-    size = [1] * len(decomps)
-    after = [None] * len(decomps)
-    last = list(range(len(decomps)))
+    size = [1] * len(starts)
+    after = [None] * len(starts)
+    last = list(range(len(starts)))
     links = []
     for i, j, clique in glue_tree:
         ri, rj = find(i), find(j)
@@ -163,16 +142,16 @@ def glue_at_clique(decomps, glue_tree):
         size[ri] += size[rj]
         after[last[ri]] = rj
         last[ri] = last[rj]
-    rank = [0] * len(decomps)
-    bag_rank = [0] * len(bags)
+    rank = [0] * len(starts)
+    bag_rank = {}
     by_rank = []  # every bag, in rank then bag order
     holding = {}  # vertex -> the bags holding it, in the same order
     k = 0
-    for r in range(len(decomps)):
+    for r in range(len(starts)):
         a = r if parent[r] == r else None  # walk each final list once
         while a is not None:
             rank[a] = k
-            for b in range(offsets[a], offsets[a] + len(decomps[a].bags)):
+            for b in range(starts[a], ends[a]):
                 bag_rank[b] = k
                 by_rank.append(b)
                 for v in bags[b]:
@@ -194,10 +173,8 @@ def glue_at_clique(decomps, glue_tree):
                 return b
         raise BuildCheckFailed("no bag contains the glue clique")
 
-    for side_i, side_j, clique in links:
-        edges.append((bag_holding(*side_i, clique),
-                      bag_holding(*side_j, clique)))
-    return TreeDecomposition(bags, edges)
+    return [(bag_holding(*side_i, clique), bag_holding(*side_j, clique))
+            for side_i, side_j, clique in links]
 
 
 # -- the build ----------------------------------------------------------------
@@ -265,36 +242,41 @@ def decompose(g, t, caps=None, uncertified_ok=False):
 
 def _any(g, pieces, induced, t, caps, report, depth):
     """Decompose g from its split; bags in g's ids.  induced is
-    class_atoms(g, pieces, t) for t >= 3; each of its atoms is built
-    by _atom, relabelled once and glued at its cutset cliques, an edge
-    atom is built by _edge, and a component that is a lone atom of at
-    most two vertices is one bag.  The components' trees are chained in
-    order."""
+    class_atoms(g, pieces, t) for t >= 3.  Every atom appends its bags to
+    one list and its tree edges to one more, in split order: a component
+    that is a lone atom of at most two vertices is one bag, an edge atom
+    {u < v} is the bags {u, v} and {v} the hub-free min-fill order gives
+    it (an edge has no hole, so no cube, hub or layer), and every other
+    atom is built by _atom and its bags mapped once through its ids.
+    Each component's atoms are then linked at their cutset cliques, and
+    each component's first bag to the next one's."""
     report.depth_final = max(report.depth_final, depth)
     induced = iter(induced)
-    out = []
+    bags = []
+    edges = []
+    heads = []
     for atoms, glue in pieces:
+        heads.append(len(bags))
         if len(atoms) == 1 and len(atoms[0]) <= 2:
-            out.append(TreeDecomposition(atoms, []))
+            bags.append(atoms[0])
             continue
-        decomps = []
+        starts = []
         for a in atoms:
+            off = len(bags)
+            starts.append(off)
             if len(a) == 2:
-                decomps.append(_edge(a, report, depth))
+                report.trace.append({"depth": depth, "n": 2, "beta": 2,
+                                     "branch": "hub-free"})
+                bags += [a, {max(a)}]
+                edges.append((off, off + 1))
                 continue
             sub, ids = next(induced)
-            decomps.append(_relabel(_atom(sub, t, caps, report, depth), ids))
-        out.append(glue_at_clique(decomps, glue))
-    return _chain(out)
-
-
-def _edge(atom, report, depth):
-    """The decomposition _atom gives an edge atom {u < v}, built directly:
-    an edge has no hole, so no cube, hub or layer, and the hub-free
-    min-fill order eliminates u first, giving bags {u, v} and {v}."""
-    report.trace.append({"depth": depth, "n": 2, "beta": 2,
-                         "branch": "hub-free"})
-    return TreeDecomposition([atom, {max(atom)}], [(0, 1)])
+            td = _atom(sub, t, caps, report, depth)
+            edges.extend((x + off, y + off) for x, y in td.edges)
+            bags.extend(frozenset(ids[x] for x in bag) for bag in td.bags)
+        edges += glue_at_clique(bags, starts, glue)
+    edges += zip(heads, heads[1:])
+    return TreeDecomposition(bags or [frozenset()], edges)
 
 
 def _structured(g, td, report):
@@ -329,7 +311,7 @@ def _atom(g, t, caps, report, depth):
         report.trace.append({"depth": depth, "n": g.n, "branch": "cube"})
         return _hub_free(g, t)
 
-    hp = build_hub_partition(g, caps=caps.hole, budget=HUB_BUDGET,
+    hp = build_hub_partition(g, hole_cap=caps.hole, budget=HUB_BUDGET,
                              partial=not report.certified)
     report.delta_used = max(report.delta_used, hp.delta)
     report.hdim_used = max(report.hdim_used, hp.order)

@@ -14,6 +14,7 @@ import heapq
 from math import comb
 
 from . import treedec
+from .graph import BuildCheckFailed
 
 # exact small Ramsey numbers R(s, t) = R(t, s); beyond the table we fall
 # back to the binomial upper bound, which keeps every width inequality sound
@@ -186,11 +187,12 @@ def clique_tree(g):
     predecessor's starts a new bag madj(v) + {v}, hung off the bag of the
     most recently searched vertex of madj(v); any other vertex joins the
     current bag. A bag with empty madj starts a new component and hangs
-    off bag 0.
+    off bag 0. A g that is not chordal raises BuildCheckFailed: the one
+    caller hands it a completion it made itself.
     """
     peo = perfect_elimination_order(g)
     if peo is None:
-        raise ValueError("clique_tree requires a chordal graph")
+        raise BuildCheckFailed("clique_tree requires a chordal graph")
     order, madj = peo
     if not order:
         return treedec.TreeDecomposition([frozenset()], [])
@@ -223,10 +225,12 @@ def make_structured(g, t):
     neighbourhood of u and v in the current completion is a clique: then
     uv lies in exactly one maximal clique, which is exactly when the
     completion minus uv stays chordal (Rose, Tarjan and Lueker 1976).
+    An invalid t raises BuildCheckFailed: the builder, the one caller,
+    hands it its own decompositions.
     """
     report = treedec.validate(g, t)
     if report is not None:
-        raise ValueError(f"invalid input decomposition: {report}")
+        raise BuildCheckFailed(f"invalid input decomposition: {report}")
     adj = [set(nb) for nb in g.adj]
     fill = set()
     for bag in t.bags:

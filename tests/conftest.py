@@ -1,4 +1,4 @@
-"""Shared corpora for the test suites.
+"""Shared corpora for the test suites, and one way to call the glue.
 
 Class-member corpora are rejection-sampled once per (n, t) and cached; all
 sampling is seeded, so every run sees the same graphs.
@@ -8,9 +8,10 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from logtw import detect, generators
+from logtw import builder, detect, generators
 from logtw.generators import random_graph, random_in_class
 from logtw.graph import Graph
+from logtw.treedec import TreeDecomposition
 
 import lemmas
 
@@ -88,6 +89,21 @@ def random_tree(n, seed):
     rng = random.Random(seed)
     return relabelled(Graph(n, [(rng.randrange(v), v) for v in range(1, n)]),
                       seed)
+
+
+def glued(decomps, glue_tree):
+    """builder.glue_at_clique over atom decompositions: their bags laid
+    end to end in one list, as the builder lays them, and the tree of
+    those bags, the atoms' own edges and the links it returns."""
+    bags = []
+    edges = []
+    starts = []
+    for td in decomps:
+        starts.append(len(bags))
+        edges.extend((a + starts[-1], b + starts[-1]) for a, b in td.edges)
+        bags.extend(td.bags)
+    return TreeDecomposition(
+        bags, edges + builder.glue_at_clique(bags, starts, glue_tree))
 
 
 @lru_cache(maxsize=None)

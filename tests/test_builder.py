@@ -13,7 +13,8 @@ from logtw.treedec import TreeDecomposition
 
 import brute
 import lemmas
-from conftest import class_members, hub_layer_cases, random_tree, relabelled
+from conftest import (class_members, glued, hub_layer_cases, random_tree,
+                      relabelled)
 
 
 def test_width_bound_values():
@@ -33,7 +34,7 @@ def test_glue_at_clique_reassembles():
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), ])
     d0 = TreeDecomposition([{0, 1, 2}], [])
     d1 = TreeDecomposition([{1, 2, 3}], [])
-    t = builder.glue_at_clique([d0, d1], [(0, 1, frozenset({1, 2}))])
+    t = glued([d0, d1], [(0, 1, frozenset({1, 2}))])
     assert treedec.validate(g, t) is None
     assert t.width == 2
 
@@ -48,14 +49,32 @@ def test_glue_at_clique_takes_the_reference_bag():
                TreeDecomposition([{5}], [])]
     glue = [(1, 2, frozenset({3})), (0, 1, frozenset({1})),
             (2, 3, frozenset())]
-    got = builder.glue_at_clique(decomps, glue)
+    got = glued(decomps, glue)
     want = lemmas.reference_glue_at_clique(decomps, glue)
     assert (got.bags, got.edges) == (want.bags, want.edges)
     with pytest.raises(BuildCheckFailed, match="form a tree"):
-        builder.glue_at_clique(decomps[:2], [(0, 1, frozenset({1}))] * 2)
+        glued(decomps[:2], [(0, 1, frozenset({1}))] * 2)
     with pytest.raises(BuildCheckFailed, match="no bag contains"):
-        builder.glue_at_clique(decomps[:2], [(0, 1, frozenset({0, 2}))])
+        glued(decomps[:2], [(0, 1, frozenset({0, 2}))])
 
+
+
+def test_each_build_is_written_once(monkeypatch):
+    # every atom appends its bags to the one list the build returns: a
+    # forest of a path, a star, an isolated vertex and an isolated edge,
+    # all edge atoms and lone components, makes one TreeDecomposition
+    made = []
+    real = builder.TreeDecomposition
+
+    def counted(bags, edges):
+        made.append(len(bags))
+        return real(bags, edges)
+    monkeypatch.setattr(builder, "TreeDecomposition", counted)
+    g = Graph(11, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7), (9, 10)])
+    td, report = decompose(g, 3)
+    assert made == [len(td.bags)]
+    assert treedec.validate(g, td) is None
+    assert report.certified and td.width == 1
 
 def test_decompose_simple_certified():
     for g, want in [(generators.path(10), 1),
@@ -71,6 +90,26 @@ def test_decompose_simple_certified():
         assert td.width <= report.bound
         assert td.width == want  # easy shapes come out exactly optimal
 
+
+
+def test_hub_free_atom_falls_back_to_exact_search(monkeypatch):
+    # one hub-free atom whose min-fill width, 10, misses R(3,4) - 1 = 8:
+    # the exact search runs once, on the whole atom, and finds 9
+    sizes = []
+    real = builder.exact_treewidth
+
+    def counted(g):
+        sizes.append(g.n)
+        return real(g)
+    monkeypatch.setattr(builder, "exact_treewidth", counted)
+    g = generators.random_graph(13, 0.8, 6)
+    assert treedec.greedy_fill_decomposition(g).width == 10
+    td, report = decompose(g, 3, uncertified_ok=True)
+    assert sizes == [13]
+    assert td.width == 9
+    assert treedec.validate(g, td) is None
+    assert report.trace == [{"depth": 0, "n": 13, "beta": 13,
+                             "branch": "hub-free"}]
 
 def test_decompose_rejects_forbidden_structures():
     with pytest.raises(ClassViolation) as e:

@@ -12,6 +12,8 @@ from logtw.formats import (FormatError, read_graph, read_td, write_graph,
                            write_td)
 from logtw.graph import Graph
 
+from conftest import hub_layer_cases
+
 
 def test_graph_format_round_trip():
     for g in (generators.cycle(7), Graph(5), Graph(0),
@@ -288,3 +290,17 @@ def test_cli_failed_glue_exits_invalid(tmp_path, capsys, monkeypatch):
     assert main(["decompose", "--in", str(gpath), "--t", "3"]) == \
         cli.EXIT_INVALID
     assert "no bag contains the glue clique" in capsys.readouterr().err
+
+
+def test_cli_failed_structuring_exits_invalid(tmp_path, capsys, monkeypatch):
+    # structuring refuses a decomposition the build made, and that is a
+    # failed internal check of the build, not a usage error
+    monkeypatch.setattr(builder, "_hub_free",
+                        lambda g, t: treedec.TreeDecomposition([()], []))
+    gpath = tmp_path / "hubs.gr"
+    with open(gpath, "w") as f:
+        write_graph(hub_layer_cases()[0][0], f)
+    assert main(["decompose", "--in", str(gpath), "--t", "3"]) == \
+        cli.EXIT_INVALID
+    assert "invalid input decomposition: vertex 0 in no bag" in \
+        capsys.readouterr().err

@@ -5,13 +5,12 @@ cutsets — each checked against brute force where one exists."""
 import pytest
 
 from logtw import builder, generators, separators, treedec
-from logtw.builder import glue_at_clique
 from logtw.graph import Graph
 from logtw.treedec import TreeDecomposition
 
 import brute
 import lemmas
-from conftest import random_corpus, search_corpus
+from conftest import glued, random_corpus, search_corpus
 
 
 def test_ramsey_table_and_fallback():
@@ -166,7 +165,7 @@ def test_clique_cutset_atoms():
             td = treedec.greedy_fill_decomposition(sub)
             decomps.append(TreeDecomposition(
                 [frozenset(ids[v] for v in b) for b in td.bags], td.edges))
-        assert treedec.validate(g, glue_at_clique(decomps, glue)) is None
+        assert treedec.validate(g, glued(decomps, glue)) is None
 
 
 def _mcs(g):
@@ -217,9 +216,9 @@ def test_split_and_glue_match_their_references():
                 decomps.append(TreeDecomposition(
                     [frozenset(ids[v] for v in b) for b in td.bags],
                     td.edges))
-            glued = glue_at_clique(decomps, glue)
+            got = glued(decomps, glue)
             want = lemmas.reference_glue_at_clique(decomps, glue)
-            assert (glued.bags, glued.edges) == (want.bags, want.edges)
+            assert (got.bags, got.edges) == (want.bags, want.edges)
 
 
 def test_split_cuts_in_place(monkeypatch):
