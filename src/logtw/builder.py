@@ -245,9 +245,10 @@ def _any(g, pieces, induced, t, caps, report, depth):
     class_atoms(g, pieces, t) for t >= 3.  Every atom appends its bags to
     one list and its tree edges to one more, in split order: a component
     that is a lone atom of at most two vertices is one bag, an edge atom
-    {u < v} is the bags {u, v} and {v} the hub-free min-fill order gives
-    it (an edge has no hole, so no cube, hub or layer), and every other
-    atom is built by _atom and its bags mapped once through its ids.
+    {u, v} is the one bag {u, v} with no tree edge of its own (an edge has
+    no hole, so no cube, hub or layer, and it is traced as hub-free), and
+    every other atom is built by _atom and its bags mapped once through
+    its ids.
     Each component's atoms are then linked at their cutset cliques, and
     each component's first bag to the next one's."""
     report.depth_final = max(report.depth_final, depth)
@@ -267,8 +268,7 @@ def _any(g, pieces, induced, t, caps, report, depth):
             if len(a) == 2:
                 report.trace.append({"depth": depth, "n": 2, "beta": 2,
                                      "branch": "hub-free"})
-                bags += [a, {max(a)}]
-                edges.append((off, off + 1))
+                bags.append(a)
                 continue
             sub, ids = next(induced)
             td = _atom(sub, t, caps, report, depth)

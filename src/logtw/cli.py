@@ -11,14 +11,12 @@ import argparse
 import sys
 from dataclasses import fields
 
-from . import builder, detect, generators
+from . import builder, detect, generators, treedec
 from .builder import Caps, ClassViolation, decompose
 from .formats import (FormatError, read_graph, read_td, write_graph,
                       write_report, write_td)
 from .graph import BuildCheckFailed, SizeCapExceeded
-from .treedec import (Q_COLORING_CAP, solve_chromatic, solve_dominating_set,
-                      solve_q_coloring, solve_stable_set, solve_vertex_cover,
-                      validate)
+from .treedec import Q_COLORING_CAP, validate
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -161,28 +159,25 @@ def cmd_solve(args):
     if args.td:
         with open(args.td) as fh:
             td, n = read_td(fh)
-        if n != g.n:
+        if n != g.n or validate(g, td) is not None:
             print("supplied decomposition does not fit the graph",
                   file=sys.stderr)
             return EXIT_INVALID
     else:
         td, _ = decompose(g, args.t, uncertified_ok=True)
-    try:
-        if args.problem == "stable-set":
-            value, _ = solve_stable_set(g, td)
-        elif args.problem == "vertex-cover":
-            value, _ = solve_vertex_cover(g, td)
-        elif args.problem == "dominating-set":
-            value, _ = solve_dominating_set(g, td)
-        elif args.problem == "coloring":
-            value = solve_chromatic(g, td)
-        else:  # q-coloring
-            ok, _ = solve_q_coloring(g, td, args.q)
-            value = "yes" if ok else "no"
-    except ValueError:  # with the arguments checked: the solver's check of td
-        print("supplied decomposition does not fit the graph",
-              file=sys.stderr)
-        return EXIT_INVALID
+    # td is valid either way (decompose validates its output), so the
+    # solvers' unchecked bodies run
+    if args.problem == "stable-set":
+        value, _ = treedec._stable_set(g, td)
+    elif args.problem == "vertex-cover":
+        value, _ = treedec._vertex_cover(g, td)
+    elif args.problem == "dominating-set":
+        value, _ = treedec._dominating_set(g, td)
+    elif args.problem == "coloring":
+        value = treedec._chromatic(g, td)
+    else:  # q-coloring
+        ok, _ = treedec._q_coloring(g, td, args.q)
+        value = "yes" if ok else "no"
     print(value)
     return EXIT_OK
 

@@ -12,6 +12,11 @@ vertex can give, and what forgetting a field gains or whether it drops
 the state. Introduce reads only the new vertex's neighbour fields and
 only sets bits, so it is asked once per neighbour pattern, not once per
 state; a join whose key is the whole state is one lookup per state.
+
+Each public solver validates t, then runs its unchecked body
+(solve_stable_set runs _stable_set, and so on); a caller whose
+decomposition is already validated, as the builder's output is, calls
+the body directly.
 """
 
 import heapq
@@ -423,13 +428,18 @@ def _dp(g, t, k, key, introduce, forget):
 
 
 def solve_stable_set(g, t):
-    """(maximum stable set size, witness set).
+    """(maximum stable set size, witness set), after checking that t
+    decomposes g."""
+    _require_valid(g, t)
+    return _stable_set(g, t)
+
+
+def _stable_set(g, t):
+    """solve_stable_set on a decomposition t already validated.
 
     State: one bit per bag vertex, set when it is in the stable set; a
     vertex in the set counts 1 when forgotten.
     """
-    _require_valid(g, t)
-
     def introduce(s, f, nb):
         return (s,) if s & nb else (s, s | 1 << f)
 
@@ -442,14 +452,28 @@ def solve_stable_set(g, t):
 
 
 def solve_vertex_cover(g, t):
-    """(minimum vertex cover size, witness set): the complement of a
-    maximum stable set, since tau = n - alpha (Gallai)."""
-    alpha, stable = solve_stable_set(g, t)
+    """(minimum vertex cover size, witness set), after checking that t
+    decomposes g."""
+    _require_valid(g, t)
+    return _vertex_cover(g, t)
+
+
+def _vertex_cover(g, t):
+    """solve_vertex_cover on a decomposition t already validated: the
+    complement of a maximum stable set, since tau = n - alpha (Gallai)."""
+    alpha, stable = _stable_set(g, t)
     return g.n - alpha, frozenset(g.vertices()) - stable
 
 
 def solve_dominating_set(g, t):
-    """(minimum dominating set size, witness set).
+    """(minimum dominating set size, witness set), after checking that t
+    decomposes g."""
+    _require_valid(g, t)
+    return _dominating_set(g, t)
+
+
+def _dominating_set(g, t):
+    """solve_dominating_set on a decomposition t already validated.
 
     State: two bits per bag vertex, bit 0 set when it is in the set
     (taken), bit 1 when it is not taken but has a taken neighbour
@@ -457,8 +481,6 @@ def solve_dominating_set(g, t):
     forgotten. Values are negated sizes: a taken vertex counts -1 when
     forgotten.
     """
-    _require_valid(g, t)
-
     def introduce(s, f, nb):
         return s | 1 << f | (nb & ~s) << 1, (s | 2 << f if s & nb else s)
 
@@ -473,11 +495,8 @@ def solve_dominating_set(g, t):
 
 
 def solve_q_coloring(g, t, q):
-    """(colorable: bool, witness coloring dict or None) with q colors.
-
-    State: q bits per bag vertex, one-hot: bit c set when it has color c;
-    a forgotten vertex adds (vertex, color) to the witness.
-    """
+    """(colorable: bool, witness coloring dict or None) with q colors,
+    after checking q and that t decomposes g."""
     if q < 1 or q > Q_COLORING_CAP:
         raise ValueError(f"q must be between 1 and {Q_COLORING_CAP}")
     _require_valid(g, t)
@@ -485,7 +504,11 @@ def solve_q_coloring(g, t, q):
 
 
 def _q_coloring(g, t, q):
-    """solve_q_coloring on a decomposition t already validated."""
+    """solve_q_coloring on a decomposition t already validated.
+
+    State: q bits per bag vertex, one-hot: bit c set when it has color c;
+    a forgotten vertex adds (vertex, color) to the witness.
+    """
     def introduce(s, f, nb):
         return [s | 1 << f + c for c in range(q) if not s & nb << c]
 
@@ -519,7 +542,13 @@ def _is_bipartite(g):
 
 
 def solve_chromatic(g, t):
-    """Chromatic number of g, after checking that t decomposes g.
+    """Chromatic number of g, after checking that t decomposes g."""
+    _require_valid(g, t)
+    return _chromatic(g, t)
+
+
+def _chromatic(g, t):
+    """solve_chromatic on a decomposition t already validated.
 
     Edgeless and bipartite graphs are answered directly.  Otherwise chi
     is bracketed first: a greedy coloring along the degeneracy order
@@ -530,7 +559,6 @@ def solve_chromatic(g, t):
     On (theta, triangle)-free graphs the greedy bound is already 3
     (Radovanovic and Vuskovic), so no DP runs.
     """
-    _require_valid(g, t)
     if g.n == 0:
         return 0
     if g.m == 0:

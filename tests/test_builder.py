@@ -162,7 +162,7 @@ def test_builder_output_is_pinned():
         out.append(([sorted(b) for b in td.bags], td.edges,
                     list(report.as_lines()), report.trace))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "3af066c591da2bb8f2c4b4cf84b743a2dc69f9e0076a775921229b2e5dc4eb76")
+        "2ef37a446354aa3fb65f265c671fdc5345281827ee55b24231b59e87cad8a64e")
 
 
 def test_certified_member_builds_are_pinned():
@@ -178,7 +178,27 @@ def test_certified_member_builds_are_pinned():
             out.append(([sorted(b) for b in td.bags], td.edges,
                         list(report.as_lines()), report.trace))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "7db10be286655bc3e1521064ed9a1773c68730fd2000353df4eba3c403fdf9ce")
+        "9063c8b6564a838c289e617f2f2260010c4d7792780e34f63e5a70010d80b621")
+
+
+def test_builder_reports_are_pinned():
+    # sha256 over the report lines and trace alone of the two corpora
+    # pinned above, recorded before edge atoms became one bag: a change
+    # to the bags may not move a report or a trace
+    corpus = [(g, {"uncertified_ok": True}) for g in (
+        *(generators.wall(k) for k in (3, 4, 5)),
+        *(g for g, _ in hub_layer_cases()),
+        *(generators.random_graph(n, 2 / n, seed=n)
+          for n in range(20, 60, 4)))]
+    for n in (32, 64, 128):
+        corpus += [(generators.random_in_class(n, 1.2 / n, 3, seed=k),
+                    {"caps": Caps(detect=n, hole=n)}) for k in (1, 2, 3)]
+    out = []
+    for g, kwargs in corpus:
+        _, report = decompose(g, 3, **kwargs)
+        out.append((list(report.as_lines()), report.trace))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "373ffbd0f46a010d6fb3b3daf9534efcbd82c7a91fe88974da808bc1d073c9ca")
 
 
 def test_cube_atoms_get_their_treewidth():
@@ -202,6 +222,21 @@ def test_long_thin_graphs_decompose_at_width_one():
         td, _ = decompose(g, 3, uncertified_ok=True)
         assert treedec.validate(g, td) is None
         assert td.width == 1
+
+
+def test_forests_build_one_bag_per_edge():
+    # an edge atom {u, v} is the one bag {u, v}: a forest decomposes to a
+    # bag per edge and one per isolated vertex, and no tree edge joins a
+    # bag to one nested in it
+    forest = Graph(11, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7),
+                        (9, 10)])
+    for g in (generators.path(3000), random_tree(3000, seed=7), forest):
+        td, _ = decompose(g, 3, uncertified_ok=True)
+        assert treedec.validate(g, td) is None
+        isolated = sum(not g.adj[v] for v in g.vertices())
+        assert len(td.bags) == g.m + isolated
+        assert not any(td.bags[a] <= td.bags[b] or td.bags[b] <= td.bags[a]
+                       for a, b in td.edges)
 
 
 def test_split_is_in_host_ids():

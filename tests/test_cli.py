@@ -253,6 +253,32 @@ def test_cli_solve_validates_a_supplied_decomposition_once(
                 "supplied decomposition does not fit the graph\n")
 
 
+def test_cli_solve_validates_a_built_decomposition_once(
+        tmp_path, capsys, monkeypatch):
+    # without --td, decompose's check of its output is the only validate
+    # of a decomposition of the whole graph (the build's structuring also
+    # validates smaller pieces): the solvers' unchecked bodies run on it
+    gpath = tmp_path / "w3.gr"
+    main(["gen", "wall", "3", "--out", str(gpath)])
+    capsys.readouterr()
+    calls = []
+    real = treedec.validate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    for module in (treedec, cli, builder):
+        monkeypatch.setattr(module, "validate", counted)
+    answers = {"stable-set": "5", "vertex-cover": "7",
+               "dominating-set": "4", "coloring": "3", "q-coloring": "yes"}
+    for problem, answer in answers.items():
+        calls.clear()
+        assert main(["solve", "--graph", str(gpath), "--problem", problem,
+                     "--q", "3"]) == 0
+        assert [g.n for g, _ in calls].count(12) == 1, problem
+        assert capsys.readouterr().out == answer + "\n"
+
+
 def test_cli_verify_rejects_wrong_decomposition(tmp_path, capsys):
     g1 = tmp_path / "g1.gr"
     g2 = tmp_path / "g2.gr"

@@ -185,7 +185,39 @@ def test_solver_outputs_are_pinned():
             + [ok, sorted(col.items()) if ok else None,
                treedec.solve_chromatic(g, t)])
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "ef78fa6bae559fe6774ca864206b2b5d2866c99247970f688d860d9171a1a4db")
+        "ea37b2820c0c1c67f7ba9a973d38c5efa67bc4af4f53423327316440bc58d9fb")
+
+
+def test_solver_values_are_pinned():
+    # sha256 over every solver's value on the decompositions pinned above,
+    # and over every witness on the exact and greedy ones, recorded before
+    # edge atoms became one bag: only the builder's bags may move a
+    # tie-break witness, never a value
+    graphs = [*random_corpus(9, 12, p=0.3, seed_base=1700),
+              generators.wall(3)]
+    decompositions = [(g, t, built) for g in graphs
+                      for t, built in (
+                          (treedec.exact_treewidth(g)[1], False),
+                          (treedec.greedy_fill_decomposition(g), False),
+                          (decompose(g, 3, uncertified_ok=True)[0], True))]
+    for n in range(20, 40, 4):
+        g = generators.random_graph(n, 2.5 / n, seed=n)
+        decompositions += [
+            (g, treedec.greedy_fill_decomposition(g), False),
+            (g, decompose(g, 3, uncertified_ok=True)[0], True)]
+    out = []
+    for g, t, built in decompositions:
+        answers = [treedec.solve_stable_set(g, t),
+                   treedec.solve_vertex_cover(g, t),
+                   treedec.solve_dominating_set(g, t)]
+        ok, col = treedec.solve_q_coloring(g, t, 3)
+        out.append([val for val, _ in answers]
+                   + [ok, treedec.solve_chromatic(g, t)])
+        if not built:
+            out.append([sorted(wit) for _, wit in answers]
+                       + [sorted(col.items()) if ok else None])
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "6f536afc19bed47c908eb3fe5f09caf7f3bbd722cb88e755b6f24142fb0687bd")
 
 
 def _rerooted(t, rng):
