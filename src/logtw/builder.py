@@ -90,13 +90,6 @@ def width_bound(t, n, delta, hdim):
 
 # -- assembly helpers ---------------------------------------------------------
 
-def _relabel(td, ids):
-    """Map a decomposition's bags from an induced subgraph's ids to the
-    host's, through the new id -> old id list from Graph.induced."""
-    return TreeDecomposition(
-        [frozenset(ids[x] for x in bag) for bag in td.bags], td.edges)
-
-
 def glue_at_clique(bags, starts, glue_tree):
     """The link edges that join atom decompositions into one tree along
     the recorded cutset cliques; atom a's bags are the run of bags that
@@ -328,7 +321,9 @@ def _shrink(g, ids, hp, hub, first, t, caps, report, depth, n):
     first layer meeting hub either owns a balanced vertex, which ends the
     shrink, or cuts g down to a central bag; that bag is decomposed by the
     next step and the tree is extended back over the components it cut
-    off.  With no hub left, g is hub-free.
+    off.  The bag's decomposition stays in its own ids, as does each
+    component's, and extend_tree maps them to g's in the one copy that
+    writes the level's bags.  With no hub left, g is hub-free.
     """
     for idx in range(first, len(hp.layers)):
         if not hub:
@@ -372,10 +367,10 @@ def _shrink(g, ids, hp, hub, first, t, caps, report, depth, n):
             sub_hub = frozenset(i for i, x in enumerate(sub_ids) if x in hub)
         td = _shrink(sub, [ids[x] for x in sub_ids], hp, sub_hub, idx + 1,
                      t, caps, report, depth, n)
-        t_beta = _relabel(_structured(sub, td, report), sub_ids)
-        comps = g.components(removed=central[0])
-        part_tds = _parts(g, comps, t, caps, report, depth + 1)
-        return extend_tree(central, t_beta, zip(comps, part_tds))
+        t_beta = _structured(sub, td, report)
+        parts = _parts(g, g.components(removed=central[0]), t, caps, report,
+                       depth + 1)
+        return extend_tree(central, t_beta, sub_ids, parts)
 
     if report.certified and hub:
         raise BuildCheckFailed(f"depth {depth}: final central bag of {g.n} "
@@ -387,15 +382,17 @@ def _shrink(g, ids, hp, hub, first, t, caps, report, depth, n):
 
 
 def _parts(g, parts, t, caps, report, depth):
-    """Structured decompositions of g[part] for each vertex set in parts,
-    each in g's ids."""
+    """A structured decomposition of g[part] for each vertex set in parts,
+    as the (td, ids) pair Graph.induced gives: td in the part's own ids,
+    ids mapping them to g's.  The extension that takes the pairs maps
+    each bag through its ids in the one copy that adds its absorbed set."""
     out = []
     for part in parts:
         sub, ids = g.induced(part)
         pieces = split(sub)
-        td = _structured(sub, _any(sub, pieces, class_atoms(sub, pieces, t),
-                                   t, caps, report, depth), report)
-        out.append(_relabel(td, ids))
+        td = _any(sub, pieces, class_atoms(sub, pieces, t), t, caps, report,
+                  depth)
+        out.append((_structured(sub, td, report), ids))
     return out
 
 
@@ -405,5 +402,5 @@ def _balanced(g, v, hub, t, caps, report, depth):
     hub-free routine, recurse on the components, and extend back."""
     cg = build_contraction(g, v, hub)
     t0 = _structured(cg.h, _hub_free(cg.h, t), report)
-    part_tds = _parts(g, cg.parts, t, caps, report, depth + 1)
-    return extend_neighborhood(g, cg, t0, part_tds)
+    return extend_neighborhood(g, cg, t0, _parts(g, cg.parts, t, caps,
+                                                 report, depth + 1))

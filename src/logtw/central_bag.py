@@ -4,6 +4,7 @@ constructions (from a neighborhood decomposition, and from a central-bag
 decomposition)."""
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .graph import BuildCheckFailed, Graph
 from .treedec import TreeDecomposition
@@ -87,12 +88,6 @@ class ContractionGraph:
     parts: tuple         # component vertex sets, g ids; part j has h id
                          # len(kept) + j
 
-    def part_of(self, h_id):
-        return self.parts[h_id - len(self.kept)]
-
-    def to_g(self, h_id):
-        return self.kept[h_id]
-
 
 def build_contraction(g, v, hub):
     """The contraction graph for v with the given hub set."""
@@ -110,47 +105,51 @@ def build_contraction(g, v, hub):
     return ContractionGraph(h, v, frozenset(g.adj[v] & hub), kept, parts)
 
 
-def extend_neighborhood(g, cg, t0, part_tds):
-    """Tree decomposition of g from one of the contraction graph (t0, in
-    h ids) and one of each contracted component (part_tds, in g ids).
-
-    A node over the contraction graph keeps its non-contracted vertices
-    and picks up v, v's hub neighbors, and the attachment set of every
-    contracted vertex it holds; a node over component j keeps its bag
-    plus that component's attachment set and v's hub neighbors. Each
-    component tree hangs off a node of t0 whose bag holds its contracted
-    vertex.
-    """
-    v, hub_nbrs = cg.v, cg.hub_nbrs
-    n_kept = len(cg.kept)
-    bags = []
-    for u, bag0 in enumerate(t0.bags):
-        bag = {cg.to_g(x) for x in bag0 if x < n_kept}
-        bag |= hub_nbrs | {v}
-        for x in bag0:
-            if x >= n_kept:
-                # attachments avoid the hub set: N(D) lies in N(v), whose
-                # hub part is exactly hub_nbrs
-                bag |= g.open_neighborhood(cg.part_of(x)) - hub_nbrs
-        bags.append(frozenset(bag))
-    edges = list(t0.edges)
-    for j, td in enumerate(part_tds):
-        dj = n_kept + j
-        anchor = next(u for u, bag0 in enumerate(t0.bags) if dj in bag0)
+def _extend(base, image, parts, every=frozenset()):
+    """A decomposition of g in g's ids, written once: first base's bags,
+    each the union of every and of image[x], a set of g ids, over its
+    vertices x (base ids), then each part's.  A part is
+    (anchor, absorbed, td, ids): td's bags map through ids to g ids, each
+    joins absorbed, and td hangs off the first base bag holding anchor,
+    looked up in base's own ids, before any image is joined."""
+    bags = [every.union(chain.from_iterable(map(image.__getitem__, bag0)))
+            for bag0 in base.bags]
+    edges = list(base.edges)
+    for anchor, absorbed, td, ids in parts:
+        hook = next(u for u, bag0 in enumerate(base.bags) if anchor in bag0)
         offset = len(bags)
-        attach = frozenset(g.open_neighborhood(cg.parts[j])) | hub_nbrs
-        for bag in td.bags:
-            bags.append(frozenset(bag) | attach)
+        bags.extend(absorbed.union(map(ids.__getitem__, bag))
+                    for bag in td.bags)
         edges.extend((a + offset, b + offset) for a, b in td.edges)
-        edges.append((anchor, offset))
+        edges.append((hook, offset))
     return TreeDecomposition(bags, edges)
 
 
-def extend_tree(central, t_beta, parts):
+def extend_neighborhood(g, cg, t0, parts):
+    """Tree decomposition of g from one of the contraction graph (t0, in
+    h ids) and one of each contracted component (parts, in cg.parts order:
+    the (td, ids) pairs Graph.induced gives, td in the component's ids).
+
+    A node over the contraction graph keeps its non-contracted vertices
+    and picks up v, v's hub neighbors, and the attachment set N(D) of
+    every contracted vertex D it holds; a node over component D keeps its
+    bag plus N(D) and v's hub neighbors. N(D) is computed once per
+    component. Each component tree hangs off a node of t0 whose bag holds
+    its contracted vertex.
+    """
+    attach = [frozenset(g.open_neighborhood(d)) for d in cg.parts]
+    return _extend(t0, [{x} for x in cg.kept] + attach,
+                   [(len(cg.kept) + j, nd | cg.hub_nbrs, td, ids)
+                    for j, (nd, (td, ids)) in enumerate(zip(attach, parts))],
+                   cg.hub_nbrs | {cg.v})
+
+
+def extend_tree(central, t_beta, beta_ids, parts):
     """Tree decomposition of a graph g from one of its central bag beta
-    and one of each component of g minus beta, all in g ids: central is
-    the (beta, core_set, stars) triple that central_bag returned for g,
-    and parts lists each component with its decomposition.
+    and one of each component of g minus beta: central is the
+    (beta, core_set, stars) triple that central_bag returned for g, t_beta
+    is in g[beta]'s ids, which beta_ids maps to g's, and parts lists each
+    component's (td, ids) pair from Graph.induced, td in its own ids.
 
     Central-bag nodes absorb C(v) for every core vertex v they hold; the
     tree over component D absorbs C(r(D)) where r(D) is the smallest-id
@@ -159,23 +158,12 @@ def extend_tree(central, t_beta, parts):
     of the central bag and raises BuildCheckFailed.
     """
     _, core_set, stars = central
-    bags = []
-    for bag0 in t_beta.bags:
-        bag = set(bag0)
-        for v in sorted(core_set & bag0):
-            bag |= stars[v].c
-        bags.append(frozenset(bag))
-    edges = list(t_beta.edges)
-    for d, td in parts:
-        roots = [v for v in sorted(core_set) if d <= stars[v].a]
+    hung = []
+    for td, ids in parts:
+        roots = [v for v in sorted(core_set) if stars[v].a.issuperset(ids)]
         if not roots:
             raise BuildCheckFailed("component not inside any core A-side")
         r = roots[0]
-        anchor = next(u for u, bag0 in enumerate(t_beta.bags)
-                      if r in bag0)
-        offset = len(bags)
-        for bag in td.bags:
-            bags.append(frozenset(bag) | stars[r].c)
-        edges.extend((a + offset, b + offset) for a, b in td.edges)
-        edges.append((anchor, offset))
-    return TreeDecomposition(bags, edges)
+        hung.append((beta_ids.index(r), stars[r].c, td, ids))
+    return _extend(t_beta, [stars[x].c if x in core_set else {x}
+                            for x in beta_ids], hung)

@@ -80,8 +80,9 @@ def read_td(fh):
         elif parts[0] == "b":
             if header is None:
                 raise FormatError(f"line {lineno}: bag before header")
-            vals = _ints(parts[1:], lineno)
-            i, verts = vals[0], vals[1:]
+            if len(parts) < 2:
+                raise FormatError(f"line {lineno}: bag without an id")
+            i, *verts = _ints(parts[1:], lineno)
             if i in bags:
                 raise FormatError(f"line {lineno}: duplicate bag {i}")
             if any(not (1 <= v <= header[2]) for v in verts):

@@ -60,21 +60,36 @@ def test_glue_at_clique_takes_the_reference_bag():
 
 
 def test_each_build_is_written_once(monkeypatch):
-    # every atom appends its bags to the one list the build returns: a
-    # forest of a path, a star, an isolated vertex and an isolated edge,
-    # all edge atoms and lone components, makes one TreeDecomposition
+    # every atom appends its bags to the one list the build returns, and
+    # each shrink or balanced level writes its bags once, in its
+    # extension, mapping each part through its own ids: a forest of a
+    # path, a star, an isolated vertex and an isolated edge, all edge
+    # atoms and lone components, makes one TreeDecomposition
     made = []
-    real = builder.TreeDecomposition
+    real = treedec.TreeDecomposition.__init__
 
-    def counted(bags, edges):
-        made.append(len(bags))
-        return real(bags, edges)
-    monkeypatch.setattr(builder, "TreeDecomposition", counted)
+    def counted(self, bags, edges):
+        real(self, bags, edges)
+        made.append(len(self.bags))
+    monkeypatch.setattr(treedec.TreeDecomposition, "__init__", counted)
     g = Graph(11, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7), (9, 10)])
     td, report = decompose(g, 3)
     assert made == [len(td.bags)]
     assert treedec.validate(g, td) is None
     assert report.certified and td.width == 1
+    # a certified build through one shrink level, and an uncertified wall
+    # through eight; the count takes in the min-fill, structuring and
+    # extension decompositions too
+    for g, certified, levels, want in [
+            (hub_layer_cases()[0][0], True, 1, 6),
+            (generators.wall(5), False, 8, 14)]:
+        made.clear()
+        td, report = decompose(g, 3, uncertified_ok=not certified)
+        assert report.certified == certified
+        assert [lv["branch"] for lv in report.levels] == ["shrink"] * levels
+        assert len(made) == want and made[-1] == len(td.bags)
+        assert treedec.validate(g, td) is None
+
 
 def test_decompose_simple_certified():
     for g, want in [(generators.path(10), 1),

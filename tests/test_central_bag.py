@@ -66,15 +66,18 @@ def test_central_bag_values():
 def test_extend_tree_produces_valid_decomposition():
     p = generators.path(12)
     s = [1, 3]
-    beta, _, _ = central_bag.central_bag(p, s)
-    # decomposition of p[beta] (a path on 3..11), bags in g ids
-    t_beta = TreeDecomposition([{i, i + 1} for i in range(3, 11)],
+    central = central_bag.central_bag(p, s)
+    # decomposition of p[beta] (a path on 3..11) in its own ids 0..8,
+    # which beta_ids maps to 3..11
+    _, beta_ids = p.induced(central[0])
+    assert beta_ids == list(range(3, 12))
+    t_beta = TreeDecomposition([{i, i + 1} for i in range(8)],
                                [(k, k + 1) for k in range(7)])
-    comps = p.components(removed=beta)
+    comps = p.components(removed=central[0])
     assert [sorted(c) for c in comps] == [[0, 1, 2]]
-    part = TreeDecomposition([{0, 1}, {1, 2}], [(0, 1)])  # g ids
-    t = central_bag.extend_tree(central_bag.central_bag(p, s), t_beta,
-                                [(comps[0], part)])
+    part = TreeDecomposition([{0, 1}, {1, 2}], [(0, 1)])
+    t = central_bag.extend_tree(central, t_beta, beta_ids,
+                                [(part, sorted(comps[0]))])
     assert treedec.validate(p, t) is None
     # width grows only by the absorbed C(v) sets
     assert t.width <= t_beta.width + 2
@@ -86,7 +89,7 @@ def test_build_contraction_shapes():
     assert cg.kept == (1, 8)
     assert len(cg.parts) == 1 and sorted(cg.parts[0]) == [2, 3, 4, 5, 6, 7]
     assert list(range(len(cg.kept), cg.h.n)) == [2]
-    assert sorted(cg.part_of(2)) == [2, 3, 4, 5, 6, 7]
+    assert sorted(cg.parts[2 - len(cg.kept)]) == [2, 3, 4, 5, 6, 7]
     # h is the path 1 - D - 8 (in h ids: 0 - 2 - 1)
     assert cg.h.n == 3 and set(cg.h.edges()) == {(0, 2), (1, 2)}
     # hub neighbors recorded separately
@@ -98,10 +101,12 @@ def test_extend_neighborhood_produces_valid_decomposition():
     c9 = generators.cycle(9)
     cg = central_bag.build_contraction(c9, 0, frozenset())
     _, t0 = treedec.exact_treewidth(cg.h)
-    # decomposition of the contracted component, in g ids
-    part = TreeDecomposition([{i, i + 1} for i in range(2, 7)],
+    # decomposition of the contracted component (the path 2..7) in its
+    # own ids 0..5
+    part = TreeDecomposition([{i, i + 1} for i in range(5)],
                              [(k, k + 1) for k in range(4)])
-    t = central_bag.extend_neighborhood(c9, cg, t0, [part])
+    t = central_bag.extend_neighborhood(c9, cg, t0,
+                                        [(part, sorted(cg.parts[0]))])
     assert treedec.validate(c9, t) is None
 
 
@@ -116,8 +121,6 @@ def test_extend_neighborhood_with_hub_neighbors():
     parts = []
     for d in cg.parts:
         sub, ids = g.induced(d)
-        _, td = treedec.exact_treewidth(sub)
-        parts.append(TreeDecomposition(
-            [frozenset(ids[v] for v in b) for b in td.bags], td.edges))
+        parts.append((treedec.exact_treewidth(sub)[1], ids))
     t = central_bag.extend_neighborhood(g, cg, t0, parts)
     assert treedec.validate(g, t) is None

@@ -47,7 +47,8 @@ def test_graph_format_rejects_garbage():
 def test_td_format_rejects_garbage():
     for text in ("s td 1 1 3\nb 1 1 2 3\nb 2 1\n",   # bag count mismatch
                  "s td 1 1 3\nb 1 1 2 3 4\n",        # vertex out of range
-                 "s td 2 3 3\nb 1 1 2 3\nb 2 1\n3 1\n"):  # edge ids bad
+                 "s td 2 3 3\nb 1 1 2 3\nb 2 1\n3 1\n",  # edge ids bad
+                 "s td 1 2 2\nb\n"):                 # bag without an id
         with pytest.raises(FormatError):
             read_td(io.StringIO(text))
 

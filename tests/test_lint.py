@@ -8,6 +8,8 @@ import logtw
 from logtw import builder, detect, generators
 from logtw.graph import Graph
 
+from conftest import hub_layer_cases
+
 
 def test_no_assert_statements():
     # output checks must raise explicit exceptions: `python -O` strips
@@ -67,6 +69,31 @@ def test_benchmark_tracer_counts_the_split(monkeypatch):
     assert len(cut) > sum(len(c) > 2 for c in g.components()) + 1
     assert tracer.calls["separators.clique_cutset_atoms"] == len(cut)
     assert tracer.counts["separators.atoms"] == sum(map(len, cut))
+
+
+def test_benchmark_tracer_counts_the_construction():
+    # the benchmark reports the construction's layers by the calls the
+    # tracer sees at builder's names; work moved behind a helper those
+    # names no longer reach would read as zero calls, not as a change
+    path = Path(__file__).parent.parent / "benchmark" / "tracing.py"
+    tracing = {}  # executed from its text, so no bytecode is written there
+    exec(compile(path.read_text(), str(path), "exec"), tracing)
+    tracer = tracing["Tracer"]()
+    tracer.install()
+    try:
+        for g, _ in hub_layer_cases():
+            builder.decompose(g, 3)
+        builder.decompose(generators.wall(4), 3, uncertified_ok=True)
+    finally:
+        tracer.uninstall()
+    assert {name: tracer.calls[name] for name in (
+        "central_bag.central_bag", "central_bag.extend_tree",
+        "central_bag.build_contraction", "central_bag.extend_neighborhood",
+        "hub_partition.is_balanced", "separators.make_structured")} == {
+        "central_bag.central_bag": 8, "central_bag.extend_tree": 8,
+        "central_bag.build_contraction": 106,
+        "central_bag.extend_neighborhood": 106,
+        "hub_partition.is_balanced": 116, "separators.make_structured": 436}
 
 
 def _rendered(node):
