@@ -281,8 +281,8 @@ def find_pinched_prism(g):
 def cubes(g):
     """Every induced cube of g as a list ring + [b1, b2]: a 6-hole ring,
     b1 seeing ring[0], ring[2], ring[4] and b2 the other three, in hole
-    enumeration order."""
-    for hole in enumerate_holes(g, max_len=6, min_len=6, cap=g.n):
+    enumeration order (only the hole tuples are read, not their masks)."""
+    for hole, _, _ in enumerate_holes(g, max_len=6, min_len=6, cap=g.n):
         hset = set(hole)
         for cls in (0, 1):
             ring = list(hole[cls:] + hole[:cls])
@@ -346,20 +346,22 @@ def hubs(g, hole_cap=None, budget=None, partial=False):
     length >= 5 in `enumerate_holes` order; past it the scan either
     raises SizeCapExceeded or, with partial=True, returns the hubs found
     so far (a subset of the true hub set).
+
+    Each hole comes with its vertex mask and its neighbourhood mask from
+    the walk; a candidate hub is a neighbour of the hole off it that is
+    not a hub yet, and only its neighbours on the hole are looked up.
+    The holes are drawn through this module's `enumerate_holes` binding,
+    where the benchmark's tracer counts them.
     """
     amask = adjacency_masks(g)
     found = 0
-    for count, hole in enumerate(enumerate_holes(g, min_len=5, cap=hole_cap)):
+    holes = enumerate_holes(g, min_len=5, cap=hole_cap)
+    for count, (hole, hmask, near) in enumerate(holes):
         if budget is not None and count >= budget:
             if partial:
                 break
             raise SizeCapExceeded(
                 f"hub search budget of {budget} holes exhausted")
-        hmask = 0
-        near = 0
-        for x in hole:
-            hmask |= 1 << x
-            near |= amask[x]
         cands = near & ~hmask & ~found
         while cands:
             bit = cands & -cands

@@ -245,10 +245,12 @@ def adjacency_masks(g):
 
 
 def enumerate_holes(g, max_len=None, min_len=4, cap=None):
-    """Yield every induced cycle of length >= min_len exactly once.
+    """Yield every induced cycle of length >= min_len exactly once, as a
+    triple (hole, mask, near): the hole's vertices, the OR of their bits
+    and the OR of their adjacency masks.
 
-    Each hole is emitted as a tuple in canonical orientation: starting at
-    its minimum vertex, second element smaller than the last (this kills
+    Each hole is a tuple in canonical orientation: starting at its
+    minimum vertex, second element smaller than the last (this kills
     both rotation and reflection duplicates).
 
     Order contract (the hub search's budget counts holes in it): a
@@ -272,39 +274,51 @@ def enumerate_holes(g, max_len=None, min_len=4, cap=None):
         while first:
             low = first & -first
             first ^= low
-            v1 = low.bit_length() - 1
-            # A neighbour w of v0 can only close the path (going past it
-            # would leave a chord back to v0), and only when v1 < w (the
-            # canonical orientation); those below v1 are dead ends.
-            dead = closers & ((1 << v1) - 1)
-            live = closers & ~dead & ~low
-            # closed[i]: the vertices the path of length i + 2 may not
-            # extend to: ids <= v0, dead closers, the path itself and the
-            # neighbours of its interior vertices (they would be chords).
-            path = [v0, v1]
-            closed = [upto_v0 | low | dead]
-            todo = [amask[v1] & ~closed[0]]
-            while todo:
-                cands = todo[-1]
+            # A neighbour of v0 can only close the path (going past it
+            # would leave a chord back to v0), and only when it is above
+            # v1 (the canonical orientation): the live closers are those
+            # left in `first`, the rest are closed for good.
+            live = first
+            # The frame of the path on top, saved on the stack while a
+            # longer path is walked: its candidates; reach, the vertices
+            # closed to a candidate's own candidates (ids <= v0, dead
+            # closers, the path past v0 and its neighbours, which would be
+            # chords); its vertex mask and its neighbourhood mask.  The
+            # path [v0] has the one candidate v1.
+            path = [v0]
+            stack = []
+            cands, pmask, near = low, 1 << v0, closers
+            reach = upto_v0 | closers ^ live
+            while True:
                 if not cands:
-                    todo.pop()
-                    closed.pop()
+                    if not stack:
+                        break
                     path.pop()
+                    cands, reach, pmask, near = stack.pop()
                     continue
                 bit = cands & -cands
-                todo[-1] = cands ^ bit
+                cands ^= bit
                 w = bit.bit_length() - 1
-                if closers & bit:
-                    if len(path) >= min_len - 1:
-                        yield tuple(path) + (w,)
-                elif len(path) < max_len - 1:
-                    reach = closed[-1] | amask[path[-1]]
-                    # closed only grows, so once every live closer is
-                    # closed no extension of this path closes a hole
-                    if live & ~reach:
-                        path.append(w)
-                        closed.append(reach)
-                        todo.append(amask[w] & ~reach)
+                if bit & live:
+                    yield (*path, w), pmask | bit, near | amask[w]
+                    continue
+                wmask = amask[w]
+                wreach = reach | wmask
+                wcands = wmask & ~reach
+                # reach only grows, so once every live closer is reached
+                # no longer path closes a hole; a path of max_len - 1
+                # vertices grows no further; and a closer of too short a
+                # path closes too short a hole
+                if len(path) >= max_len - 2 or not live & ~wreach:
+                    wcands &= live
+                if len(path) < min_len - 2:
+                    wcands &= ~live
+                if wcands:
+                    stack.append((cands, reach, pmask, near))
+                    path.append(w)
+                    cands, reach = wcands, wreach
+                    pmask |= bit
+                    near |= wmask
 
 
 def is_induced_path(g, seq, cycle=False):

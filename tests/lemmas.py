@@ -129,7 +129,7 @@ def reference_verify_prism(g, roles):
 # check and its direct K_t search.
 
 def reference_find_pinched_prism(g):
-    for hole in enumerate_holes(g, min_len=6, cap=g.n):
+    for hole, _, _ in enumerate_holes(g, min_len=6, cap=g.n):
         hset = set(hole)
         for c in g.vertices():
             if c in hset:
@@ -260,7 +260,7 @@ def is_valid_wheel(g, wheel):
 
 def wheels_at(g, v, hole_cap=None):
     """All wheels with hub v, in canonical hole order."""
-    for hole in enumerate_holes(g, min_len=5, cap=hole_cap):
+    for hole, _, _ in enumerate_holes(g, min_len=5, cap=hole_cap):
         if v in hole:
             continue
         w = Wheel(hole, v)

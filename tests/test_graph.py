@@ -1,6 +1,6 @@
 """Core graph type: construction, queries, holes, degeneracy."""
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -88,31 +88,49 @@ def test_clique_and_stable_match_the_pairwise_definition():
                         not g.has_edge(u, v) for u, v in pairs)
 
 
+def _holes(g, *args, **kwargs):
+    """The hole tuples `enumerate_holes` yields, without their masks."""
+    return [hole for hole, _, _ in enumerate_holes(g, *args, **kwargs)]
+
+
 def test_hole_enumeration_matches_brute_force():
     for g in random_corpus(8, 25):
         # a hole's vertex set determines it, so compare as sets
-        assert {frozenset(h) for h in enumerate_holes(g)} == set(brute_holes(g))
-        assert len({frozenset(h) for h in enumerate_holes(g)}) == len(
-            list(enumerate_holes(g)))
+        assert {frozenset(h) for h in _holes(g)} == set(brute_holes(g))
+        assert len({frozenset(h) for h in _holes(g)}) == len(_holes(g))
 
 
 def test_hole_enumeration_on_named_graphs():
-    assert list(enumerate_holes(cycle(6))) == [(0, 1, 2, 3, 4, 5)]
-    assert list(enumerate_holes(clique(5))) == []
-    assert list(enumerate_holes(path(6))) == []
+    assert _holes(cycle(6)) == [(0, 1, 2, 3, 4, 5)]
+    assert _holes(clique(5)) == []
+    assert _holes(path(6)) == []
     # K_{2,3} has exactly three 4-holes
-    assert len(list(enumerate_holes(complete_bipartite(2, 3)))) == 3
+    assert len(_holes(complete_bipartite(2, 3))) == 3
 
 
 def test_hole_enumeration_order_matches_reference():
     # the hub search's budget cuts this sequence, so equal sets are not
-    # enough: the order must be the same too
+    # enough: the order must be the same too; each hole comes with the
+    # OR of its vertices' bits and the OR of their adjacency masks
+    def masks(g, hole):
+        mask = near = 0
+        for x in hole:
+            mask |= 1 << x
+            near |= sum(1 << y for y in g.adj[x])
+        return mask, near
+
     graphs = list(random_corpus(12, 30, p=0.3, seed_base=1200))
     graphs += [relabelled(wall(k), seed=k) for k in (3, 4, 5)]
-    for g in graphs:
-        for min_len, max_len in ((4, None), (5, None), (6, 6)):
-            assert list(enumerate_holes(g, max_len, min_len)) == list(
-                _reference_holes(g, max_len, min_len))
+    cases = [(g, min_len, max_len, None) for g in graphs
+             for min_len, max_len in ((4, None), (5, None), (6, 6))]
+    # the first holes up to where the hub budget cuts the benchmark's wall(6)
+    cases.append((relabelled(wall(6), seed=6), 5, None, 5000))
+    for g, min_len, max_len, first in cases:
+        found = list(islice(enumerate_holes(g, max_len, min_len), first))
+        assert [hole for hole, _, _ in found] == list(
+            islice(_reference_holes(g, max_len, min_len), first))
+        for hole, mask, near in found:
+            assert (mask, near) == masks(g, hole)
 
 
 def test_hole_enumeration_cap():
