@@ -20,8 +20,8 @@ share no code with that search.
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
-from .graph import (BuildCheckFailed, SizeCapExceeded, adjacency_masks,
-                    degeneracy_order, enumerate_holes, is_induced_path)
+from .graph import (BuildCheckFailed, SizeCapExceeded, degeneracy_order,
+                    enumerate_holes, is_induced_path)
 
 DEFAULT_CAP = 30
 
@@ -281,20 +281,26 @@ def find_pinched_prism(g):
 def cubes(g):
     """Every induced cube of g as a list ring + [b1, b2]: a 6-hole ring,
     b1 seeing ring[0], ring[2], ring[4] and b2 the other three, in hole
-    enumeration order (only the hole tuples are read, not their masks)."""
-    for hole, _, _ in enumerate_holes(g, max_len=6, min_len=6, cap=g.n):
+    enumeration order.  Both centres see three ring vertices, so b1 and b2
+    are drawn, ids ascending, from the vertices the walk yields as seeing
+    three of the hole."""
+    for hole, _, three in enumerate_holes(g, max_len=6, min_len=6, cap=g.n):
         hset = set(hole)
+        centres = []
+        while three:
+            bit = three & -three
+            three ^= bit
+            b = bit.bit_length() - 1
+            centres.append((b, g.adj[b] & hset))
         for cls in (0, 1):
             ring = list(hole[cls:] + hole[:cls])
             want1 = {ring[0], ring[2], ring[4]}
             want2 = hset - want1
-            for b1 in g.vertices():
-                if b1 in hset or g.adj[b1] & hset != want1:
+            for b1, on1 in centres:
+                if on1 != want1:
                     continue
-                for b2 in g.vertices():
-                    if b2 in hset or b2 == b1 or g.has_edge(b1, b2):
-                        continue
-                    if g.adj[b2] & hset == want2:
+                for b2, on2 in centres:
+                    if on2 == want2 and not g.has_edge(b1, b2):
                         yield ring + [b1, b2]
 
 
@@ -347,31 +353,31 @@ def hubs(g, hole_cap=None, budget=None, partial=False):
     raises SizeCapExceeded or, with partial=True, returns the hubs found
     so far (a subset of the true hub set).
 
-    Each hole comes with its vertex mask and its neighbourhood mask from
-    the walk; a candidate hub is a neighbour of the hole off it that is
-    not a hub yet, and only its neighbours on the hole are looked up.
-    The holes are drawn through this module's `enumerate_holes` binding,
-    where the benchmark's tracer counts them.
+    Each hole comes from the walk with the mask of the vertices that see
+    at least three of its vertices, none of them on the hole; a candidate
+    hub is one of those that is not a hub yet.  The mask cannot stand in
+    for the sector test: a vertex that sees three consecutive hole
+    vertices has one long sector and is no hub.  The holes are drawn
+    through this module's `enumerate_holes` binding, where the
+    benchmark's tracer counts them.
     """
-    amask = adjacency_masks(g)
+    adj = g.adj
     found = 0
     holes = enumerate_holes(g, min_len=5, cap=hole_cap)
-    for count, (hole, hmask, near) in enumerate(holes):
+    for count, (hole, _, three) in enumerate(holes):
         if budget is not None and count >= budget:
             if partial:
                 break
             raise SizeCapExceeded(
                 f"hub search budget of {budget} holes exhausted")
-        cands = near & ~hmask & ~found
+        cands = three & ~found
         while cands:
             bit = cands & -cands
             cands ^= bit
-            on = amask[bit.bit_length() - 1] & hmask
-            if on.bit_count() < 3:
-                continue
+            on = adj[bit.bit_length() - 1]
             # a wheel: >= 2 long sectors, i.e. >= 2 gaps of >= 2 between
             # cyclically consecutive neighbour positions on the hole
-            pos = [i for i, x in enumerate(hole) if on >> x & 1]
+            pos = [i for i, x in enumerate(hole) if x in on]
             gaps = [b - a for a, b in zip(pos, pos[1:])]
             gaps.append(len(hole) - pos[-1] + pos[0])
             if sum(1 for d in gaps if d >= 2) >= 2:

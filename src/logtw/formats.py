@@ -18,8 +18,12 @@ def write_graph(g, fh):
 
 
 def read_graph(fh):
+    """The graph of a .gr file; FormatError on a bad header or edge line,
+    an edge count other than the header's, a self-loop or an edge given
+    twice."""
     n = m = None
     edges = []
+    lines = []
     for lineno, raw in enumerate(fh, 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -40,14 +44,24 @@ def read_graph(fh):
             if not (1 <= u <= n and 1 <= v <= n):
                 raise FormatError(f"line {lineno}: vertex out of range")
             edges.append((u - 1, v - 1))
+            lines.append(lineno)
     if n is None:
         raise FormatError("missing `p tw` header")
     if len(edges) != m:
         raise FormatError(f"header says {m} edges, found {len(edges)}")
     try:
-        return Graph(n, edges)
+        g = Graph(n, edges)
     except ValueError as e:
         raise FormatError(str(e)) from e
+    if g.m != m:
+        # fewer distinct edges than edge lines: name the first repeat
+        seen = set()
+        for (u, v), lineno in zip(edges, lines):
+            if frozenset((u, v)) in seen:
+                raise FormatError(
+                    f"line {lineno}: repeated edge {u + 1} {v + 1}")
+            seen.add(frozenset((u, v)))
+    return g
 
 
 def write_td(td, n, fh):

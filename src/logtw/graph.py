@@ -246,8 +246,15 @@ def adjacency_masks(g):
 
 def enumerate_holes(g, max_len=None, min_len=4, cap=None):
     """Yield every induced cycle of length >= min_len exactly once, as a
-    triple (hole, mask, near): the hole's vertices, the OR of their bits
-    and the OR of their adjacency masks.
+    triple (hole, mask, three): the hole's vertices, the OR of their bits
+    and the mask of the vertices with at least three neighbours on the
+    hole (never a hole vertex, which sees just its two neighbours).
+
+    The walk keeps, for the path it is on, the vertices with at least one,
+    two and three neighbours on the path (near, two, three); pushing w
+    updates them as three |= two & N(w), two |= near & N(w), near |= N(w),
+    and the closing vertex is counted the same way, so no hole is scanned
+    again to find its three-neighbour vertices.
 
     Each hole is a tuple in canonical orientation: starting at its
     minimum vertex, second element smaller than the last (this kills
@@ -266,6 +273,7 @@ def enumerate_holes(g, max_len=None, min_len=4, cap=None):
     if max_len is None:
         max_len = g.n
     amask = adjacency_masks(g)
+    grow_max, close_min = max_len - 2, min_len - 2
 
     for v0 in range(g.n):
         closers = amask[v0]
@@ -279,28 +287,31 @@ def enumerate_holes(g, max_len=None, min_len=4, cap=None):
             # v1 (the canonical orientation): the live closers are those
             # left in `first`, the rest are closed for good.
             live = first
-            # The frame of the path on top, saved on the stack while a
-            # longer path is walked: its candidates; reach, the vertices
-            # closed to a candidate's own candidates (ids <= v0, dead
-            # closers, the path past v0 and its neighbours, which would be
-            # chords); its vertex mask and its neighbourhood mask.  The
-            # path [v0] has the one candidate v1.
+            # The frame of the path on top: its candidates; reach, the
+            # vertices closed to a candidate's own candidates (ids <= v0,
+            # dead closers, the path past v0 and its neighbours, which
+            # would be chords); its vertex mask; and near, two and three,
+            # the vertices with at least one, two and three neighbours on
+            # the path.  While a longer path is walked the frame is saved
+            # on the stack with its path length, unless it has no
+            # candidate left to return to.  The path [v0] has the one
+            # candidate v1.
             path = [v0]
             stack = []
-            cands, pmask, near = low, 1 << v0, closers
+            cands, pmask, near, two, three = low, 1 << v0, closers, 0, 0
             reach = upto_v0 | closers ^ live
             while True:
                 if not cands:
                     if not stack:
                         break
-                    path.pop()
-                    cands, reach, pmask, near = stack.pop()
+                    cands, reach, pmask, near, two, three, depth = stack.pop()
+                    del path[depth:]
                     continue
                 bit = cands & -cands
                 cands ^= bit
                 w = bit.bit_length() - 1
                 if bit & live:
-                    yield (*path, w), pmask | bit, near | amask[w]
+                    yield (*path, w), pmask | bit, three | two & amask[w]
                     continue
                 wmask = amask[w]
                 wreach = reach | wmask
@@ -309,15 +320,20 @@ def enumerate_holes(g, max_len=None, min_len=4, cap=None):
                 # no longer path closes a hole; a path of max_len - 1
                 # vertices grows no further; and a closer of too short a
                 # path closes too short a hole
-                if len(path) >= max_len - 2 or not live & ~wreach:
+                depth = len(path)
+                if depth >= grow_max or not live & ~wreach:
                     wcands &= live
-                if len(path) < min_len - 2:
+                if depth < close_min:
                     wcands &= ~live
                 if wcands:
-                    stack.append((cands, reach, pmask, near))
+                    if cands:
+                        stack.append((cands, reach, pmask, near, two, three,
+                                      depth))
                     path.append(w)
                     cands, reach = wcands, wreach
                     pmask |= bit
+                    three |= two & wmask
+                    two |= near & wmask
                     near |= wmask
 
 

@@ -36,11 +36,13 @@ def test_td_format_round_trip():
 
 
 def test_graph_format_rejects_garbage():
-    for text in ("not a header\n",
-                 "p tw 3 1\ne 1 4\n",       # vertex out of range
-                 "p tw 3 2\ne 1 2\n",       # fewer edges than declared
-                 "p tw 3 0\ne 1 2\n"):      # more edges than declared
-        with pytest.raises(FormatError):
+    for text, message in (
+            ("not a header\n", "edge before header"),
+            ("p tw 3 1\n1 4\n", "vertex out of range"),
+            ("p tw 3 2\n1 2\n", "header says 2 edges, found 1"),
+            ("p tw 3 0\n1 2\n", "header says 0 edges, found 1"),
+            ("p tw 3 2\n1 2\n2 1\n", "line 3: repeated edge 2 1")):
+        with pytest.raises(FormatError, match=message):
             read_graph(io.StringIO(text))
 
 

@@ -354,6 +354,12 @@ def test_wheel_rejects_short_or_fanned_holes():
 def test_hubs_match_wheel_definition_under_budget():
     graphs = list(random_corpus(12, 12, p=0.3, seed_base=700))
     graphs += [relabelled(generators.wall(k), seed=k) for k in (3, 4)]
+    # a 6-hole plus 6, seeing hole positions 0, 1, 2 (three of the hole
+    # but one long sector: no hub), and 7, seeing 0, 1, 3 (a hub)
+    sectors = Graph(8, [(i, (i + 1) % 6) for i in range(6)] +
+                    [(6, 0), (6, 1), (6, 2), (7, 0), (7, 1), (7, 3)])
+    assert detect.hubs(sectors) == {7}
+    graphs.append(sectors)
     assert max(len(list(enumerate_holes(g, min_len=5)))
                for g in graphs) > 50
     for g in graphs:

@@ -111,13 +111,13 @@ def test_hole_enumeration_on_named_graphs():
 def test_hole_enumeration_order_matches_reference():
     # the hub search's budget cuts this sequence, so equal sets are not
     # enough: the order must be the same too; each hole comes with the
-    # OR of its vertices' bits and the OR of their adjacency masks
+    # OR of its vertices' bits and the mask of the vertices that have at
+    # least three neighbours in the hole
     def masks(g, hole):
-        mask = near = 0
-        for x in hole:
-            mask |= 1 << x
-            near |= sum(1 << y for y in g.adj[x])
-        return mask, near
+        mask = sum(1 << x for x in hole)
+        three = sum(1 << v for v in g.vertices()
+                    if len(g.adj[v] & set(hole)) >= 3)
+        return mask, three
 
     graphs = list(random_corpus(12, 30, p=0.3, seed_base=1200))
     graphs += [relabelled(wall(k), seed=k) for k in (3, 4, 5)]
@@ -129,8 +129,8 @@ def test_hole_enumeration_order_matches_reference():
         found = list(islice(enumerate_holes(g, max_len, min_len), first))
         assert [hole for hole, _, _ in found] == list(
             islice(_reference_holes(g, max_len, min_len), first))
-        for hole, mask, near in found:
-            assert (mask, near) == masks(g, hole)
+        for hole, mask, three in found:
+            assert (mask, three) == masks(g, hole)
 
 
 def test_hole_enumeration_cap():
