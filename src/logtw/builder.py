@@ -17,7 +17,6 @@ ids, into the one bag list the build returns; the glue adds only the
 tree edges that link the atoms at their cutset cliques.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from . import detect
@@ -96,78 +95,38 @@ def glue_at_clique(bags, starts, glue_tree):
     starts at starts[a] and ends where the next atom's starts, the last
     atom's at the end of bags.
 
-    Each glue entry (i, j, clique) links the partial trees currently
-    containing atoms i and j at bags holding the clique; a clique always
-    lies whole inside some atom on each side, and a valid decomposition of
-    that atom has a bag covering it.  On each side the link takes the first
-    such bag in the order the partial tree took in its atoms, then in bag
-    order.
+    Each glue entry (i, j, clique) hangs atom i off the later atom j: the
+    first bag of i's run that holds the clique is linked to the first bag
+    of j's run that holds it.  The split (clique_cutset_atoms) names each
+    atom but the last once, as i, and always with j > i, and the clique
+    lies in both atoms, so a valid decomposition of each has such a bag.
+    The links make a tree decomposition of the whole component:
 
-    A partial tree's atom list only ever gets another one appended, so at
-    every step it is a run of its final list that starts at its root.  With
-    atoms ranked by their place in the final lists and each vertex's bags
-    listed in rank order, the candidates on one side are a slice of the
-    list of one clique vertex.  Glue entries that form no tree, or a
-    clique no candidate bag holds, raise BuildCheckFailed: the split or an
-    atom's decomposition is at fault, not the input.
+    - atom i is comp | clique, and comp is removed before any later atom
+      is cut, so atom i meets every later atom only inside the clique,
+      which lies in atom j;
+    - so the atoms holding a vertex v form a subtree of the atom tree, and
+      each link between two of them joins bags that both hold the
+      clique, which contains v.
+
+    An entry that repeats an i or whose j is not after its i raises
+    BuildCheckFailed, as does a clique no bag of an atom's run holds: the
+    split or an atom's decomposition is at fault, not the input.
     """
     ends = starts[1:] + [len(bags)]
-    parent = list(range(len(starts)))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # unions first, recording each side's root and run length; each
-    # final list is a linked list from its root
-    size = [1] * len(starts)
-    after = [None] * len(starts)
-    last = list(range(len(starts)))
-    links = []
-    for i, j, clique in glue_tree:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            raise BuildCheckFailed("glue entries must form a tree")
-        links.append(((ri, size[ri]), (rj, size[rj]), clique))
-        parent[rj] = ri
-        size[ri] += size[rj]
-        after[last[ri]] = rj
-        last[ri] = last[rj]
-    rank = [0] * len(starts)
-    bag_rank = {}
-    by_rank = []  # every bag, in rank then bag order
-    holding = {}  # vertex -> the bags holding it, in the same order
-    k = 0
-    for r in range(len(starts)):
-        a = r if parent[r] == r else None  # walk each final list once
-        while a is not None:
-            rank[a] = k
-            for b in range(starts[a], ends[a]):
-                bag_rank[b] = k
-                by_rank.append(b)
-                for v in bags[b]:
-                    holding.setdefault(v, []).append(b)
-            k += 1
-            a = after[a]
-
-    def bag_holding(root, length, clique):
-        # scan the clique vertex with the fewest bags in the root's run
-        spans = []
-        for h in [holding.get(v, []) for v in clique] or [by_rank]:
-            start = bisect_left(h, rank[root], key=bag_rank.__getitem__)
-            stop = bisect_left(h, rank[root] + length,
-                               key=bag_rank.__getitem__)
-            spans.append((stop - start, start, h))
-        count, start, h = min(spans, key=lambda span: span[0])
-        for b in map(h.__getitem__, range(start, start + count)):
+    def first_holding(a, clique):
+        for b in range(starts[a], ends[a]):
             if clique <= bags[b]:
                 return b
         raise BuildCheckFailed("no bag contains the glue clique")
 
-    return [(bag_holding(*side_i, clique), bag_holding(*side_j, clique))
-            for side_i, side_j, clique in links]
+    links = {}  # atom i -> the link that hangs it
+    for i, j, clique in glue_tree:
+        if i in links or j <= i:
+            raise BuildCheckFailed("glue entries must form a tree")
+        links[i] = (first_holding(i, clique), first_holding(j, clique))
+    return list(links.values())
 
 
 # -- the build ----------------------------------------------------------------
@@ -205,10 +164,10 @@ def decompose(g, t, caps=None, uncertified_ok=False):
     violation certificate that fails its own check (in_class_Ct checks
     each one it reports), or on certified runs a width above width_bound,
     or any failed output check, raises BuildCheckFailed.  t < 3 raises
-    width_bound's ValueError before any work.
+    ValueError before any work.
     """
     if t < 3:
-        raise ValueError("need t >= 3 and n >= 1")
+        raise ValueError(f"need t >= 3, got t = {t}")
     caps = caps or Caps()
     report = BuildReport(t=t, n=g.n)
     pieces = split(g)
@@ -242,8 +201,9 @@ def _any(g, pieces, induced, t, caps, report, depth):
     no hole, so no cube, hub or layer, and it is traced as hub-free), and
     every other atom is built by _atom and its bags mapped once through
     its ids.
-    Each component's atoms are then linked at their cutset cliques, and
-    each component's first bag to the next one's."""
+    Each component's atoms are then linked by glue_at_clique, each atom's
+    first bag holding its cutset clique to the first such bag of the atom
+    it hangs off, and each component's first bag to the next one's."""
     report.depth_final = max(report.depth_final, depth)
     induced = iter(induced)
     bags = []

@@ -130,9 +130,12 @@ def clique_cutset_atoms(g, component):
     Simonet 2010).
 
     Returns (atoms, glue_tree): atoms are vertex sets with no clique
-    cutset; glue_tree is a list of (i, j, clique) entries meaning atoms i
-    and j were split along that clique. Gluing the atoms back along the
-    recorded cliques reproduces g[component].
+    cutset; glue_tree is a list of (i, j, clique) entries meaning atom i
+    was cut off along that clique and hangs off atom j. Each atom but the
+    last is an i exactly once, j is always later than i, the clique lies
+    in both atoms, and atom i meets every later atom only inside its
+    clique. Gluing the atoms back along the recorded cliques reproduces
+    g[component].
 
     x generates the minimal separator madj(x) of the completion when
     |madj(x)| <= |madj(next vertex)|, the MCS-M weight test. Walking the

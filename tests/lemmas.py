@@ -7,11 +7,11 @@ pyramid and prism checks as first written, property by property, a
 reference for detect's definition checks; the pinched-prism search over
 holes, its centre-and-hole check and the maximum-clique search as first
 written, references for detect's three-path and direct K_t searches; the
-clique-cutset split, glue, elimination and degeneracy orders and the
-exact-treewidth DP as first written, references for the heap-selected,
-indexed and unbucketed versions; and the
-table DP with its solvers as first written, counting each vertex at
-introduce, a reference for the forget-time counting.  The builder needs
+clique-cutset split, elimination and degeneracy orders and the
+exact-treewidth DP as first written, references for the heap-selected
+and unbucketed versions; and the table DP with its solvers as first
+written, counting each vertex at introduce, a reference for the
+forget-time counting.  The builder needs
 none of them; the tests import this module the way they import conftest.
 """
 
@@ -25,7 +25,7 @@ from logtw.graph import (BuildCheckFailed, SizeCapExceeded, adjacency_masks,
                          degeneracy_order, enumerate_holes, is_induced_path,
                          strict_degeneracy)
 from logtw.separators import perfect_elimination_order
-from logtw.treedec import TreeDecomposition, _require_valid
+from logtw.treedec import _require_valid
 
 SEPARATOR_ENUM_CAP = 20
 
@@ -653,16 +653,15 @@ def low_degree_half(g):
     return frozenset(v for v in g.vertices() if g.degree(v) <= 4 * delta)
 
 
-# -- the split, glue and elimination orders as first written ------------------
+# -- the split and elimination orders as first written ------------------------
 #
 # References for separators' heap-selected searches and the madj they
-# record, the builder's in-place split, its indexed glue, treedec's
-# heap-selected min-fill, its exact-treewidth DP walking masks in numeric
-# order and graph's heap-selected degeneracy order, which must give the
-# same output: each rescans every unnumbered vertex per step, every
-# component per generator, or every earlier bag per glue clique,
-# recomputes madj over the completed graph, induces and relabels every
-# component it splits, or buckets the DP's masks by size.
+# record, the builder's in-place split, treedec's heap-selected min-fill,
+# its exact-treewidth DP walking masks in numeric order and graph's
+# heap-selected degeneracy order, which must give the same output: each
+# rescans every unnumbered vertex per step or every component per
+# generator, recomputes madj over the completed graph, induces and
+# relabels every component it splits, or buckets the DP's masks by size.
 
 def reference_madj(adj, order):
     """madj(x) for every x: the neighbours of x (under adj) that come
@@ -783,48 +782,6 @@ def reference_perfect_elimination_order(g):
                for s in reference_madj(g.adj, order).values()):
         return None
     return order
-
-
-def reference_glue_at_clique(decomps, glue_tree):
-    """Join atom decompositions back into one tree along the recorded
-    cutset cliques.
-
-    Each glue entry (i, j, clique) links the partial trees currently
-    containing atoms i and j at bags holding the clique; a clique always
-    lies whole inside some atom on each side, and a valid decomposition of
-    that atom has a bag covering it.
-    """
-    bags = []
-    edges = []
-    offsets = []
-    for td in decomps:
-        offsets.append(len(bags))
-        edges.extend((a + offsets[-1], b + offsets[-1]) for a, b in td.edges)
-        bags.extend(td.bags)
-
-    parent = list(range(len(decomps)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    members = {i: [i] for i in range(len(decomps))}
-
-    def bag_holding(root, clique):
-        for a in members[root]:
-            for k, bag in enumerate(decomps[a].bags):
-                if clique <= bag:
-                    return offsets[a] + k
-        raise ValueError("no bag contains the glue clique")
-
-    for i, j, clique in glue_tree:
-        ri, rj = find(i), find(j)
-        edges.append((bag_holding(ri, clique), bag_holding(rj, clique)))
-        parent[rj] = ri
-        members[ri].extend(members.pop(rj))
-    return TreeDecomposition(bags, edges)
 
 
 def reference_min_fill_order(g):

@@ -12,7 +12,6 @@ from logtw.graph import BuildCheckFailed, Graph
 from logtw.treedec import TreeDecomposition
 
 import brute
-import lemmas
 from conftest import (class_members, glued, hub_layer_cases, random_tree,
                       relabelled)
 
@@ -39,10 +38,11 @@ def test_glue_at_clique_reassembles():
     assert t.width == 2
 
 
-def test_glue_at_clique_takes_the_reference_bag():
-    # several bags hold each clique; the first in the partial tree's atom
-    # order, then bag order, is linked, as the first-written scan does,
-    # for an empty clique too; a glue entry that closes a cycle is refused
+def test_glue_at_clique_links_each_atom_to_the_one_it_hangs_off():
+    # several bags hold each clique; each entry (i, j, clique) links the
+    # first bag of atom i's run holding it to the first of atom j's, for
+    # an empty clique too; an entry that repeats an i, or whose j is not
+    # after its i, is refused
     decomps = [TreeDecomposition([{0, 1}, {1}], [(0, 1)]),
                TreeDecomposition([{1, 2}, {1, 2, 3}], [(0, 1)]),
                TreeDecomposition([{3, 4}, {1, 3}], [(0, 1)]),
@@ -50,10 +50,11 @@ def test_glue_at_clique_takes_the_reference_bag():
     glue = [(1, 2, frozenset({3})), (0, 1, frozenset({1})),
             (2, 3, frozenset())]
     got = glued(decomps, glue)
-    want = lemmas.reference_glue_at_clique(decomps, glue)
-    assert (got.bags, got.edges) == (want.bags, want.edges)
+    assert got.edges[-3:] == ((3, 4), (0, 2), (4, 6))
     with pytest.raises(BuildCheckFailed, match="form a tree"):
         glued(decomps[:2], [(0, 1, frozenset({1}))] * 2)
+    with pytest.raises(BuildCheckFailed, match="form a tree"):
+        glued(decomps[:2], [(1, 0, frozenset({1}))])
     with pytest.raises(BuildCheckFailed, match="no bag contains"):
         glued(decomps[:2], [(0, 1, frozenset({0, 2}))])
 
@@ -177,7 +178,7 @@ def test_builder_output_is_pinned():
         out.append(([sorted(b) for b in td.bags], td.edges,
                     list(report.as_lines()), report.trace))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "2ef37a446354aa3fb65f265c671fdc5345281827ee55b24231b59e87cad8a64e")
+        "fa33cb38ca4a51e150dea03c87953e57f45bc5e592fa63a3290bc99e72a16ebb")
 
 
 def test_certified_member_builds_are_pinned():
@@ -193,7 +194,7 @@ def test_certified_member_builds_are_pinned():
             out.append(([sorted(b) for b in td.bags], td.edges,
                         list(report.as_lines()), report.trace))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "9063c8b6564a838c289e617f2f2260010c4d7792780e34f63e5a70010d80b621")
+        "02666c2ab03c094013f044b8b6615c97af3c7e8cc836242b3705f505826468ff")
 
 
 def test_builder_reports_are_pinned():
@@ -214,6 +215,26 @@ def test_builder_reports_are_pinned():
         out.append((list(report.as_lines()), report.trace))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
         "373ffbd0f46a010d6fb3b3daf9534efcbd82c7a91fe88974da808bc1d073c9ca")
+
+
+def test_builder_bags_are_pinned():
+    # sha256 over the bags alone, in order, of the two corpora pinned
+    # above, recorded before each atom was linked inside the atom it
+    # hangs off: a change to the tree edges may not move a bag
+    corpus = [(g, {"uncertified_ok": True}) for g in (
+        *(generators.wall(k) for k in (3, 4, 5)),
+        *(g for g, _ in hub_layer_cases()),
+        *(generators.random_graph(n, 2 / n, seed=n)
+          for n in range(20, 60, 4)))]
+    for n in (32, 64, 128):
+        corpus += [(generators.random_in_class(n, 1.2 / n, 3, seed=k),
+                    {"caps": Caps(detect=n, hole=n)}) for k in (1, 2, 3)]
+    out = []
+    for g, kwargs in corpus:
+        td, _ = decompose(g, 3, **kwargs)
+        out.append([sorted(b) for b in td.bags])
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "143af772bfa03a102a6a796a2ab641b7bee5c2abbbafe9f4cbd2e0f4275f9412")
 
 
 def test_cube_atoms_get_their_treewidth():
@@ -417,7 +438,7 @@ def test_decompose_rejects_small_t_before_any_work(monkeypatch, tmp_path,
     for flags in ([], ["--uncertified-ok"]):
         assert main(["decompose", "--in", str(gpath), "--t", "2"]
                     + flags) == EXIT_PARSE
-        assert "need t >= 3" in capsys.readouterr().err
+        assert "need t >= 3, got t = 2" in capsys.readouterr().err
 
 
 def test_every_caller_takes_its_atoms_from_class_atoms(monkeypatch, tmp_path,

@@ -158,6 +158,15 @@ def test_clique_cutset_atoms():
             assert any(u in a and v in a for a in atoms)
         for i, j, clique in glue:
             assert g.is_clique(clique)
+        # each atom but the last hangs once, off a later atom holding its
+        # clique, and meets every later atom only inside that clique: the
+        # contract glue_at_clique links by
+        assert sorted(i for i, _, _ in glue) == list(range(len(atoms) - 1))
+        for i, j, clique in glue:
+            assert i < j
+            assert clique <= atoms[i] & atoms[j]
+            for k in range(i + 1, len(atoms)):
+                assert atoms[i] & atoms[k] <= clique
         # gluing any decompositions of the atoms gives one of g
         decomps = []
         for a in atoms:
@@ -201,10 +210,12 @@ def test_searches_match_their_references():
             assert set(madj) == c
 
 
-def test_split_and_glue_match_their_references():
-    # the in-place split, its component search per generator and the
-    # indexed glue give exactly what the first-written versions, kept in
-    # lemmas, give; disconnected graphs included
+def test_split_matches_its_reference_and_glue_hangs_each_atom():
+    # the in-place split and its component search per generator give
+    # exactly what the first-written version, kept in lemmas, gives,
+    # disconnected graphs included; the glue links each entry (i, j, s)
+    # at the first bag of atom i's run and of atom j's run holding s, and
+    # the glued decomposition is valid
     for g in search_corpus():
         pieces = builder.split(g)
         assert pieces == lemmas.reference_split(g)
@@ -217,8 +228,21 @@ def test_split_and_glue_match_their_references():
                     [frozenset(ids[v] for v in b) for b in td.bags],
                     td.edges))
             got = glued(decomps, glue)
-            want = lemmas.reference_glue_at_clique(decomps, glue)
-            assert (got.bags, got.edges) == (want.bags, want.edges)
+            comp, ids = g.induced(frozenset().union(*atoms))
+            at = {v: k for k, v in enumerate(ids)}
+            assert treedec.validate(comp, TreeDecomposition(
+                [frozenset(at[v] for v in b) for b in got.bags],
+                got.edges)) is None
+            starts = [0]
+            for td in decomps:
+                starts.append(starts[-1] + len(td.bags))
+            links = got.edges[len(got.edges) - len(glue):]
+            for (a, b), (i, j, s) in zip(links, glue):
+                for x, k in ((a, i), (b, j)):
+                    assert starts[k] <= x < starts[k + 1]
+                    assert s <= got.bags[x]
+                    assert not any(s <= got.bags[y]
+                                   for y in range(starts[k], x))
 
 
 def test_split_cuts_in_place(monkeypatch):

@@ -185,7 +185,7 @@ def test_solver_outputs_are_pinned():
             + [ok, sorted(col.items()) if ok else None,
                treedec.solve_chromatic(g, t)])
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "ea37b2820c0c1c67f7ba9a973d38c5efa67bc4af4f53423327316440bc58d9fb")
+        "379b08c69a55d552980a66b8df3b7bd2b8f6af4b9e387b03d4d1b25bd51e7828")
 
 
 def test_solver_values_are_pinned():
