@@ -4,17 +4,21 @@ report.
 The pipeline: split each connected component of the input at clique
 cutsets, once; induce each atom of more than two vertices once; certify
 class membership atom by atom on those atoms, then build from the same
-split and the same induced atoms.  Inside each atom, decompose by the
-hub-free routine when a cube forces a small vertex count, else partition
-the hub vertices into stable low-degree layers and shrink the graph
-recursively, one layer at a time: each step cuts its piece down to a
-central bag, decomposes that bag by the next step, and extends the bag's
-decomposition back over the components it cut off (each split the same
-way).  The recursion ends at a central bag that is hub-free (solved by
-bounded-width search) or owns a balanced layer vertex (solved through the
-contraction graph).  Each atom's bags are written once, in the split graph's
-ids, into the one bag list the build returns; the glue adds only the
-tree edges that link the atoms at their cutset cliques.
+split and the same induced atoms.  Certification decides, once per build,
+how every atom is built.  An uncertified build decomposes each atom by
+the hub-free routine (min-fill, exact search on small atoms): the
+construction below proves nothing outside the class.  A certified build
+runs the paper's construction on each atom: the hub-free routine when a
+cube forces a small vertex count, else partition the hub vertices into
+stable low-degree layers and shrink the graph recursively, one layer at
+a time: each step cuts its piece down to a central bag, decomposes that
+bag by the next step, and extends the bag's decomposition back over the
+components it cut off (each split the same way).  The recursion ends at
+a central bag that is hub-free (solved by bounded-width search) or owns
+a balanced layer vertex (solved through the contraction graph).  Each
+atom's bags are written once, in the split graph's ids, into the one bag
+list the build returns; the glue adds only the tree edges that link the
+atoms at their cutset cliques.
 """
 
 from dataclasses import dataclass, field
@@ -30,16 +34,14 @@ from .treedec import (EXACT_TW_CAP, TreeDecomposition, exact_treewidth,
 
 
 STRUCTURE_CAP = 120  # bag-structuring (minimal completion) budget
-HUB_BUDGET = 5000  # holes examined per hub search; certified runs fail
-                   # loudly past it, uncertified runs fall back to the
-                   # partial hub set
+HUB_BUDGET = 5000  # holes examined per hub search; it fails loudly past it
 
 
 @dataclass(frozen=True)
 class Caps:
     """Exact-search budgets for one build."""
     detect: int = detect.DEFAULT_CAP  # class membership verified only up to here
-    hole: int = HOLE_ENUM_VERTEX_CAP  # hub search's enumerate_holes vertex cap
+    hole: int = HOLE_ENUM_VERTEX_CAP  # certified builds' hub search hole cap
 
 
 class ClassViolation(Exception):
@@ -159,12 +161,14 @@ def decompose(g, t, caps=None, uncertified_ok=False):
     each atom of more than two vertices once; those feed both the
     class-membership check and the build.  Membership is verified atom by
     atom, before any atom is built, when g fits under the detection cap; a
-    violation raises ClassViolation unless uncertified_ok, in which case
-    the build still runs but the report is marked uncertified.  A
-    violation certificate that fails its own check (in_class_Ct checks
-    each one it reports), or on certified runs a width above width_bound,
-    or any failed output check, raises BuildCheckFailed.  t < 3 raises
-    ValueError before any work.
+    violation raises ClassViolation unless uncertified_ok.  A certified
+    build runs the paper's construction on every atom.  An uncertified one
+    (a violation under uncertified_ok, or g above the detection cap)
+    decomposes every atom by the hub-free routine, so it meets neither
+    the hole cap nor the hub budget.  A violation certificate that fails
+    its own check (in_class_Ct checks each one it reports), or on
+    certified runs a width above width_bound, or any failed output check,
+    raises BuildCheckFailed.  t < 3 raises ValueError before any work.
     """
     if t < 3:
         raise ValueError(f"need t >= 3, got t = {t}")
@@ -199,7 +203,8 @@ def _any(g, pieces, induced, t, caps, report, depth):
     that is a lone atom of at most two vertices is one bag, an edge atom
     {u, v} is the one bag {u, v} with no tree edge of its own (an edge has
     no hole, so no cube, hub or layer, and it is traced as hub-free), and
-    every other atom is built by _atom and its bags mapped once through
+    every other atom is built by _atom on a certified build, by _hub_free
+    (traced as uncertified) on any other, and its bags mapped once through
     its ids.
     Each component's atoms are then linked by glue_at_clique, each atom's
     first bag holding its cutset clique to the first such bag of the atom
@@ -224,7 +229,12 @@ def _any(g, pieces, induced, t, caps, report, depth):
                 bags.append(a)
                 continue
             sub, ids = next(induced)
-            td = _atom(sub, t, caps, report, depth)
+            if report.certified:
+                td = _atom(sub, t, caps, report, depth)
+            else:
+                report.trace.append({"depth": depth, "n": sub.n,
+                                     "branch": "uncertified"})
+                td = _hub_free(sub, t)
             edges.extend((x + off, y + off) for x, y in td.edges)
             bags.extend(frozenset(ids[x] for x in bag) for bag in td.bags)
         edges += glue_at_clique(bags, starts, glue)
@@ -232,22 +242,20 @@ def _any(g, pieces, induced, t, caps, report, depth):
     return TreeDecomposition(bags or [frozenset()], edges)
 
 
-def _structured(g, td, report):
-    """Rebuild td over g with every bag a potential maximal clique.
-
-    Only done within the structuring budget, and on uncertified runs only
-    for small pieces: the minimal-completion step is what the certified
-    bag accounting relies on, but it is expensive on dense graphs, and an
-    uncertified width claims nothing."""
-    if g.n > STRUCTURE_CAP or (not report.certified and g.n > 30):
+def _structured(g, td):
+    """Rebuild td over g with every bag a potential maximal clique, within
+    the structuring budget: the minimal-completion step is what the
+    certified bag accounting relies on, but it is expensive on dense
+    graphs."""
+    if g.n > STRUCTURE_CAP:
         return td
     return make_structured(g, td)
 
 
 def _hub_free(g, t):
-    """Decomposition of a hub-free piece: greedy fill first, exact search
-    when the greedy width misses the R(t,4) - 1 target and the piece is
-    small enough."""
+    """Decomposition of a hub-free piece, or of any atom of an uncertified
+    build: greedy fill first, exact search when the greedy width misses
+    the R(t,4) - 1 target and the piece is small enough."""
     td = greedy_fill_decomposition(g)
     target = ramsey(t, 4) - 1
     if td.width > target and g.n <= EXACT_TW_CAP:
@@ -256,7 +264,8 @@ def _hub_free(g, t):
 
 
 def _atom(g, t, caps, report, depth):
-    """Decompose one clique-cutset-free connected piece; bags in g's ids."""
+    """Decompose one clique-cutset-free connected piece of a certified
+    build; bags in g's ids."""
     # a cube inside a cutset-free class member forces fewer than 9t
     # vertices, so any decomposition is within budget; the hub-free
     # routine gives a small one
@@ -264,8 +273,7 @@ def _atom(g, t, caps, report, depth):
         report.trace.append({"depth": depth, "n": g.n, "branch": "cube"})
         return _hub_free(g, t)
 
-    hp = build_hub_partition(g, hole_cap=caps.hole, budget=HUB_BUDGET,
-                             partial=not report.certified)
+    hp = build_hub_partition(g, hole_cap=caps.hole, budget=HUB_BUDGET)
     report.delta_used = max(report.delta_used, hp.delta)
     report.hdim_used = max(report.hdim_used, hp.order)
     return _shrink(g, g.vertices(), hp, hp.hub_set, 0, t, caps, report,
@@ -289,20 +297,19 @@ def _shrink(g, ids, hp, hub, first, t, caps, report, depth, n):
         if not hub:
             break
         layer = hp.layers[idx]
-        if report.certified:
-            # consumed layers must already be clear of the surviving hub
-            # set, and surviving layer vertices stay low-degree towards it
-            hub_ids = {ids[x] for x in hub}
-            for j in range(idx):
-                if hp.layers[j] & hub_ids:
-                    raise BuildCheckFailed(
-                        f"depth {depth}, layer {idx}: consumed layer {j} "
-                        f"meets the surviving hub set")
-            for x in g.vertices():
-                if ids[x] in layer and len(g.adj[x] & hub) > 4 * hp.delta:
-                    raise BuildCheckFailed(
-                        f"depth {depth}, layer {idx}: vertex {ids[x]} has "
-                        f"more than {4 * hp.delta} hub neighbours")
+        # consumed layers must already be clear of the surviving hub set,
+        # and surviving layer vertices stay low-degree towards it
+        hub_ids = {ids[x] for x in hub}
+        for j in range(idx):
+            if hp.layers[j] & hub_ids:
+                raise BuildCheckFailed(
+                    f"depth {depth}, layer {idx}: consumed layer {j} "
+                    f"meets the surviving hub set")
+        for x in g.vertices():
+            if ids[x] in layer and len(g.adj[x] & hub) > 4 * hp.delta:
+                raise BuildCheckFailed(
+                    f"depth {depth}, layer {idx}: vertex {ids[x]} has "
+                    f"more than {4 * hp.delta} hub neighbours")
         sprime = [x for x in sorted(hub) if ids[x] in layer]
         if not sprime:
             continue
@@ -318,21 +325,15 @@ def _shrink(g, ids, hp, hub, first, t, caps, report, depth, n):
         report.levels.append({"beta": g.n, "sprime": len(sprime),
                               "branch": "shrink"})
         sub, sub_ids = g.induced(central[0])
-        if report.certified:
-            sub_hub = detect.hubs(sub, hole_cap=caps.hole, budget=HUB_BUDGET)
-        else:
-            # a wheel of an induced subgraph is a wheel of g, so g's hub
-            # set restricted to the bag is a safe superset; only the width
-            # accounting cares, and it is not certified
-            sub_hub = frozenset(i for i, x in enumerate(sub_ids) if x in hub)
+        sub_hub = detect.hubs(sub, hole_cap=caps.hole, budget=HUB_BUDGET)
         td = _shrink(sub, [ids[x] for x in sub_ids], hp, sub_hub, idx + 1,
                      t, caps, report, depth, n)
-        t_beta = _structured(sub, td, report)
+        t_beta = _structured(sub, td)
         parts = _parts(g, g.components(removed=central[0]), t, caps, report,
                        depth + 1)
         return extend_tree(central, t_beta, sub_ids, parts)
 
-    if report.certified and hub:
+    if hub:
         raise BuildCheckFailed(f"depth {depth}: final central bag of {g.n} "
                                f"vertices still has hubs")
     td = _hub_free(g, t)
@@ -352,7 +353,7 @@ def _parts(g, parts, t, caps, report, depth):
         pieces = split(sub)
         td = _any(sub, pieces, class_atoms(sub, pieces, t), t, caps, report,
                   depth)
-        out.append((_structured(sub, td, report), ids))
+        out.append((_structured(sub, td), ids))
     return out
 
 
@@ -361,6 +362,6 @@ def _balanced(g, v, hub, t, caps, report, depth):
     component of g minus N[v], solve the (wheel-free) contraction by the
     hub-free routine, recurse on the components, and extend back."""
     cg = build_contraction(g, v, hub)
-    t0 = _structured(cg.h, _hub_free(cg.h, t), report)
+    t0 = _structured(cg.h, _hub_free(cg.h, t))
     return extend_neighborhood(g, cg, t0, _parts(g, cg.parts, t, caps,
                                                  report, depth + 1))

@@ -342,16 +342,15 @@ def has_clique(g, t):
 
 # -- hubs -----------------------------------------------------------------
 
-def hubs(g, hole_cap=None, budget=None, partial=False):
+def hubs(g, hole_cap=None, budget=None):
     """The set of hub vertices: each is the center of at least one wheel,
     a hole of length >= 5 plus a vertex off it with >= 3 neighbours on
     it, at least two pairs of them cyclically consecutive yet apart on
     the hole (the wheel's long sectors).
 
     `budget` bounds the holes examined to the first `budget` holes of
-    length >= 5 in `enumerate_holes` order; past it the scan either
-    raises SizeCapExceeded or, with partial=True, returns the hubs found
-    so far (a subset of the true hub set).
+    length >= 5 in `enumerate_holes` order; past it the scan raises
+    SizeCapExceeded.
 
     Each hole comes from the walk with the mask of the vertices that see
     at least three of its vertices, none of them on the hole; a candidate
@@ -366,8 +365,6 @@ def hubs(g, hole_cap=None, budget=None, partial=False):
     holes = enumerate_holes(g, min_len=5, cap=hole_cap)
     for count, (hole, _, three) in enumerate(holes):
         if budget is not None and count >= budget:
-            if partial:
-                break
             raise SizeCapExceeded(
                 f"hub search budget of {budget} holes exhausted")
         cands = three & ~found

@@ -75,14 +75,14 @@ def layered_halving(g, delta=None):
     return layers
 
 
-def build_hub_partition(g, hole_cap=None, budget=None, partial=False):
+def build_hub_partition(g, hole_cap=None, budget=None):
     """Partition Hub(g) into stable low-degree layers.
 
     Runs the layered halving on g[Hub(g)] and splits each layer into
     stable sets by greedy coloring along the reverse degeneracy order;
     the layer count is at most delta * (ceil(log2 n) + 1).
     """
-    hub = detect.hubs(g, hole_cap=hole_cap, budget=budget, partial=partial)
+    hub = detect.hubs(g, hole_cap=hole_cap, budget=budget)
     if not hub:
         return HubPartition((), 1, hub)
     sub, ids = g.induced(hub)

@@ -78,16 +78,18 @@ def test_each_build_is_written_once(monkeypatch):
     assert made == [len(td.bags)]
     assert treedec.validate(g, td) is None
     assert report.certified and td.width == 1
-    # a certified build through one shrink level, and an uncertified wall
-    # through eight; the count takes in the min-fill, structuring and
+    # certified builds through one shrink level, and through a shrink and
+    # a balanced level, and an uncertified wall, whose one atom is min-fill
+    # at no level; the count takes in the min-fill, structuring and
     # extension decompositions too
-    for g, certified, levels, want in [
-            (hub_layer_cases()[0][0], True, 1, 6),
-            (generators.wall(5), False, 8, 14)]:
+    for (g, branches), certified, want in [
+            (hub_layer_cases()[0], True, 6),
+            (hub_layer_cases()[1], True, 14),
+            ((generators.wall(5), []), False, 2)]:
         made.clear()
         td, report = decompose(g, 3, uncertified_ok=not certified)
         assert report.certified == certified
-        assert [lv["branch"] for lv in report.levels] == ["shrink"] * levels
+        assert [lv["branch"] for lv in report.levels] == branches
         assert len(made) == want and made[-1] == len(td.bags)
         assert treedec.validate(g, td) is None
 
@@ -109,7 +111,7 @@ def test_decompose_simple_certified():
 
 
 def test_hub_free_atom_falls_back_to_exact_search(monkeypatch):
-    # one hub-free atom whose min-fill width, 10, misses R(3,4) - 1 = 8:
+    # one uncertified atom whose min-fill width, 10, misses R(3,4) - 1 = 8:
     # the exact search runs once, on the whole atom, and finds 9
     sizes = []
     real = builder.exact_treewidth
@@ -124,8 +126,7 @@ def test_hub_free_atom_falls_back_to_exact_search(monkeypatch):
     assert sizes == [13]
     assert td.width == 9
     assert treedec.validate(g, td) is None
-    assert report.trace == [{"depth": 0, "n": 13, "beta": 13,
-                             "branch": "hub-free"}]
+    assert report.trace == [{"depth": 0, "n": 13, "branch": "uncertified"}]
 
 def test_decompose_rejects_forbidden_structures():
     with pytest.raises(ClassViolation) as e:
@@ -142,6 +143,34 @@ def test_decompose_uncertified_mode():
     td, report = decompose(g, 3, uncertified_ok=True)
     assert treedec.validate(g, td) is None
     assert not report.certified
+
+
+def test_uncertified_builds_never_enter_the_construction(monkeypatch):
+    # an uncertified build, by a violation under uncertified_ok or above
+    # the detection cap, decomposes every atom by the hub-free routine: no
+    # hub search, hub partition, central bag, balanced vertex, extension
+    # or structuring runs, so neither the hole cap nor the hub budget is
+    # met, and the width is the widest atom's
+    def never(*args, **kwargs):
+        raise AssertionError("the construction ran")
+    for module, name in ((builder, "build_hub_partition"),
+                         (builder, "central_bag"), (builder, "is_balanced"),
+                         (builder, "extend_tree"),
+                         (builder, "build_contraction"),
+                         (builder, "extend_neighborhood"),
+                         (builder, "make_structured"), (detect, "hubs")):
+        monkeypatch.setattr(module, name, never)
+    for g in (generators.wall(3), generators.wall(7), generators.wall(8),
+              generators.random_graph(500, 2 / 500, 1)):
+        td, report = decompose(g, 3, uncertified_ok=True)
+        assert "certified=no" in report.as_lines()
+        assert treedec.validate(g, td) is None
+        atoms = builder.class_atoms(g, builder.split(g), 3)
+        assert td.width == max(builder._hub_free(sub, 3).width
+                               for sub, _ in atoms)
+        assert report.levels == []
+        assert [e["n"] for e in report.trace
+                if e["branch"] == "uncertified"] == [sub.n for sub, _ in atoms]
 
 
 def test_decompose_class_members_certified_and_bounded():
@@ -178,7 +207,7 @@ def test_builder_output_is_pinned():
         out.append(([sorted(b) for b in td.bags], td.edges,
                     list(report.as_lines()), report.trace))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "fa33cb38ca4a51e150dea03c87953e57f45bc5e592fa63a3290bc99e72a16ebb")
+        "a68d280ef33da75cb182d4997246a68998ec91cbc28d844588a93b1bf9e05a46")
 
 
 def test_certified_member_builds_are_pinned():
@@ -199,8 +228,8 @@ def test_certified_member_builds_are_pinned():
 
 def test_builder_reports_are_pinned():
     # sha256 over the report lines and trace alone of the two corpora
-    # pinned above, recorded before edge atoms became one bag: a change
-    # to the bags may not move a report or a trace
+    # pinned above: a change to the bags or tree edges alone may not move
+    # a report or a trace
     corpus = [(g, {"uncertified_ok": True}) for g in (
         *(generators.wall(k) for k in (3, 4, 5)),
         *(g for g, _ in hub_layer_cases()),
@@ -214,13 +243,12 @@ def test_builder_reports_are_pinned():
         _, report = decompose(g, 3, **kwargs)
         out.append((list(report.as_lines()), report.trace))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "373ffbd0f46a010d6fb3b3daf9534efcbd82c7a91fe88974da808bc1d073c9ca")
+        "cb9bbeb30a5ffabb8afcacb36e150749f32e946021c0ae394783e3ceb33a115c")
 
 
 def test_builder_bags_are_pinned():
     # sha256 over the bags alone, in order, of the two corpora pinned
-    # above, recorded before each atom was linked inside the atom it
-    # hangs off: a change to the tree edges may not move a bag
+    # above: a change to the tree edges alone may not move a bag
     corpus = [(g, {"uncertified_ok": True}) for g in (
         *(generators.wall(k) for k in (3, 4, 5)),
         *(g for g, _ in hub_layer_cases()),
@@ -234,7 +262,7 @@ def test_builder_bags_are_pinned():
         td, _ = decompose(g, 3, **kwargs)
         out.append([sorted(b) for b in td.bags])
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "143af772bfa03a102a6a796a2ab641b7bee5c2abbbafe9f4cbd2e0f4275f9412")
+        "6726e09661591c38adaf9c877b55f3d996d19fad07869e8453df816f78b62115")
 
 
 def test_cube_atoms_get_their_treewidth():

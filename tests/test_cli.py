@@ -188,6 +188,20 @@ def test_cli_exit_codes(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_cli_uncertified_wall_finishes(tmp_path, capsys):
+    # wall(7) is one 84-vertex atom full of thetas; an uncertified build
+    # decomposes it by min-fill, so neither decompose --uncertified-ok nor
+    # solve without --td meets the hole cap
+    gpath = tmp_path / "wall7.gr"
+    main(["gen", "wall", "7", "--out", str(gpath)])
+    capsys.readouterr()
+    assert main(["decompose", "--in", str(gpath), "--t", "3",
+                 "--uncertified-ok"]) == 0
+    assert "certified=no" in capsys.readouterr().out.splitlines()
+    assert main(["solve", "--graph", str(gpath),
+                 "--problem", "stable-set"]) == 0
+
+
 def test_cli_caps_accepts_every_caps_field(tmp_path, capsys):
     gpath = tmp_path / "g.gr"
     main(["gen", "cycle", "12", "--out", str(gpath)])

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import logtw
-from logtw import builder, detect, generators
+from logtw import builder, detect
 from logtw.graph import Graph
 
 from conftest import hub_layer_cases
@@ -52,6 +52,7 @@ def test_benchmark_tracer_counts_the_split(monkeypatch):
         pieces.extend(out)
         return out
     monkeypatch.setattr(builder, "split", recorded)
+    levels = hub_layer_cases()[1][0]  # certified; its shrink level splits
     g = Graph(17, [(0, 1), (1, 2), (2, 3), (3, 4),           # a path
                    (5, 6), (6, 7), (7, 8), (8, 9), (9, 10),
                    (10, 5),                                   # a 6-hole
@@ -61,7 +62,7 @@ def test_benchmark_tracer_counts_the_split(monkeypatch):
     tracer.install()
     try:
         builder.decompose(g, 4)
-        builder.decompose(generators.wall(3), 3, uncertified_ok=True)
+        builder.decompose(levels, 3)
     finally:
         tracer.uninstall()
     cut = [atoms for atoms, _ in pieces
@@ -84,21 +85,20 @@ def test_benchmark_tracer_counts_the_construction():
     try:
         for g, _ in cases:
             builder.decompose(g, 3)
-        builder.decompose(generators.wall(4), 3, uncertified_ok=True)
     finally:
         tracer.uninstall()
     assert {name: tracer.calls[name] for name in (
         "central_bag.central_bag", "central_bag.extend_tree",
         "central_bag.build_contraction", "central_bag.extend_neighborhood",
         "hub_partition.is_balanced", "separators.make_structured")} == {
-        "central_bag.central_bag": 8, "central_bag.extend_tree": 8,
+        "central_bag.central_bag": 2, "central_bag.extend_tree": 2,
         "central_bag.build_contraction": 106,
         "central_bag.extend_neighborhood": 106,
-        "hub_partition.is_balanced": 116, "separators.make_structured": 436}
+        "hub_partition.is_balanced": 108, "separators.make_structured": 428}
     # the hub search draws its holes through detect's name, which the
     # tracer counts; holes drawn past it would read as none
-    assert tracer.calls["detect.hubs"] == 111
-    assert tracer.counts["detect.holes_enumerated"] == 444
+    assert tracer.calls["detect.hubs"] == 110
+    assert tracer.counts["detect.holes_enumerated"] == 370
 
 
 def _rendered(node):

@@ -185,7 +185,7 @@ def test_solver_outputs_are_pinned():
             + [ok, sorted(col.items()) if ok else None,
                treedec.solve_chromatic(g, t)])
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "379b08c69a55d552980a66b8df3b7bd2b8f6af4b9e387b03d4d1b25bd51e7828")
+        "faff8519f1be05f0dd530060d068bdffea55328280a616c22edbc558ed8ce95d")
 
 
 def test_solver_values_are_pinned():
