@@ -8,7 +8,9 @@ graph's own ids, and record as they go which vertices bumped which.  That
 record is each vertex's neighbourhood later in the order, in the graph the
 search completes, so the clique-cutset atoms and the clique trees read
 their separators straight off it: no completed graph is built, and no
-component is induced or relabelled."""
+component is induced or relabelled.  MCS-M finds the vertices each step
+bumps by a reach over weight levels, as published, with no heap of its
+own."""
 
 import heapq
 from math import comb
@@ -84,29 +86,42 @@ def _max_cardinality_search(g, vertices, bump):
 def minimal_triangulation(g, vertices):
     """An inclusion-minimal chordal completion of g on vertices, a union
     of its components, by maximum cardinality search with fill tracking
-    (MCS-M).  Returns (order, madj): order is a perfect elimination order
-    of the completion and madj[x] the neighbours of x after it there, so
-    the fill is every pair {x, y}, y in madj[x], that is not an edge of
-    g."""
+    (MCS-M, Berry, Blair, Heggernes and Peyton 2004).  Returns
+    (order, madj): order is a perfect elimination order of the completion
+    and madj[x] the neighbours of x after it there, so the fill is every
+    pair {x, y}, y in madj[x], that is not an edge of g.
+
+    Numbering v bumps S(v): the unnumbered u joined to v by a path
+    through unnumbered vertices all lighter than u.  The search for S(v)
+    is the published reach by levels: level j lists the vertices reached
+    through vertices of weight at most j, and levels are emptied in
+    increasing j.  A direct neighbour of v joins S(v) and enters its own
+    level; a vertex y first reached from level j joins S(v) and its own
+    level when weight[y] > j, and stays at level j otherwise.  No weight
+    exceeds top, the largest weight left, so a vertex at level top or
+    above reaches nothing new: those levels are never opened."""
 
     def bump(v, weight, remaining, top):
-        # u joins S(v) when some path v..u runs through unnumbered
-        # vertices all lighter than u; minimax search over path weights.
-        # No weight left exceeds top and a path's maximum never falls, so
-        # a path whose maximum reaches top reaches nothing: prune it
-        dist = {w: -1 for w in g.adj[v] & remaining}
-        heap = [(-1, w) for w in dist]
-        heapq.heapify(heap)
-        while heap:
-            d, u = heapq.heappop(heap)
-            nd = max(d, weight[u])
-            if d > dist[u] or nd >= top:
-                continue
-            for z in g.adj[u] & remaining:
-                if nd < dist.get(z, top):
-                    dist[z] = nd
-                    heapq.heappush(heap, (nd, z))
-        return [u for u, d in dist.items() if d < weight[u]]
+        seen = remaining & g.adj[v]  # a set, as remaining is
+        s = list(seen)
+        levels = [[] for _ in range(top)]
+        for y in s:
+            if weight[y] < top:
+                levels[weight[y]].append(y)
+        for j, level in enumerate(levels):
+            while level:
+                for y in g.adj[level.pop()]:
+                    if y in seen or y not in remaining:
+                        continue
+                    seen.add(y)
+                    w = weight[y]
+                    if w <= j:
+                        level.append(y)
+                        continue
+                    s.append(y)
+                    if w < top:
+                        levels[w].append(y)
+        return s
 
     return _max_cardinality_search(g, vertices, bump)
 

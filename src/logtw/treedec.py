@@ -108,8 +108,8 @@ def decomposition_from_elimination(g, order):
     """Tree decomposition induced by an elimination order.
 
     Bag of v = v plus its neighbors at elimination time (in the graph
-    progressively completed on eliminated neighborhoods); the bag of v
-    hangs off the bag of the first later-eliminated bag member.
+    progressively completed on eliminated neighborhoods); _elimination_tree
+    hangs each bag off the bag of its first later-eliminated member.
     """
     if g.n == 0:
         return TreeDecomposition([frozenset()], [])
@@ -123,6 +123,15 @@ def decomposition_from_elimination(g, order):
             for b in later:
                 if a != b:
                     adj[a].add(b)
+    return _elimination_tree(order, bags)
+
+
+def _elimination_tree(order, bags):
+    """The tree decomposition whose bag i is bags[i], the bag of order[i]
+    at its elimination: it hangs off the bag of its first later-eliminated
+    member, and the bags with no such member, one per component, are
+    chained so the result is a tree."""
+    pos = {v: i for i, v in enumerate(order)}
     edges = []
     roots = []
     for i, v in enumerate(order):
@@ -132,7 +141,6 @@ def decomposition_from_elimination(g, order):
             edges.append((i, pos[parent]))
         else:
             roots.append(i)
-    # one root per connected component; chain them so the result is a tree
     for a, b in zip(roots, roots[1:]):
         edges.append((a, b))
     return TreeDecomposition(bags, edges)
@@ -226,11 +234,13 @@ def greedy_fill_decomposition(g):
     smallest id on ties.  Valid at any size; width is not guaranteed
     optimal.
 
-    Eliminating v changes the fill-in of its neighbours (they lose v and
-    gain edges) and of their neighbours (edges appear among theirs), and
-    of no other vertex; so only those are recounted, and the next vertex
-    comes off a lazy min-heap of (fill, id) entries, stale ones dropped as
-    they surface."""
+    The next vertex comes off a lazy min-heap of (fill, id) entries,
+    stale ones dropped as they surface.  Eliminating v turns N(v) into a
+    clique.  A vertex x outside N(v) keeps its neighbourhood, so its fill
+    drops by exactly the number of new fill edges ab inside it: each new
+    edge decrements every common neighbour of a and b outside N(v),
+    counted before the update.  Only N(v) is recounted in full.  The bag {v} | N(v) is taken
+    in the same pass, and _elimination_tree links the bags."""
     if g.n == 0:
         return TreeDecomposition([frozenset()], [])
     adj = [set(nb) for nb in g.adj]  # the remaining vertices only
@@ -245,6 +255,7 @@ def greedy_fill_decomposition(g):
     heap = [(f, v) for v, f in enumerate(fill)]
     heapq.heapify(heap)
     order = []
+    bags = []
     while len(order) < g.n:
         f, v = heapq.heappop(heap)
         if fill[v] != f:
@@ -252,18 +263,27 @@ def greedy_fill_decomposition(g):
         order.append(v)
         fill[v] = None
         nbrs = adj[v]
+        bags.append(frozenset(nbrs | {v}))
+        for a in nbrs:
+            adj[a].discard(v)
+        changed = set()
+        for a in nbrs:
+            for b in nbrs - adj[a]:
+                if a < b:  # a new fill edge ab
+                    for x in adj[a] & adj[b] - nbrs:
+                        fill[x] -= 1
+                        changed.add(x)
         for a in nbrs:
             adj[a] |= nbrs
-            adj[a] -= {a, v}
-        touched = set(nbrs)
+            adj[a].discard(a)
         for a in nbrs:
-            touched |= adj[a]
-        for x in touched:
-            f = fill_needed(x)
-            if f != fill[x]:
-                fill[x] = f
-                heapq.heappush(heap, (f, x))
-    return decomposition_from_elimination(g, order)
+            f = fill_needed(a)
+            if f != fill[a]:
+                fill[a] = f
+                changed.add(a)
+        for x in changed:
+            heapq.heappush(heap, (fill[x], x))
+    return _elimination_tree(order, bags)
 
 
 # -- solvers ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from logtw.treedec import TreeDecomposition
 
 import brute
 import lemmas
-from conftest import glued, random_corpus, search_corpus
+from conftest import glued, ladder, random_corpus, search_corpus
 
 
 def test_ramsey_table_and_fallback():
@@ -208,6 +208,27 @@ def test_searches_match_their_references():
             _, want = lemmas.reference_minimal_triangulation(sub)
             assert order == [ids[x] for x in want]
             assert set(madj) == c
+
+
+def test_searches_match_their_references_on_uncertified_shapes():
+    # on the shapes an uncertified build splits and eliminates, at the
+    # sizes where the searches do the most work, MCS-M's level reach
+    # gives the first-written order and the madj of the graph it
+    # completes, and the min-fill decrements give the first-written
+    # min-fill order
+    graphs = [generators.wall(k) for k in (6, 7, 8)]
+    graphs += [generators.random_graph(n, 2 / n, seed=10 * n + k)
+               for n in (45, 50, 55, 60) for k in (0, 1)]
+    graphs.append(ladder(200))
+    for g in graphs:
+        order, madj = separators.minimal_triangulation(g, g.vertices())
+        fill, want = lemmas.reference_minimal_triangulation(g)
+        assert order == want
+        assert madj == lemmas.reference_madj(
+            g.with_edges(tuple(sorted(e)) for e in fill).adj, order)
+        assert treedec.greedy_fill_decomposition(g) == \
+            treedec.decomposition_from_elimination(
+                g, lemmas.reference_min_fill_order(g))
 
 
 def test_split_matches_its_reference_and_glue_hangs_each_atom():

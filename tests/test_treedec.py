@@ -95,6 +95,25 @@ def test_min_fill_order_matches_its_reference():
                 g, lemmas.reference_min_fill_order(g))
 
 
+def test_min_fill_decrements_outside_and_recounts_inside():
+    # (a) K_{3,3} on {0, 1, 2} and {3, 4, 5} plus the edge 34: eliminating
+    # 0 adds the fill edges 35 and 45, both inside N(1), so the fill of 1,
+    # outside N(0), drops from 2 to 0 and 1 goes next, before 3 (fill 1).
+    # (b) the wheel with hub 1 and rim 0-3-2-4: eliminating 0 adds 34,
+    # whose common neighbours are 2, outside N(0), and 1, inside it; 1
+    # also loses the missing pair 02, so a decrement would leave it at 1,
+    # and 2 (fill 0) would go next instead of 1
+    a = Graph(6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3),
+                  (2, 4), (2, 5), (3, 4)])
+    b = Graph(5, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3),
+                  (2, 4)])
+    for g in (a, b):
+        order = lemmas.reference_min_fill_order(g)
+        assert order[:2] == [0, 1]
+        assert treedec.greedy_fill_decomposition(g) == \
+            treedec.decomposition_from_elimination(g, order)
+
+
 def test_optimal_order_matches_its_reference():
     # walking the masks in numeric order gives the width and the order
     # that the first-written walk by size buckets, kept in lemmas, gives
