@@ -16,9 +16,13 @@ bag by the next step, and extends the bag's decomposition back over the
 components it cut off (each split the same way).  The recursion ends at
 a central bag that is hub-free (solved by bounded-width search) or owns
 a balanced layer vertex (solved through the contraction graph).  Each
-atom's bags are written once, in the split graph's ids, into the one bag
-list the build returns; the glue adds only the tree edges that link the
-atoms at their cutset cliques.
+piece's hub set comes from detect.hubs, which checks the build's hole
+cap and counts holes against its own budget; every piece decomposition
+a level extends over is first structured into potential maximal cliques
+(make_structured), whatever its size.  Each atom's bags are written
+once, in the split graph's ids, into the one bag list the build returns;
+the glue adds only the tree edges that link the atoms at their cutset
+cliques.
 """
 
 from dataclasses import dataclass, field
@@ -26,22 +30,21 @@ from dataclasses import dataclass, field
 from . import detect
 from .central_bag import (build_contraction, central_bag,
                           extend_neighborhood, extend_tree)
-from .graph import HOLE_ENUM_VERTEX_CAP, BuildCheckFailed
+from .graph import BuildCheckFailed
 from .hub_partition import build_hub_partition, is_balanced
 from .separators import clique_cutset_atoms, make_structured, ramsey
 from .treedec import (EXACT_TW_CAP, TreeDecomposition, exact_treewidth,
                       greedy_fill_decomposition, validate)
 
 
-STRUCTURE_CAP = 120  # bag-structuring (minimal completion) budget
-HUB_BUDGET = 5000  # holes examined per hub search; it fails loudly past it
-
-
 @dataclass(frozen=True)
 class Caps:
-    """Exact-search budgets for one build."""
-    detect: int = detect.DEFAULT_CAP  # class membership verified only up to here
-    hole: int = HOLE_ENUM_VERTEX_CAP  # certified builds' hub search hole cap
+    """Exact-search budgets for one build, the two `--caps` keys: class
+    membership is checked only on inputs of at most `detect` vertices,
+    and a certified build hands `hole` to each hub search it runs, which
+    checks it (the search's other limit, detect.HUB_BUDGET, is its own)."""
+    detect: int = 30
+    hole: int = 64
 
 
 class ClassViolation(Exception):
@@ -242,16 +245,6 @@ def _any(g, pieces, induced, t, caps, report, depth):
     return TreeDecomposition(bags or [frozenset()], edges)
 
 
-def _structured(g, td):
-    """Rebuild td over g with every bag a potential maximal clique, within
-    the structuring budget: the minimal-completion step is what the
-    certified bag accounting relies on, but it is expensive on dense
-    graphs."""
-    if g.n > STRUCTURE_CAP:
-        return td
-    return make_structured(g, td)
-
-
 def _hub_free(g, t):
     """Decomposition of a hub-free piece, or of any atom of an uncertified
     build: greedy fill first, exact search when the greedy width misses
@@ -273,7 +266,7 @@ def _atom(g, t, caps, report, depth):
         report.trace.append({"depth": depth, "n": g.n, "branch": "cube"})
         return _hub_free(g, t)
 
-    hp = build_hub_partition(g, hole_cap=caps.hole, budget=HUB_BUDGET)
+    hp = build_hub_partition(g, detect.hubs(g, caps.hole))
     report.delta_used = max(report.delta_used, hp.delta)
     report.hdim_used = max(report.hdim_used, hp.order)
     return _shrink(g, g.vertices(), hp, hp.hub_set, 0, t, caps, report,
@@ -291,11 +284,10 @@ def _shrink(g, ids, hp, hub, first, t, caps, report, depth, n):
     next step and the tree is extended back over the components it cut
     off.  The bag's decomposition stays in its own ids, as does each
     component's, and extend_tree maps them to g's in the one copy that
-    writes the level's bags.  With no hub left, g is hub-free.
+    writes the level's bags.  With no hub left, every later layer meets
+    none of it and is passed over, and g is hub-free.
     """
     for idx in range(first, len(hp.layers)):
-        if not hub:
-            break
         layer = hp.layers[idx]
         # consumed layers must already be clear of the surviving hub set,
         # and surviving layer vertices stay low-degree towards it
@@ -325,10 +317,10 @@ def _shrink(g, ids, hp, hub, first, t, caps, report, depth, n):
         report.levels.append({"beta": g.n, "sprime": len(sprime),
                               "branch": "shrink"})
         sub, sub_ids = g.induced(central[0])
-        sub_hub = detect.hubs(sub, hole_cap=caps.hole, budget=HUB_BUDGET)
+        sub_hub = detect.hubs(sub, caps.hole)
         td = _shrink(sub, [ids[x] for x in sub_ids], hp, sub_hub, idx + 1,
                      t, caps, report, depth, n)
-        t_beta = _structured(sub, td)
+        t_beta = make_structured(sub, td)
         parts = _parts(g, g.components(removed=central[0]), t, caps, report,
                        depth + 1)
         return extend_tree(central, t_beta, sub_ids, parts)
@@ -353,7 +345,7 @@ def _parts(g, parts, t, caps, report, depth):
         pieces = split(sub)
         td = _any(sub, pieces, class_atoms(sub, pieces, t), t, caps, report,
                   depth)
-        out.append((_structured(sub, td), ids))
+        out.append((make_structured(sub, td), ids))
     return out
 
 
@@ -362,6 +354,6 @@ def _balanced(g, v, hub, t, caps, report, depth):
     component of g minus N[v], solve the (wheel-free) contraction by the
     hub-free routine, recurse on the components, and extend back."""
     cg = build_contraction(g, v, hub)
-    t0 = _structured(cg.h, _hub_free(cg.h, t))
+    t0 = make_structured(cg.h, _hub_free(cg.h, t))
     return extend_neighborhood(g, cg, t0, _parts(g, cg.parts, t, caps,
                                                  report, depth + 1))

@@ -2,9 +2,10 @@
 verify decompositions, run the tree-decomposition solvers, and benchmark
 width against graph size.
 
-Exit codes: 0 success, 2 parse error, 3 validation failure (including a
-failed check on the builder's or a solver's output), 4 exact-search cap
-exceeded, 5 forbidden structure without --uncertified-ok.
+Exit codes: 0 success, 2 parse error or a file that cannot be read or
+written, 3 validation failure (including a failed check on the builder's
+or a solver's output), 4 exact-search cap exceeded, 5 forbidden structure
+without --uncertified-ok.
 """
 
 import argparse
@@ -283,7 +284,7 @@ def main(argv=None):
         return e.code if e.code else EXIT_OK
     try:
         return args.fn(args)
-    except (FormatError, FileNotFoundError, ValueError) as e:
+    except (FormatError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except SizeCapExceeded as e:

@@ -4,17 +4,19 @@ membership test built on it, and the hub search.
 
 Every detector is an exhaustive search with pruning, and the first
 structure it finds ends it.  A caller bounds its cost through check_cap,
-once per graph, before any finder runs: the class membership test caps g
-at DEFAULT_CAP vertices unless told otherwise.  Every positive answer
-carries a certificate whose verify() re-checks the full definition
-against the host graph.  A pinched prism is a prism whose two triangles
-share a vertex: that vertex is its third leg, a path of length zero.  So
-the theta, pyramid, prism and pinched-prism finders differ only in which
-ends they try: each is three induced paths between two ends (a vertex or
-a triangle), found by the one search `_three_paths`.  Their verifiers
-check the definition itself, three legs between the given ends any two of
-which close into a hole, a one-vertex leg in a pinched prism only, and
-share no code with that search.
+once per graph, before any finder runs, with the cap it is given; the
+class membership test too takes its cap from its caller.  The hub search
+owns both of its limits: it checks the hole cap it is given against g
+and counts the holes it examines against HUB_BUDGET.  Every positive
+answer carries a certificate whose verify() re-checks the full
+definition against the host graph.  A pinched prism is a prism whose two
+triangles share a vertex: that vertex is its third leg, a path of length
+zero.  So the theta, pyramid, prism and pinched-prism finders differ only
+in which ends they try: each is three induced paths between two ends (a
+vertex or a triangle), found by the one search `_three_paths`.  Their
+verifiers check the definition itself, three legs between the given ends
+any two of which close into a hole, a one-vertex leg in a pinched prism
+only, and share no code with that search.
 """
 
 from dataclasses import dataclass, field
@@ -23,11 +25,10 @@ from itertools import combinations, permutations
 from .graph import (BuildCheckFailed, SizeCapExceeded, degeneracy_order,
                     enumerate_holes, is_induced_path)
 
-DEFAULT_CAP = 30
+HUB_BUDGET = 5000  # holes examined per hub search; it fails loudly past it
 
 
 def check_cap(g, cap):
-    cap = DEFAULT_CAP if cap is None else cap
     if g.n > cap:
         raise SizeCapExceeded(f"detector capped at n <= {cap}, got n = {g.n}")
 
@@ -284,7 +285,7 @@ def cubes(g):
     enumeration order.  Both centres see three ring vertices, so b1 and b2
     are drawn, ids ascending, from the vertices the walk yields as seeing
     three of the hole."""
-    for hole, _, three in enumerate_holes(g, max_len=6, min_len=6, cap=g.n):
+    for hole, _, three in enumerate_holes(g, max_len=6, min_len=6):
         hset = set(hole)
         centres = []
         while three:
@@ -342,15 +343,16 @@ def has_clique(g, t):
 
 # -- hubs -----------------------------------------------------------------
 
-def hubs(g, hole_cap=None, budget=None):
+def hubs(g, hole_cap):
     """The set of hub vertices: each is the center of at least one wheel,
     a hole of length >= 5 plus a vertex off it with >= 3 neighbours on
     it, at least two pairs of them cyclically consecutive yet apart on
     the hole (the wheel's long sectors).
 
-    `budget` bounds the holes examined to the first `budget` holes of
-    length >= 5 in `enumerate_holes` order; past it the scan raises
-    SizeCapExceeded.
+    The search owns its two limits, and each raises SizeCapExceeded: g
+    may have at most hole_cap vertices, checked before any hole is
+    walked, and only the first HUB_BUDGET holes of length >= 5 in
+    `enumerate_holes` order are examined.
 
     Each hole comes from the walk with the mask of the vertices that see
     at least three of its vertices, none of them on the hole; a candidate
@@ -360,13 +362,16 @@ def hubs(g, hole_cap=None, budget=None):
     through this module's `enumerate_holes` binding, where the
     benchmark's tracer counts them.
     """
+    if g.n > hole_cap:
+        raise SizeCapExceeded(
+            f"hole enumeration capped at n <= {hole_cap}, got {g.n}")
     adj = g.adj
     found = 0
-    holes = enumerate_holes(g, min_len=5, cap=hole_cap)
+    holes = enumerate_holes(g, min_len=5)
     for count, (hole, _, three) in enumerate(holes):
-        if budget is not None and count >= budget:
+        if count >= HUB_BUDGET:
             raise SizeCapExceeded(
-                f"hub search budget of {budget} holes exhausted")
+                f"hub search budget of {HUB_BUDGET} holes exhausted")
         cands = three & ~found
         while cands:
             bit = cands & -cands
@@ -393,7 +398,7 @@ def _in_host(cert, ids):
     return Certificate(cert.kind, {k: host(v) for k, v in cert.roles.items()})
 
 
-def in_class_Ct(g, t, caps=None, atoms=None):
+def in_class_Ct(g, t, caps, atoms=None):
     """Is g (theta, pyramid, generalized prism, K_t)-free?
 
     Returns (bool, certificate-of-first-violation-or-None).
@@ -406,8 +411,8 @@ def in_class_Ct(g, t, caps=None, atoms=None):
     one the whole-graph search finds; the certificate's roles are in g's
     ids.  Without atoms g is searched whole.  Every certificate is checked
     against g before it is returned, so a finder's answer that fails the
-    definition raises BuildCheckFailed instead.  The size cap applies to
-    g either way, after the clique search.
+    definition raises BuildCheckFailed instead.  The size cap, at most
+    caps vertices, applies to g either way, after the clique search.
     """
     pieces = [(g, range(g.n))] if atoms is None else atoms
     for sub, ids in pieces:

@@ -11,9 +11,6 @@ import heapq
 from collections import deque
 
 
-HOLE_ENUM_VERTEX_CAP = 64
-
-
 class SizeCapExceeded(Exception):
     """An operation was asked to run beyond its configured exact-search cap."""
 
@@ -208,8 +205,6 @@ def strict_degeneracy(g):
     """The strict delta: smallest value such that every subgraph has a
     vertex of degree strictly less; equals standard degeneracy + 1.
     Empty graphs get delta = 1 so the 4*delta thresholds stay positive."""
-    if g.n == 0:
-        return 1
     return degeneracy_order(g)[1] + 1
 
 
@@ -244,7 +239,7 @@ def adjacency_masks(g):
     return masks
 
 
-def enumerate_holes(g, max_len=None, min_len=4, cap=None):
+def enumerate_holes(g, max_len=None, min_len=4):
     """Yield every induced cycle of length >= min_len exactly once, as a
     triple (hole, mask, three): the hole's vertices, the OR of their bits
     and the mask of the vertices with at least three neighbours on the
@@ -265,11 +260,13 @@ def enumerate_holes(g, max_len=None, min_len=4, cap=None):
     extending each path by the neighbours of its last vertex in ascending
     order; a hole is yielded when the next vertex closes the path back to
     v0.
+
+    The walk has no size cap of its own, though its cost can grow
+    exponentially with n: each caller bounds it.  The hub search checks
+    its hole cap and counts holes against its budget; the cube search
+    runs on a certified atom of fewer than 9t vertices, or for
+    `logtw detect --what cube`, under its `--cap` when one is given.
     """
-    cap = HOLE_ENUM_VERTEX_CAP if cap is None else cap
-    if g.n > cap:
-        raise SizeCapExceeded(
-            f"hole enumeration capped at n <= {cap}, got {g.n}")
     if max_len is None:
         max_len = g.n
     amask = adjacency_masks(g)

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 from .graph import (BuildCheckFailed, greedy_color_by_degeneracy,
                     strict_degeneracy)
-from . import detect
 
 
 @dataclass(frozen=True)
@@ -52,15 +51,14 @@ class HubPartition:
             removed |= s
 
 
-def layered_halving(g, delta=None):
-    """Partition V(g) into layers T_1..T_m, m <= ceil(log2 n) + 1.
+def layered_halving(g, delta):
+    """Partition V(g) into layers T_1..T_m, m <= ceil(log2 n) + 1, where
+    delta is g's strict degeneracy.
 
     T_1 takes exactly ceil(n/2) vertices of degree <= 4*delta (smallest
     ids first), and the rest is partitioned recursively; each vertex has
     degree <= 4*delta in the graph left when its layer starts.
     """
-    if delta is None:
-        delta = strict_degeneracy(g)
     remaining = set(g.vertices())
     layers = []
     while remaining:
@@ -75,14 +73,14 @@ def layered_halving(g, delta=None):
     return layers
 
 
-def build_hub_partition(g, hole_cap=None, budget=None):
-    """Partition Hub(g) into stable low-degree layers.
+def build_hub_partition(g, hub):
+    """Partition hub, g's hub set as detect.hubs finds it, into stable
+    low-degree layers.
 
-    Runs the layered halving on g[Hub(g)] and splits each layer into
-    stable sets by greedy coloring along the reverse degeneracy order;
-    the layer count is at most delta * (ceil(log2 n) + 1).
+    Runs the layered halving on g[hub] and splits each layer into stable
+    sets by greedy coloring along the reverse degeneracy order; the layer
+    count is at most delta * (ceil(log2 n) + 1).
     """
-    hub = detect.hubs(g, hole_cap=hole_cap, budget=budget)
     if not hub:
         return HubPartition((), 1, hub)
     sub, ids = g.induced(hub)

@@ -146,16 +146,17 @@ def _elimination_tree(order, bags):
     return TreeDecomposition(bags, edges)
 
 
-def exact_treewidth(g, cap=EXACT_TW_CAP):
-    """Exact treewidth with an optimal witness decomposition.
+def exact_treewidth(g):
+    """Exact treewidth with an optimal witness decomposition, for g of at
+    most EXACT_TW_CAP vertices; a larger g raises SizeCapExceeded.
 
     Treewidth is the maximum over connected components, so each component
     gets its own subset DP and the optimal orders are concatenated;
     decomposition_from_elimination chains the component roots.
     """
-    if g.n > cap:
-        raise SizeCapExceeded(f"exact treewidth capped at n <= {cap}, "
-                              f"got n = {g.n}")
+    if g.n > EXACT_TW_CAP:
+        raise SizeCapExceeded(f"exact treewidth capped at n <= "
+                              f"{EXACT_TW_CAP}, got n = {g.n}")
     if g.n == 0:
         return 0, TreeDecomposition([frozenset()], [])
     tw = 0
@@ -206,8 +207,6 @@ def _optimal_order(g):
     # every predecessor of a mask is numerically smaller, so ascending
     # order settles each mask before it is extended
     for mask in range(full):
-        if mask not in dp:
-            continue
         base = dp[mask]
         f = full & ~mask
         while f:

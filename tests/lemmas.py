@@ -129,7 +129,7 @@ def reference_verify_prism(g, roles):
 # check and its direct K_t search.
 
 def reference_find_pinched_prism(g):
-    for hole, _, _ in enumerate_holes(g, min_len=6, cap=g.n):
+    for hole, _, _ in enumerate_holes(g, min_len=6):
         hset = set(hole)
         for c in g.vertices():
             if c in hset:
@@ -258,9 +258,9 @@ def is_valid_wheel(g, wheel):
     return nbrs >= 3 and len(long_sectors(g, wheel)) >= 2
 
 
-def wheels_at(g, v, hole_cap=None):
+def wheels_at(g, v):
     """All wheels with hub v, in canonical hole order."""
-    for hole, _, _ in enumerate_holes(g, min_len=5, cap=hole_cap):
+    for hole, _, _ in enumerate_holes(g, min_len=5):
         if v in hole:
             continue
         w = Wheel(hole, v)
@@ -268,10 +268,10 @@ def wheels_at(g, v, hole_cap=None):
             yield w
 
 
-def optimal_wheel(g, v, hole_cap=None):
+def optimal_wheel(g, v):
     """A wheel at v minimizing the hub's hole-neighbor count; ties broken
     by lexicographically least canonical hole. None if v is not a hub."""
-    return min(wheels_at(g, v, hole_cap=hole_cap), default=None,
+    return min(wheels_at(g, v), default=None,
                key=lambda w: (len(g.adj[v] & set(w.hole)), w.hole))
 
 

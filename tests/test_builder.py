@@ -193,6 +193,23 @@ def test_certified_builds_walk_the_hub_layers():
         assert [lv["branch"] for lv in report.levels] == branches
 
 
+def test_shrink_passes_over_layers_clear_of_the_hub_set():
+    # a shrink step handed no hub vertex finds each remaining layer clear
+    # of the hub set, passes over it without a level, and ends hub-free:
+    # the hub-free routine's decomposition, traced once
+    g, _ = hub_layer_cases()[1]
+    hp = builder.build_hub_partition(g, detect.hubs(g, g.n))
+    assert [sorted(layer) for layer in hp.layers] == [[13], [14]]
+    report = builder.BuildReport(t=3, n=g.n, certified=True)
+    td = builder._shrink(g, g.vertices(), hp, frozenset(), 0, 3, Caps(),
+                         report, 0, g.n)
+    free = builder._hub_free(g, 3)
+    assert (td.bags, td.edges) == (free.bags, free.edges)
+    assert report.levels == []
+    assert report.trace == [{"depth": 0, "n": g.n, "beta": g.n,
+                             "branch": "hub-free"}]
+
+
 def test_builder_output_is_pinned():
     # sha256 over the bags, edges, report lines and trace of these builds,
     # recorded from a known-good build: a change to the output, its order

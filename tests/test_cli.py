@@ -1,6 +1,7 @@
 """File formats and the command-line interface, driven through main()."""
 
 import io
+import re
 from dataclasses import fields
 
 import pytest
@@ -15,6 +16,11 @@ from logtw.graph import Graph
 from conftest import hub_layer_cases
 
 
+def _commented(text):
+    """text with a comment line and a blank line before every line."""
+    return "".join(f"c a comment\n\n{line}\n" for line in text.splitlines())
+
+
 def test_graph_format_round_trip():
     for g in (generators.cycle(7), Graph(5), Graph(0),
               generators.random_graph(12, 0.4, 3)):
@@ -22,6 +28,8 @@ def test_graph_format_round_trip():
         write_graph(g, buf)
         buf.seek(0)
         assert read_graph(buf) == g
+        # `c` comment lines and blank lines are skipped
+        assert read_graph(io.StringIO(_commented(buf.getvalue()))) == g
 
 
 def test_td_format_round_trip():
@@ -33,6 +41,9 @@ def test_td_format_round_trip():
     td2, n = read_td(buf)
     assert n == g.n
     assert td2.bags == td.bags and td2.edges == td.edges
+    td3, n = read_td(io.StringIO(_commented(buf.getvalue())))
+    assert n == g.n
+    assert td3.bags == td.bags and td3.edges == td.edges
 
 
 def test_graph_format_rejects_garbage():
@@ -41,17 +52,41 @@ def test_graph_format_rejects_garbage():
             ("p tw 3 1\n1 4\n", "vertex out of range"),
             ("p tw 3 2\n1 2\n", "header says 2 edges, found 1"),
             ("p tw 3 0\n1 2\n", "header says 0 edges, found 1"),
-            ("p tw 3 2\n1 2\n2 1\n", "line 3: repeated edge 2 1")):
+            ("p tw 3 2\n1 2\n2 1\n", "line 3: repeated edge 2 1"),
+            ("p tw 2 0\np tw 2 0\n", "line 2: duplicate header"),
+            ("p tw 2\n", "line 1: bad header 'p tw 2'"),
+            ("p td 2 0\n", "line 1: bad header 'p td 2 0'"),
+            ("p tw 3 1\n1 2 3\n", "line 2: bad edge '1 2 3'"),
+            ("p tw 3 1\n1\n", "line 2: bad edge '1'"),
+            ("c no header\n", "missing `p tw` header"),
+            ("", "missing `p tw` header"),
+            ("p tw 3 1\n2 2\n", "self-loop"),  # Graph's ValueError
+            ("p tw x 1\n", "line 1: expected integers"),
+            ("p tw 3 1\n1 b\n", "line 2: expected integers")):
         with pytest.raises(FormatError, match=message):
             read_graph(io.StringIO(text))
 
 
 def test_td_format_rejects_garbage():
-    for text in ("s td 1 1 3\nb 1 1 2 3\nb 2 1\n",   # bag count mismatch
-                 "s td 1 1 3\nb 1 1 2 3 4\n",        # vertex out of range
-                 "s td 2 3 3\nb 1 1 2 3\nb 2 1\n3 1\n",  # edge ids bad
-                 "s td 1 2 2\nb\n"):                 # bag without an id
-        with pytest.raises(FormatError):
+    for text, message in (
+            ("s td 1 1 3\nb 1 1 2 3\nb 2 1\n", "bag ids must be exactly 1..N"),
+            ("s td 1 1 3\nb 1 1 2 3 4\n", "line 2: vertex out of range"),
+            ("s td 2 3 3\nb 1 1 2 3\nb 2 1\n3 1\n", "tree edge out of range"),
+            ("s td 1 2 2\nb\n", "line 2: bag without an id"),
+            ("s td 1 1 1\ns td 1 1 1\nb 1 1\n", "line 2: duplicate header"),
+            ("s td 1 1\n", "line 1: bad header 's td 1 1'"),
+            ("b 1 1\ns td 1 1 1\n", "line 1: bag before header"),
+            ("s td 1 1 1\nb 1 1\nb 1 1\n", "line 3: duplicate bag 1"),
+            ("s td 2 1 2\nb 1 1\nb 2 2\n1 2 3\n",
+             "line 4: bad tree edge '1 2 3'"),
+            ("s td 2 1 2\nb 1 1\nb 2 2\n1\n", "line 4: bad tree edge '1'"),
+            ("c no header\n", "missing `s td` header"),
+            ("", "missing `s td` header"),
+            ("s td 1 3 2\nb 1 1 2\n", "header says width 2, bags give 1"),
+            ("s td x 1 1\n", "line 1: expected integers"),
+            ("s td 1 1 1\nb 1 a\n", "line 2: expected integers"),
+            ("s td 2 1 2\nb 1 1\nb 2 2\n1 z\n", "line 4: expected integers")):
+        with pytest.raises(FormatError, match=re.escape(message)):
             read_td(io.StringIO(text))
 
 
@@ -172,6 +207,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.gr"
     assert main(["detect", "--in", str(missing), "--what", "theta"]) == 2
     capsys.readouterr()
+    # so is a path that cannot be read or written, here a directory
+    assert main(["verify", "--graph", str(tmp_path), "--td",
+                 str(tmp_path)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert main(["gen", "cycle", "5", "--out", str(tmp_path)]) == 2
+    assert "error: " in capsys.readouterr().err
 
     # a certified run that needs more hole budget than allowed fails
     # loudly with the cap exit code
@@ -186,6 +227,41 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--cap", "10"]) == 4
     assert "detector capped at n <= 10, got n = 40" in \
         capsys.readouterr().err
+
+
+def test_cli_gen_bench_verify_and_help_exits(tmp_path, capsys):
+    assert main(["gen", "random", "6", "0.5", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "p tw 6 8"
+    # a wrong parameter count is a usage error
+    for argv, message in ((["random", "6"], "random needs: n p"),
+                          (["random-in-class", "6", "0.5"],
+                           "random-in-class needs: n p t"),
+                          (["cycle", "5", "6"], "cycle needs 1 parameter(s)")):
+        assert main(["gen", *argv]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+    # K_3 is the only draw at p = 1, and no draw of it is triangle-free
+    assert main(["gen", "random-in-class", "3", "1.0", "3"]) == 3
+    assert "no class member found within the try budget" in \
+        capsys.readouterr().err
+    assert main(["bench", "--sizes", "3", "--p-mult", "3"]) == 3
+    assert "n=3: no class member found" in capsys.readouterr().err
+    # a decomposition of the right n that misses an edge is invalid
+    gpath = tmp_path / "c8.gr"
+    tdpath = tmp_path / "path.td"
+    main(["gen", "cycle", "8", "--out", str(gpath)])
+    with open(tdpath, "w") as fh:
+        write_td(treedec.decomposition_from_elimination(
+            generators.path(8), list(range(8))), 8, fh)
+    capsys.readouterr()
+    assert main(["verify", "--graph", str(gpath), "--td", str(tdpath)]) == 3
+    assert capsys.readouterr().out.startswith("invalid: ")
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: logtw")
+    # a trailing comma in --caps is accepted, and the cap it sets holds:
+    # eight vertices are above detect=5, so the build is uncertified
+    assert main(["decompose", "--in", str(gpath), "--t", "3",
+                 "--caps", "detect=5,"]) == 0
+    assert "certified=no" in capsys.readouterr().out.splitlines()
 
 
 def test_cli_uncertified_wall_finishes(tmp_path, capsys):

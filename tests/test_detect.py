@@ -338,7 +338,7 @@ def test_wheel_sectors_and_validity():
     for s in secs:
         assert g.has_edge(7, s[0]) and g.has_edge(7, s[-1])
     assert len(lemmas.long_sectors(g, w)) == 3
-    assert sorted(detect.hubs(g)) == [7]
+    assert sorted(detect.hubs(g, g.n)) == [7]
     assert lemmas.optimal_wheel(g, 7) is not None
     assert lemmas.optimal_wheel(g, 0) is None
 
@@ -348,17 +348,17 @@ def test_wheel_rejects_short_or_fanned_holes():
     edges = [(i, (i + 1) % 6) for i in range(6)] + [(6, 0), (6, 1), (6, 2)]
     g = Graph(7, edges)
     assert list(lemmas.wheels_at(g, 6)) == []
-    assert detect.hubs(g) == frozenset()
+    assert detect.hubs(g, g.n) == frozenset()
 
 
-def test_hubs_match_wheel_definition_under_budget():
+def test_hubs_match_wheel_definition_under_budget(monkeypatch):
     graphs = list(random_corpus(12, 12, p=0.3, seed_base=700))
     graphs += [relabelled(generators.wall(k), seed=k) for k in (3, 4)]
     # a 6-hole plus 6, seeing hole positions 0, 1, 2 (three of the hole
     # but one long sector: no hub), and 7, seeing 0, 1, 3 (a hub)
     sectors = Graph(8, [(i, (i + 1) % 6) for i in range(6)] +
                     [(6, 0), (6, 1), (6, 2), (7, 0), (7, 1), (7, 3)])
-    assert detect.hubs(sectors) == {7}
+    assert detect.hubs(sectors, sectors.n) == {7}
     graphs.append(sectors)
     assert max(len(list(enumerate_holes(g, min_len=5)))
                for g in graphs) > 50
@@ -366,22 +366,27 @@ def test_hubs_match_wheel_definition_under_budget():
         holes = [hole for hole, _, _ in enumerate_holes(g, min_len=5)]
         expected = {v for v in g.vertices() if any(
             lemmas.is_valid_wheel(g, lemmas.Wheel(h, v)) for h in holes)}
-        for budget in (None, 1, 7, 50):
-            if budget is not None and len(holes) > budget:
-                with pytest.raises(SizeCapExceeded,
-                                   match=r"budget of \d+ holes"):
-                    detect.hubs(g, budget=budget)
-            else:
-                assert detect.hubs(g, budget=budget) == expected
-    with pytest.raises(SizeCapExceeded, match=r"capped at n <= \d+"):
-        detect.hubs(Graph(70))
-    # the default budget of 5000 holes binds on relabelled copies of
-    # wall(6)
+        # the search counts holes against its own HUB_BUDGET, so the
+        # smaller budgets are set there
+        for budget in (detect.HUB_BUDGET, 1, 7, 50):
+            with monkeypatch.context() as m:
+                m.setattr(detect, "HUB_BUDGET", budget)
+                if len(holes) > budget:
+                    with pytest.raises(SizeCapExceeded,
+                                       match=rf"budget of {budget} holes"):
+                        detect.hubs(g, g.n)
+                else:
+                    assert detect.hubs(g, g.n) == expected
+    # the search checks the hole cap it is given before any walk
+    with pytest.raises(SizeCapExceeded,
+                       match="hole enumeration capped at n <= 64, got 70"):
+        detect.hubs(Graph(70), 64)
+    # the budget of 5000 holes binds on relabelled copies of wall(6)
     for seed in (6, 7):
         g = relabelled(generators.wall(6), seed=seed)
         with pytest.raises(SizeCapExceeded,
                            match="hub search budget of 5000 holes exhausted"):
-            detect.hubs(g, budget=5000)
+            detect.hubs(g, g.n)
 
 
 def test_local_vertices_and_components():
@@ -471,15 +476,16 @@ def test_cube_partition_on_cube_and_blowup():
 
 
 def test_class_membership_predicates():
-    ok, cert = detect.in_class_Ct(generators.cycle(9), 3)
+    cap = builder.Caps().detect
+    ok, cert = detect.in_class_Ct(generators.cycle(9), 3, cap)
     assert ok and cert is None
-    ok, cert = detect.in_class_Ct(generators.theta(2, 2, 2), 3)
+    ok, cert = detect.in_class_Ct(generators.theta(2, 2, 2), 3, cap)
     assert not ok and cert.kind == "Theta" and cert.verify(
         generators.theta(2, 2, 2))
-    ok, cert = detect.in_class_Ct(generators.clique(4), 4)
+    ok, cert = detect.in_class_Ct(generators.clique(4), 4, cap)
     assert not ok and cert.kind == "CliqueKt"
     # K_4 contains no theta/pyramid/prism, so it is in C_5
-    ok, _ = detect.in_class_Ct(generators.clique(4), 5)
+    ok, _ = detect.in_class_Ct(generators.clique(4), 5, cap)
     assert ok
 
     ok, cert = lemmas.in_class_Cstar(generators.cube())
@@ -556,13 +562,14 @@ def test_in_class_by_atoms_matches_whole_graph():
 def test_in_class_by_atoms_keeps_the_cap_order():
     # the clique search runs before the size cap, which limits g itself
     k40, c40 = generators.clique(40), generators.cycle(40)
+    cap = builder.Caps().detect
     for atoms_of in (lambda g: None,
                      lambda g: builder.class_atoms(g, builder.split(g), 3)):
-        ok, cert = detect.in_class_Ct(k40, 3, atoms=atoms_of(k40))
+        ok, cert = detect.in_class_Ct(k40, 3, cap, atoms=atoms_of(k40))
         assert not ok and cert.kind == "CliqueKt"
         with pytest.raises(SizeCapExceeded,
                            match="detector capped at n <= 30, got n = 40"):
-            detect.in_class_Ct(c40, 3, atoms=atoms_of(c40))
+            detect.in_class_Ct(c40, 3, cap, atoms=atoms_of(c40))
 
 
 def _pinched_prism_corpus():

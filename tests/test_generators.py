@@ -96,7 +96,7 @@ def test_random_in_class_edge_cases():
 def test_random_in_class_membership():
     g = random_in_class(20, 0.1, 3, seed=7)
     assert g is not None
-    ok, cert = detect.in_class_Ct(g, 3)
+    ok, cert = detect.in_class_Ct(g, 3, caps=g.n)
     assert ok and cert is None
 
 

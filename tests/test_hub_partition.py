@@ -27,7 +27,7 @@ def _wheel_rich_graph(k):
 
 def test_hubs_found_on_wheel_graph():
     g = _wheel_rich_graph(3)
-    assert detect.hubs(g) == frozenset({7, 15, 23})
+    assert detect.hubs(g, g.n) == frozenset({7, 15, 23})
 
 
 def test_low_degree_half_is_at_least_half():
@@ -44,7 +44,7 @@ def test_layered_halving_invariants():
         if g.n == 0:
             continue
         d = strict_degeneracy(g)
-        layers = hub_partition.layered_halving(g)
+        layers = hub_partition.layered_halving(g, d)
         assert len(layers) <= math.ceil(math.log2(g.n)) + 1
         seen = set()
         remaining = set(g.vertices())
@@ -63,8 +63,8 @@ def test_layered_halving_invariants():
 
 def test_build_hub_partition_invariants():
     g = _wheel_rich_graph(4)
-    hp = hub_partition.build_hub_partition(g)
-    assert hp.hub_set == detect.hubs(g)
+    hp = hub_partition.build_hub_partition(g, detect.hubs(g, g.n))
+    assert hp.hub_set == detect.hubs(g, g.n)
     hp.check(g)  # stability, coverage, disjointness, 4*delta rule
     hub_sub, _ = g.induced(hp.hub_set)
     assert hp.delta == strict_degeneracy(hub_sub)
@@ -72,14 +72,14 @@ def test_build_hub_partition_invariants():
 
 
 def test_build_hub_partition_empty_hub():
-    hp = hub_partition.build_hub_partition(generators.cycle(9))
+    hp = hub_partition.build_hub_partition(generators.cycle(9), frozenset())
     assert hp.layers == () and hp.hub_set == frozenset()
     hp.check(generators.cycle(9))
 
 
 def test_hub_partition_on_class_members():
     for g in class_members(3, 13, 10, seed_base=2000):
-        hp = hub_partition.build_hub_partition(g)
+        hp = hub_partition.build_hub_partition(g, detect.hubs(g, g.n))
         hp.check(g)
         if g.n:
             assert hp.order <= hp.delta * (math.ceil(math.log2(g.n)) + 1)
@@ -87,7 +87,7 @@ def test_hub_partition_on_class_members():
 
 def test_check_catches_violations():
     g = _wheel_rich_graph(2)
-    hp = hub_partition.build_hub_partition(g)
+    hp = hub_partition.build_hub_partition(g, detect.hubs(g, g.n))
     bad = hub_partition.HubPartition(hp.layers + (frozenset({0}),),
                                      hp.delta, hp.hub_set)
     with pytest.raises(BuildCheckFailed):

@@ -99,7 +99,7 @@ def test_cube_forces_clique_cutset_or_cube_partition():
 def test_optimal_wheel_is_not_dominated_by_one_component():
     for g in wheel_bearing_cstar_graphs():
         for v in _hub_set(g):
-            wheels = list(lemmas.wheels_at(g, v, hole_cap=g.n))
+            wheels = list(lemmas.wheels_at(g, v))
             best = min(len(g.adj[v] & set(w.hole)) for w in wheels)
             for w in wheels:
                 if len(g.adj[v] & set(w.hole)) != best:
@@ -226,13 +226,13 @@ def test_contracted_neighborhood_stays_in_class_and_wheel_free():
                                           for i in range(len(cg.kept))])
             assert detect.in_class_Ct(hv, t, caps=hv.n)[0]
             for x in h.vertices():
-                assert next(lemmas.wheels_at(h, x, hole_cap=h.n), None) is None
+                assert next(lemmas.wheels_at(h, x), None) is None
 
 
 def test_hub_partition_bound_on_members():
     import math
     for t, g in _members():
-        hp = hub_partition.build_hub_partition(g)
+        hp = hub_partition.build_hub_partition(g, _hub_set(g))
         hp.check(g)
         if hp.hub_set:
             assert hp.order <= hp.delta * (math.ceil(math.log2(g.n)) + 1)
