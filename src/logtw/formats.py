@@ -43,6 +43,8 @@ def read_graph(fh):
             u, v = _ints(parts, lineno)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise FormatError(f"line {lineno}: vertex out of range")
+            if u == v:
+                raise FormatError(f"line {lineno}: self-loop at {u}")
             edges.append((u - 1, v - 1))
             lines.append(lineno)
     if n is None:

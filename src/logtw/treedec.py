@@ -1,17 +1,20 @@
 """Tree decompositions: data type, validation, exact small-n treewidth,
 and the dynamic-programming solvers that run in 2^O(width) time per bag.
 
-All solvers share one table walk over the decomposition (_dp). A DP
-state is one int packing a k-bit field per bag vertex, in ascending id
-order, so a state operation costs O(width) whatever n is; witnesses are
-back-pointer chains, turned into a set once at the root. A table's
-value counts only the vertices already forgotten, each exactly once, so
-no join needs a correction. Each solver supplies only its field width,
-the field bits two joined states must agree on, the states introducing a
-vertex can give, and what forgetting a field gains or whether it drops
-the state. Introduce reads only the new vertex's neighbour fields and
-only sets bits, so it is asked once per neighbour pattern, not once per
-state; a join whose key is the whole state is one lookup per state.
+The solvers share one table walk over the decomposition (_dp), and
+coloring runs it least: _color_bracket brackets chi between a clique
+bound and a proper greedy coloring, which answer every q outside the
+bracket, so only a q inside it runs the walk. A DP state is one int
+packing a k-bit field per bag vertex, in ascending id order, so a state
+operation costs O(width) whatever n is; witnesses are back-pointer
+chains, turned into a set once at the root. A table's value counts only
+the vertices already forgotten, each exactly once, so no join needs a
+correction. Each solver supplies only its field width, the field bits
+two joined states must agree on, the states introducing a vertex can
+give, and what forgetting a field gains or whether it drops the state.
+Introduce reads only the new vertex's neighbour fields and only sets
+bits, so it is asked once per neighbour pattern, not once per state; a
+join whose key is the whole state is one lookup per state.
 
 Each public solver validates t, then runs its unchecked body
 (solve_stable_set runs _stable_set, and so on); a caller whose
@@ -28,8 +31,8 @@ from .graph import (BuildCheckFailed, SizeCapExceeded, adjacency_masks,
                     greedy_color_by_degeneracy)
 
 EXACT_TW_CAP = 14
-# the largest q of a q-coloring DP; solve_chromatic needs one only when
-# its greedy and clique bounds leave a q above the clique bound open
+# the largest q that solve_q_coloring accepts, and of a q-coloring DP;
+# one runs only when the greedy and clique bounds leave that q open
 Q_COLORING_CAP = 8
 
 
@@ -525,6 +528,21 @@ def solve_q_coloring(g, t, q):
 def _q_coloring(g, t, q):
     """solve_q_coloring on a decomposition t already validated.
 
+    _color_bracket answers every q outside [low, high): q >= high with
+    its proper high-coloring, q < low with no. Only a q in the gap runs
+    the table DP, _coloring_dp.
+    """
+    low, high, color = _color_bracket(g)
+    if q >= high:
+        return True, dict(enumerate(color))
+    if q < low:
+        return False, None
+    return _coloring_dp(g, t, q)
+
+
+def _coloring_dp(g, t, q):
+    """The q-coloring table DP on a decomposition t already validated.
+
     State: q bits per bag vertex, one-hot: bit c set when it has color c;
     a forgotten vertex adds (vertex, color) to the witness.
     """
@@ -542,8 +560,9 @@ def _q_coloring(g, t, q):
     return True, wit
 
 
-def _is_bipartite(g):
-    """Whether a breadth-first 2-coloring of every component succeeds."""
+def _two_coloring(g):
+    """A breadth-first 2-coloring of every component, as a list vertex ->
+    color, or None if g is not bipartite."""
     side = [None] * g.n
     for r in g.vertices():
         if side[r] is not None:
@@ -556,8 +575,34 @@ def _is_bipartite(g):
                     side[w] = 1 - side[u]
                     queue.append(w)
                 elif side[w] == side[u]:
-                    return False
-    return True
+                    return None
+    return side
+
+
+def _color_bracket(g):
+    """(low, high, color): low <= chi <= high, and color, a list vertex ->
+    color in range(high), is a proper coloring of g.
+
+    A bipartite g is answered by its breadth-first 2-coloring, which uses
+    color 1 exactly when g has an edge: low = high = 2, or 1 when g is
+    edgeless (0 when empty). Otherwise a greedy coloring along the
+    degeneracy order gives high, at most degeneracy + 1 (Szekeres and
+    Wilf), and low starts at 3, as g has an odd cycle, and rises past
+    every q for which g has a K_{q+1}.
+    """
+    color = _two_coloring(g)
+    if color is not None:
+        high = max(color, default=-1) + 1
+        return high, high, color
+    color = greedy_color_by_degeneracy(g)
+    if any(color[u] == color[v] for u, v in g.edges()):
+        raise BuildCheckFailed("the greedy degeneracy coloring is not a "
+                               "proper coloring of g")
+    high = max(color) + 1
+    low = 3
+    while low < high and detect.has_clique(g, low + 1) is not None:
+        low += 1
+    return low, high, color
 
 
 def solve_chromatic(g, t):
@@ -569,34 +614,18 @@ def solve_chromatic(g, t):
 def _chromatic(g, t):
     """solve_chromatic on a decomposition t already validated.
 
-    Edgeless and bipartite graphs are answered directly.  Otherwise chi
-    is bracketed first: a greedy coloring along the degeneracy order
-    gives the upper bound high, at most degeneracy + 1 (Szekeres and
-    Wilf), and the lower bound starts at 3 and rises past every q for
-    which g has a K_{q+1}.  The q-coloring DP runs only for q from the
-    lower bound up to high - 1, and high is the answer when each fails.
-    On (theta, triangle)-free graphs the greedy bound is already 3
-    (Radovanovic and Vuskovic), so no DP runs.
+    chi is bracketed first by _color_bracket; the q-coloring DP runs only
+    for q from low up to high - 1, and high is the answer when each
+    fails. On (theta, triangle)-free graphs, which always have a vertex of
+    degree at most 2 (Radovanovic and Vuskovic), high is at most 3, so no
+    DP runs.
     """
-    if g.n == 0:
-        return 0
-    if g.m == 0:
-        return 1
-    if _is_bipartite(g):
-        return 2
-    color = greedy_color_by_degeneracy(g)
-    if any(color[u] == color[v] for u, v in g.edges()):
-        raise BuildCheckFailed("the greedy degeneracy coloring is not a "
-                               "proper coloring of g")
-    high = max(color) + 1
-    low = 3
-    while low < high and detect.has_clique(g, low + 1) is not None:
-        low += 1
+    low, high, _ = _color_bracket(g)
     for q in range(low, high):
         if q > Q_COLORING_CAP:
             raise SizeCapExceeded(f"chromatic search capped at q <= "
                                   f"{Q_COLORING_CAP}, got q = {q}")
-        ok, _ = _q_coloring(g, t, q)
+        ok, _ = _coloring_dp(g, t, q)
         if ok:
             return q
     return high

@@ -60,7 +60,7 @@ def test_graph_format_rejects_garbage():
             ("p tw 3 1\n1\n", "line 2: bad edge '1'"),
             ("c no header\n", "missing `p tw` header"),
             ("", "missing `p tw` header"),
-            ("p tw 3 1\n2 2\n", "self-loop"),  # Graph's ValueError
+            ("p tw 3 1\n2 2\n", "line 2: self-loop at 2"),
             ("p tw x 1\n", "line 1: expected integers"),
             ("p tw 3 1\n1 b\n", "line 2: expected integers")):
         with pytest.raises(FormatError, match=message):
@@ -127,6 +127,35 @@ def test_cli_solve(tmp_path, capsys):
     assert main(["solve", "--graph", str(gpath), "--problem", "q-coloring",
                  "--q", "2"]) == 0
     assert capsys.readouterr().out.strip() == "no"
+
+
+def test_cli_solve_q_coloring_takes_each_branch(tmp_path, capsys,
+                                                monkeypatch):
+    # edgeless, the bipartite test, the greedy bound, the clique bound,
+    # and the 5-wheel's open q = 3, the only one that runs the table DP
+    ran = []
+    real = treedec._dp
+
+    def spy(*args):
+        ran.append(True)
+        return real(*args)
+    monkeypatch.setattr(treedec, "_dp", spy)
+    wheel = Graph(6, [(5, i) for i in range(5)] +
+                  [(i, (i + 1) % 5) for i in range(5)])
+    for name, g, q, expect in (
+            ("edgeless", Graph(4), 1, "yes"),
+            ("c5", generators.cycle(5), 2, "no"),
+            ("c5", generators.cycle(5), 3, "yes"),
+            ("k4", generators.clique(4), 3, "no"),
+            ("w5", wheel, 3, "no")):
+        gpath = tmp_path / f"{name}.gr"
+        with open(gpath, "w") as fh:
+            write_graph(g, fh)
+        ran.clear()
+        assert main(["solve", "--graph", str(gpath), "--problem",
+                     "q-coloring", "--q", str(q)]) == 0
+        assert capsys.readouterr().out == f"{expect}\n"
+        assert bool(ran) == (name == "w5")
 
 
 def test_cli_solve_long_decomposition(tmp_path, capsys):

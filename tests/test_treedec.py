@@ -177,6 +177,61 @@ def test_solvers_match_brute_force():
             assert not bad
 
 
+def test_q_coloring_matches_brute_force_whichever_branch_answers():
+    # test_solvers_match_brute_force's corpus: the bracket answers a q
+    # outside [low, high) and the DP a q inside it, for q up to the cap
+    graphs = [*random_corpus(8, 25, p=0.35, seed_base=1500),
+              *random_corpus(10, 10, p=0.25, seed_base=1600),
+              generators.cycle(5), generators.clique(5), Graph(4)]
+    graphs += [relabelled(g, seed=i) for i, g in enumerate(graphs)]
+    for g in graphs:
+        chi = oracle.brute_chromatic(g)
+        for t in (treedec.exact_treewidth(g)[1],
+                  treedec.greedy_fill_decomposition(g),
+                  decompose(g, 3, uncertified_ok=True)[0]):
+            for q in range(1, treedec.Q_COLORING_CAP + 1):
+                ok, col = treedec.solve_q_coloring(g, t, q)
+                assert ok == (chi <= q)
+                if ok:
+                    assert sorted(col) == list(g.vertices())
+                    assert set(col.values()) <= set(range(q))
+                    assert all(col[u] != col[v] for u, v in g.edges())
+                else:
+                    assert col is None
+
+
+def test_coloring_runs_no_dp_on_sparse_and_class_inputs(monkeypatch):
+    # (theta, triangle)-free graphs have a vertex of degree at most 2, so
+    # the greedy degeneracy coloring needs at most 3 colors; on these
+    # inputs every answer comes from the bracket (G(13, 2/13) seed 1 has
+    # a K_4, which meets its greedy bound 4), and agrees with the DP's,
+    # taken before it is patched away
+    members = [generators.random_in_class(n, 2 / n, 3, seed)
+               for n in (12, 20, 30, 40) for seed in range(4)]
+    graphs = [*(g for g in members if g is not None),
+              *(generators.random_graph(n, 2 / n, seed=seed)
+                for n in range(12, 71) for seed in range(4)),
+              *map(generators.wall, range(3, 6))]
+    assert len(graphs) >= 250
+    cases = []
+    for g in graphs:
+        t = treedec.greedy_fill_decomposition(g)
+        cases.append((g, t, next(q for q in range(1, 9)
+                                 if treedec._coloring_dp(g, t, q)[0])))
+
+    def no_dp(*args):
+        raise AssertionError("the table DP ran")
+
+    monkeypatch.setattr(treedec, "_dp", no_dp)
+    for g, t, chi in cases:
+        ok, col = treedec.solve_q_coloring(g, t, 3)
+        assert ok == (chi <= 3)
+        if ok:
+            assert set(col.values()) <= {0, 1, 2}
+            assert all(col[u] != col[v] for u, v in g.edges())
+        assert treedec.solve_chromatic(g, t) == chi
+
+
 def test_solver_outputs_are_pinned():
     # sha256 over the value and sorted witness of every solver on exact,
     # greedy and builder decompositions (the builder's have bags with many
@@ -202,14 +257,14 @@ def test_solver_outputs_are_pinned():
             + [ok, sorted(col.items()) if ok else None,
                treedec.solve_chromatic(g, t)])
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "faff8519f1be05f0dd530060d068bdffea55328280a616c22edbc558ed8ce95d")
+        "0d1d4563f3b6533aeb64f7d7786360ad9505c0ad29d09071e0152fc1795fdf1c")
 
 
 def test_solver_values_are_pinned():
     # sha256 over every solver's value on the decompositions pinned above,
-    # and over every witness on the exact and greedy ones, recorded before
-    # edge atoms became one bag: only the builder's bags may move a
-    # tie-break witness, never a value
+    # and over every witness on the exact and greedy ones: only the
+    # builder's bags may move a DP tie-break witness, never a value; the
+    # 3-colorings come from the color bracket, whatever the decomposition
     graphs = [*random_corpus(9, 12, p=0.3, seed_base=1700),
               generators.wall(3)]
     decompositions = [(g, t, built) for g in graphs
@@ -234,7 +289,7 @@ def test_solver_values_are_pinned():
             out.append([sorted(wit) for _, wit in answers]
                        + [sorted(col.items()) if ok else None])
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "6f536afc19bed47c908eb3fe5f09caf7f3bbd722cb88e755b6f24142fb0687bd")
+        "7dd21903f6afd5166abe770e7eba7341cb5cc0a11c7c7344950440ec29f72b48")
 
 
 def _rerooted(t, rng):
@@ -274,7 +329,7 @@ def test_solvers_match_the_introduce_time_reference():
                 colorings = {q: lemmas.reference_q_coloring(g, t, q)
                              for q in range(1, 5)}
                 for q, coloring in colorings.items():
-                    assert treedec.solve_q_coloring(g, t, q) == coloring
+                    assert treedec._coloring_dp(g, t, q) == coloring
                 assert treedec.solve_chromatic(g, t) == min(
                     q for q, (ok, _) in colorings.items() if ok)
 
@@ -306,10 +361,11 @@ def test_chromatic_bounds_decide_without_the_dp(monkeypatch):
     def no_dp(g, t, q):
         raise AssertionError(f"the {q}-coloring DP ran")
 
-    monkeypatch.setattr(treedec, "_q_coloring", no_dp)
+    monkeypatch.setattr(treedec, "_coloring_dp", no_dp)
     sparse = [g for n in range(10, 60, 5) for seed in range(6)
               for g in [generators.random_graph(n, 2 / n, seed=seed)]
-              if strict_degeneracy(g) <= 3 and not treedec._is_bipartite(g)]
+              if strict_degeneracy(g) <= 3
+              and treedec._two_coloring(g) is None]
     assert len(sparse) >= 10
     for g in [*map(generators.cycle, range(3, 16, 2)), *sparse]:
         assert treedec.solve_chromatic(
@@ -327,11 +383,11 @@ def test_chromatic_dp_decides_between_the_bounds(monkeypatch):
     # 3-coloring DP fails, so the greedy bound 4 is the answer
     asked = []
 
-    def recorded(g, t, q, dp=treedec._q_coloring):
+    def recorded(g, t, q, dp=treedec._coloring_dp):
         asked.append(q)
         return dp(g, t, q)
 
-    monkeypatch.setattr(treedec, "_q_coloring", recorded)
+    monkeypatch.setattr(treedec, "_coloring_dp", recorded)
     wheel = Graph(6, [(5, i) for i in range(5)] +
                   [(i, (i + 1) % 5) for i in range(5)])
     for g, chi in ((generators.random_graph(10, 0.25, seed=1603), 3),
@@ -359,7 +415,7 @@ def _solver_transitions(monkeypatch, g, t):
             ("stable set", treedec.solve_stable_set),
             ("dominating set", treedec.solve_dominating_set),
             *((f"{q}-coloring", lambda g, t, q=q:
-               treedec.solve_q_coloring(g, t, q)) for q in range(1, 5))):
+               treedec._coloring_dp(g, t, q)) for q in range(1, 5))):
         seen.clear()
         solve(g, t)
         out += [(name, transitions) for transitions in seen]
@@ -440,9 +496,10 @@ def test_solvers_walk_long_decompositions():
     assert ds == len(ds_wit) == 1000
     assert len(g.closed_neighborhood(ds_wit)) == g.n
     for q in (2, 3):
-        ok, col = treedec.solve_q_coloring(g, t, q)
-        assert ok and len(col) == g.n
-        assert all(col[u] != col[v] for u, v in g.edges())
+        for solve in (treedec.solve_q_coloring, treedec._coloring_dp):
+            ok, col = solve(g, t, q)
+            assert ok and len(col) == g.n
+            assert all(col[u] != col[v] for u, v in g.edges())
 
 
 def test_failed_solver_check_raises_and_exits_invalid(monkeypatch, tmp_path,
