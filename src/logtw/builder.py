@@ -185,7 +185,7 @@ def decompose(g, t, caps=None, uncertified_ok=False):
             raise ClassViolation(cert)
         report.certified = ok
 
-    td = _any(g, pieces, induced, t, caps, report, 0)
+    td = _any(pieces, induced, t, caps, report, 0)
 
     report.achieved_width = td.width
     report.bound = width_bound(t, max(g.n, 1), report.delta_used,
@@ -199,16 +199,16 @@ def decompose(g, t, caps=None, uncertified_ok=False):
     return td, report
 
 
-def _any(g, pieces, induced, t, caps, report, depth):
-    """Decompose g from its split; bags in g's ids.  induced is
-    class_atoms(g, pieces, t) for t >= 3.  Every atom appends its bags to
-    one list and its tree edges to one more, in split order: a component
-    that is a lone atom of at most two vertices is one bag, an edge atom
-    {u, v} is the one bag {u, v} with no tree edge of its own (an edge has
-    no hole, so no cube, hub or layer, and it is traced as hub-free), and
-    every other atom is built by _atom on a certified build, by _hub_free
-    (traced as uncertified) on any other, and its bags mapped once through
-    its ids.
+def _any(pieces, induced, t, caps, report, depth):
+    """Decompose a graph g from its split, pieces; bags in g's ids.
+    induced is class_atoms(g, pieces, t) for t >= 3.  Every atom appends
+    its bags to one list and its tree edges to one more, in split order:
+    a component that is a lone atom of at most two vertices is one bag,
+    an edge atom {u, v} is the one bag {u, v} with no tree edge of its
+    own (an edge has no hole, so no cube, hub or layer, and it is traced
+    as hub-free), and every other atom is built by _atom on a certified
+    build, by _hub_free (traced as uncertified) on any other, and its bags
+    mapped once through its ids.
     Each component's atoms are then linked by glue_at_clique, each atom's
     first bag holding its cutset clique to the first such bag of the atom
     it hangs off, and each component's first bag to the next one's."""
@@ -343,7 +343,7 @@ def _parts(g, parts, t, caps, report, depth):
     for part in parts:
         sub, ids = g.induced(part)
         pieces = split(sub)
-        td = _any(sub, pieces, class_atoms(sub, pieces, t), t, caps, report,
+        td = _any(pieces, class_atoms(sub, pieces, t), t, caps, report,
                   depth)
         out.append((make_structured(sub, td), ids))
     return out

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .graph import BuildCheckFailed, Graph
-from .treedec import TreeDecomposition
+from .treedec import _reduced
 from .hub_partition import big_component
 
 
@@ -30,7 +30,7 @@ def star_separation(g, v):
     return StarSeparation(v, a, c, frozenset(b))
 
 
-def are_star_twins(g, u, v, stars):
+def are_star_twins(u, v, stars):
     """Unbalanced u, v are star twins when their separations (stars maps
     each vertex to its star separation) agree up to swapping the
     centers."""
@@ -38,22 +38,22 @@ def are_star_twins(g, u, v, stars):
     return su.b == sv.b and su.c - {u} == sv.c - {v}
 
 
-def leq_A(g, x, y, stars):
+def leq_A(x, y, stars):
     """The A-side partial order on a stable set of unbalanced vertices;
     star twins are tie-broken by vertex id."""
     if x == y:
         return True
-    if are_star_twins(g, x, y, stars):
+    if are_star_twins(x, y, stars):
         return x < y
     return y in stars[x].a
 
 
-def core(g, s, stars):
+def core(s, stars):
     """The leq_A-minimal elements of the stable set s; stars maps each
     vertex of s to its star separation."""
     s = sorted(s)
     return frozenset(x for x in s
-                     if not any(leq_A(g, y, x, stars)
+                     if not any(leq_A(y, x, stars)
                                 for y in s if y != x))
 
 
@@ -63,7 +63,7 @@ def central_bag(g, s):
     each vertex of s to its canonical star separation."""
     s = sorted(s)
     stars = {v: star_separation(g, v) for v in s}
-    core_set = core(g, s, stars)
+    core_set = core(s, stars)
     beta = set(g.vertices())
     for v in sorted(core_set):
         beta &= stars[v].b | stars[v].c
@@ -111,7 +111,9 @@ def _extend(base, image, parts, every=frozenset()):
     vertices x (base ids), then each part's.  A part is
     (anchor, absorbed, td, ids): td's bags map through ids to g ids, each
     joins absorbed, and td hangs off the first base bag holding anchor,
-    looked up in base's own ids, before any image is joined."""
+    looked up in base's own ids, before any image is joined.  Joining
+    images and absorbed sets can put a bag inside its neighbour;
+    _reduced contracts each such tree edge."""
     bags = [every.union(chain.from_iterable(map(image.__getitem__, bag0)))
             for bag0 in base.bags]
     edges = list(base.edges)
@@ -122,7 +124,7 @@ def _extend(base, image, parts, every=frozenset()):
                     for bag in td.bags)
         edges.extend((a + offset, b + offset) for a, b in td.edges)
         edges.append((hook, offset))
-    return TreeDecomposition(bags, edges)
+    return _reduced(bags, edges)
 
 
 def extend_neighborhood(g, cg, t0, parts):

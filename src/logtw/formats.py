@@ -19,8 +19,8 @@ def write_graph(g, fh):
 
 def read_graph(fh):
     """The graph of a .gr file; FormatError on a bad header or edge line,
-    an edge count other than the header's, a self-loop or an edge given
-    twice."""
+    a negative count in the header, an edge count other than the
+    header's, a self-loop or an edge given twice."""
     n = m = None
     edges = []
     lines = []
@@ -35,6 +35,8 @@ def read_graph(fh):
             if len(parts) != 4 or parts[1] != "tw":
                 raise FormatError(f"line {lineno}: bad header {line!r}")
             n, m = _ints(parts[2:4], lineno)
+            if n < 0 or m < 0:
+                raise FormatError(f"line {lineno}: negative count in {line!r}")
         else:
             if n is None:
                 raise FormatError(f"line {lineno}: edge before header")
@@ -78,7 +80,9 @@ def write_td(td, n, fh):
 
 
 def read_td(fh):
-    """(TreeDecomposition, declared n)."""
+    """(TreeDecomposition, declared n); FormatError on a bad line, a
+    negative count in the header, bag ids other than 1..N, a tree edge
+    out of range or a width other than the header's."""
     header = None
     bags = {}
     edges = []
@@ -93,6 +97,8 @@ def read_td(fh):
             if len(parts) != 5 or parts[1] != "td":
                 raise FormatError(f"line {lineno}: bad header {line!r}")
             header = _ints(parts[2:5], lineno)
+            if min(header) < 0:
+                raise FormatError(f"line {lineno}: negative count in {line!r}")
         elif parts[0] == "b":
             if header is None:
                 raise FormatError(f"line {lineno}: bag before header")

@@ -165,9 +165,6 @@ class Graph:
                  if v in pos and u < v]
         return Graph(len(old_ids), edges), old_ids
 
-    def with_edges(self, extra):
-        return Graph(self.n, list(self.edges()) + list(extra))
-
 
 # -- degeneracy ----------------------------------------------------------
 

@@ -1,16 +1,15 @@
-"""Clique-cutset atoms, minimal chordal completions, clique trees, bag
-structuring into potential maximal cliques, and the Ramsey table used by
-the width bounds.
+"""Clique-cutset atoms, minimal chordal completions, bag structuring into
+potential maximal cliques, and the Ramsey table used by the width bounds.
 
 Both maximum cardinality searches (MCS for elimination orders, MCS-M for
-minimal completions) run on a union of components of the graph, in the
-graph's own ids, and record as they go which vertices bumped which.  That
-record is each vertex's neighbourhood later in the order, in the graph the
-search completes, so the clique-cutset atoms and the clique trees read
-their separators straight off it: no completed graph is built, and no
-component is induced or relabelled.  MCS-M finds the vertices each step
-bumps by a reach over weight levels, as published, with no heap of its
-own."""
+minimal completions) run on adjacency sets, in the graph's own ids, and
+record as they go which vertices bumped which.  That record is each
+vertex's neighbourhood later in the order, in the graph the search
+completes, so the clique-cutset atoms read their separators, and the
+structured decompositions their bags, straight off it: no completed graph
+is built, and no component is induced or relabelled.  MCS-M finds the
+vertices each step bumps by a reach over weight levels, as published,
+with no heap of its own."""
 
 import heapq
 from math import comb
@@ -44,10 +43,10 @@ def ramsey(t, s):
 
 # -- clique cutsets ----------------------------------------------------------
 
-def _max_cardinality_search(g, vertices, bump):
+def _max_cardinality_search(vertices, bump):
     """Maximum cardinality search over vertices, a union of components of
-    g, in g's ids: number the heaviest unnumbered vertex, smallest id on
-    ties, then add one to the weight of each vertex that
+    a graph, in its ids: number the heaviest unnumbered vertex, smallest
+    id on ties, then add one to the weight of each vertex that
     bump(v, weight, remaining, top) returns, where top is the largest
     weight left among unnumbered vertices.  The next vertex comes off a
     lazy max-heap of (-weight, id) entries, one pushed per increment;
@@ -56,8 +55,9 @@ def _max_cardinality_search(g, vertices, bump):
     Returns (order, madj): order is the numbering reversed, an
     elimination order, and madj[u] is the set of vertices whose numbering
     bumped u.  Those are u's neighbours after it in the order, in the
-    graph that joins every vertex to the vertices it bumps: g itself when
-    bump returns unnumbered neighbours, its completion under MCS-M."""
+    graph that joins every vertex to the vertices it bumps: the graph
+    itself when bump returns unnumbered neighbours, its completion under
+    MCS-M."""
     weight = dict.fromkeys(vertices, 0)
     madj = {v: set() for v in weight}
     remaining = set(weight)
@@ -123,7 +123,7 @@ def minimal_triangulation(g, vertices):
                         levels[w].append(y)
         return s
 
-    return _max_cardinality_search(g, vertices, bump)
+    return _max_cardinality_search(vertices, bump)
 
 
 def find_clique_cutset(g):
@@ -182,54 +182,18 @@ def clique_cutset_atoms(g, component):
     return atoms, glue
 
 
-# -- chordality, fills, clique trees ------------------------------------------
+# -- chordality and structuring ----------------------------------------------
 
-def perfect_elimination_order(g):
-    """(order, madj) from a maximum cardinality search of g, or None if
-    g is not chordal: order is then a PEO, and madj[x] the neighbours of
-    x after it in order."""
+def perfect_elimination_order(adj):
+    """(order, madj) from a maximum cardinality search of the graph with
+    adjacency sets adj, indexed by vertex, or None if it is not chordal:
+    order is then a PEO, and madj[x] the neighbours of x after it in
+    order."""
     order, madj = _max_cardinality_search(
-        g, g.vertices(),
-        lambda v, weight, remaining, top: g.adj[v] & remaining)
-    if not all(g.is_clique(s) for s in madj.values()):
+        range(len(adj)), lambda v, weight, remaining, top: adj[v] & remaining)
+    if any(s - adj[x] - {x} for s in madj.values() for x in s):
         return None
     return order, madj
-
-
-def clique_tree(g):
-    """A tree decomposition of a chordal graph whose bags are exactly its
-    maximal cliques, read off a maximum cardinality search (Blair and
-    Peyton 1993).
-
-    Walking the search, a vertex v with |madj(v)| no larger than its
-    predecessor's starts a new bag madj(v) + {v}, hung off the bag of the
-    most recently searched vertex of madj(v); any other vertex joins the
-    current bag. A bag with empty madj starts a new component and hangs
-    off bag 0. A g that is not chordal raises BuildCheckFailed: the one
-    caller hands it a completion it made itself.
-    """
-    peo = perfect_elimination_order(g)
-    if peo is None:
-        raise BuildCheckFailed("clique_tree requires a chordal graph")
-    order, madj = peo
-    if not order:
-        return treedec.TreeDecomposition([frozenset()], [])
-    pos = {v: i for i, v in enumerate(order)}
-    bags = []
-    edges = []
-    bag_of = {}
-    prev = 0
-    for v in reversed(order):
-        s = madj[v]
-        if len(s) <= prev:
-            if bags:
-                edges.append((bag_of[min(s, key=pos.get)] if s else 0,
-                              len(bags)))
-            bags.append(set(s))
-        bags[-1].add(v)
-        bag_of[v] = len(bags) - 1
-        prev = len(s)
-    return treedec.TreeDecomposition(bags, edges)
 
 
 def make_structured(g, t):
@@ -238,13 +202,17 @@ def make_structured(g, t):
 
     Completes each bag into a clique, which gives a chordal completion,
     shrinks that fill to an inclusion-minimal one and returns the clique
-    tree of the result. Fill edges are scanned in sorted order, sweep
-    after sweep until none goes. A fill edge uv goes when the common
-    neighbourhood of u and v in the current completion is a clique: then
-    uv lies in exactly one maximal clique, which is exactly when the
-    completion minus uv stays chordal (Rose, Tarjan and Lueker 1976).
-    An invalid t raises BuildCheckFailed: the builder, the one caller,
-    hands it its own decompositions.
+    tree of the result: the reduced elimination tree of a maximum
+    cardinality search order, whose bags {x} | madj(x) that lie in no
+    bag below them are the maximal cliques (Blair and Peyton 1993).
+    Fill edges are scanned in sorted order, sweep after sweep until none
+    goes. A fill edge uv goes when the common neighbourhood of u and v in
+    the current completion is a clique: then uv lies in exactly one
+    maximal clique, which is exactly when the completion minus uv stays
+    chordal (Rose, Tarjan and Lueker 1976).
+    An invalid t, or a completion that is not chordal, raises
+    BuildCheckFailed: the builder, the one caller, hands it its own
+    decompositions.
     """
     report = treedec.validate(g, t)
     if report is not None:
@@ -269,4 +237,8 @@ def make_structured(g, t):
                 adj[v].discard(u)
                 fill.discard((u, v))
                 changed = True
-    return clique_tree(g.with_edges(fill))
+    peo = perfect_elimination_order(adj)
+    if peo is None:
+        raise BuildCheckFailed("the minimal completion is not chordal")
+    order, madj = peo
+    return treedec._elimination_tree(order, [madj[x] | {x} for x in order])

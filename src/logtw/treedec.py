@@ -112,41 +112,77 @@ def decomposition_from_elimination(g, order):
 
     Bag of v = v plus its neighbors at elimination time (in the graph
     progressively completed on eliminated neighborhoods); _elimination_tree
-    hangs each bag off the bag of its first later-eliminated member.
+    links the bags into a reduced tree.
     """
-    if g.n == 0:
-        return TreeDecomposition([frozenset()], [])
-    adj = {v: set(g.adj[v]) for v in g.vertices()}
-    pos = {v: i for i, v in enumerate(order)}
+    adj = [set(nb) for nb in g.adj]  # the remaining vertices only
     bags = []
     for v in order:
-        later = {w for w in adj[v] if pos[w] > pos[v]}
-        bags.append(frozenset({v} | later))
-        for a in later:
-            for b in later:
-                if a != b:
-                    adj[a].add(b)
+        nbrs = adj[v]
+        bags.append(frozenset(nbrs | {v}))
+        for a in nbrs:
+            adj[a] |= nbrs
+            adj[a] -= {a, v}
     return _elimination_tree(order, bags)
 
 
 def _elimination_tree(order, bags):
-    """The tree decomposition whose bag i is bags[i], the bag of order[i]
-    at its elimination: it hangs off the bag of its first later-eliminated
-    member, and the bags with no such member, one per component, are
-    chained so the result is a tree."""
+    """The reduced elimination tree of bags[i], the bag of order[i] at its
+    elimination (Kloks 1994).
+
+    Bag i hangs off the bag of its first later-eliminated member, its
+    parent, and the bags with no such member, one per component, are
+    chained; _reduced then drops every bag that lies inside the bag of
+    one of its children, which then stands for it.  A child's bag holds
+    the child, which no bag above it holds, so no other nesting occurs.
+    The edges go to _reduced from the last-eliminated child down, so a
+    bag inside the bags of several children is merged into the last of
+    them: under a maximum cardinality search order, the vertex searched
+    right after it, so the bags and tree edges are those of the clique
+    tree that search gives (Blair and Peyton 1993)."""
     pos = {v: i for i, v in enumerate(order)}
     edges = []
     roots = []
-    for i, v in enumerate(order):
-        later = bags[i] - {v}
+    for i in reversed(range(len(order))):
+        later = bags[i] - {order[i]}
         if later:
-            parent = min(later, key=lambda w: pos[w])
-            edges.append((i, pos[parent]))
+            edges.append((i, pos[min(later, key=pos.get)]))
         else:
             roots.append(i)
-    for a, b in zip(roots, roots[1:]):
-        edges.append((a, b))
-    return TreeDecomposition(bags, edges)
+    return _reduced(bags, edges + list(zip(roots, roots[1:])))
+
+
+def _reduced(bags, edges):
+    """The tree decomposition with these bags and tree edges, each tree
+    edge that joins a bag to one inside it contracted, edge by edge in
+    the order given, pass after pass over the edges left until none is
+    contracted: the smaller bag is not written and the larger stands for
+    both.  Contracting such an edge keeps a decomposition valid and its
+    width.  The bags written keep their order, and the edges come
+    sorted, as write_td writes them; no bags give the one-empty-bag
+    decomposition."""
+    into = list(range(len(bags)))  # a merged bag's stand-in, else itself
+    merged = True
+    while merged:
+        merged = False
+        left = []
+        for a, b in edges:
+            while into[a] != a:
+                into[a] = a = into[into[a]]
+            while into[b] != b:
+                into[b] = b = into[into[b]]
+            if len(bags[a]) > len(bags[b]):
+                a, b = b, a
+            if a != b and bags[a] <= bags[b]:
+                into[a] = b
+                merged = True
+            else:
+                left.append((a, b))
+        edges = left
+    kept = [i for i, j in enumerate(into) if i == j]
+    at = {i: k for k, i in enumerate(kept)}
+    return TreeDecomposition([bags[i] for i in kept] or [frozenset()],
+                             [(at[a], at[b])
+                              for a, b in sorted(map(sorted, edges))])
 
 
 def exact_treewidth(g):
@@ -241,10 +277,9 @@ def greedy_fill_decomposition(g):
     clique.  A vertex x outside N(v) keeps its neighbourhood, so its fill
     drops by exactly the number of new fill edges ab inside it: each new
     edge decrements every common neighbour of a and b outside N(v),
-    counted before the update.  Only N(v) is recounted in full.  The bag {v} | N(v) is taken
-    in the same pass, and _elimination_tree links the bags."""
-    if g.n == 0:
-        return TreeDecomposition([frozenset()], [])
+    counted before the update.  Only N(v) is recounted in full.  The bag
+    {v} | N(v) is taken in the same pass, and _elimination_tree links the
+    bags into a reduced tree."""
     adj = [set(nb) for nb in g.adj]  # the remaining vertices only
 
     def fill_needed(v):

@@ -76,8 +76,8 @@ def hub_layer_cases():
     cases = [(cycle_with_hubs(12, (5, 7, 9)), ["shrink"]),
              (cycle_with_hubs(13, (1, 3, 6), (0, 8, 10)),
               ["shrink", "balanced"]),
-             (cycle_with_hubs(12, (2, 4, 8), (1, 9, 11)).with_edges(
-                 [(12, 13)]), ["balanced"]),
+             (lemmas.with_edges(cycle_with_hubs(12, (2, 4, 8), (1, 9, 11)),
+                                [(12, 13)]), ["balanced"]),
              (cycle_with_hubs(14, (1, 5, 13), (6, 8, 13), (1, 3, 5)),
               ["balanced"])]
     return cases + [(g, ["balanced"]) for g in wheel_bearing_cstar_graphs()]

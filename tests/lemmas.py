@@ -9,10 +9,12 @@ holes, its centre-and-hole check and the maximum-clique search as first
 written, references for detect's three-path and direct K_t searches; the
 clique-cutset split, elimination and degeneracy orders and the
 exact-treewidth DP as first written, references for the heap-selected
-and unbucketed versions; and the table DP with its solvers as first
-written, counting each vertex at introduce, a reference for the
-forget-time counting.  The builder needs
-none of them; the tests import this module the way they import conftest.
+and unbucketed versions; the elimination bags and the Blair-Peyton
+clique-tree walk, references for the reduced elimination tree; a graph
+with edges added, for chordal completions; and the table DP with its
+solvers as first written, counting each vertex at introduce, a reference
+for the forget-time counting.  The builder needs none of them; the tests
+import this module the way they import conftest.
 """
 
 import heapq
@@ -21,11 +23,11 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from logtw import detect
-from logtw.graph import (BuildCheckFailed, SizeCapExceeded, adjacency_masks,
-                         degeneracy_order, enumerate_holes, is_induced_path,
-                         strict_degeneracy)
+from logtw.graph import (BuildCheckFailed, Graph, SizeCapExceeded,
+                         adjacency_masks, degeneracy_order, enumerate_holes,
+                         is_induced_path, strict_degeneracy)
 from logtw.separators import perfect_elimination_order
-from logtw.treedec import _require_valid
+from logtw.treedec import TreeDecomposition, _require_valid
 
 SEPARATOR_ENUM_CAP = 20
 
@@ -630,8 +632,65 @@ def is_pmc(g, omega):
                for u in om for v in om if u < v)
 
 
+def with_edges(g, extra):
+    """g with the edges in extra added."""
+    return Graph(g.n, list(g.edges()) + list(extra))
+
+
 def is_chordal(g):
-    return perfect_elimination_order(g) is not None
+    return perfect_elimination_order(g.adj) is not None
+
+
+def nested_tree_edges(t):
+    """The tree edges of t that join a bag to one inside it."""
+    return [(a, b) for a, b in t.edges
+            if t.bags[a] <= t.bags[b] or t.bags[b] <= t.bags[a]]
+
+
+def reference_elimination_bags(g, order):
+    """The bag {v} | N(v) of each v in order, N(v) its neighbours left in
+    the graph completed on the neighbourhoods eliminated before it."""
+    adj = {v: set(g.adj[v]) for v in g.vertices()}
+    bags = []
+    for v in order:
+        bags.append(frozenset(adj[v] | {v}))
+        for a in adj[v]:
+            adj[a] |= adj[v] - {a}
+            adj[a].discard(v)
+    return bags
+
+
+def reference_clique_tree(g):
+    """A tree decomposition of a chordal graph whose bags are exactly its
+    maximal cliques, read off a maximum cardinality search by the walk
+    first written (Blair and Peyton 1993), a reference for the reduced
+    elimination tree that make_structured builds.
+
+    Walking the search, a vertex v with |madj(v)| no larger than its
+    predecessor's starts a new bag madj(v) + {v}, hung off the bag of the
+    most recently searched vertex of madj(v); any other vertex joins the
+    current bag. A bag with empty madj starts a new component and hangs
+    off bag 0.
+    """
+    order, madj = perfect_elimination_order(g.adj)
+    if not order:
+        return TreeDecomposition([frozenset()], [])
+    pos = {v: i for i, v in enumerate(order)}
+    bags = []
+    edges = []
+    bag_of = {}
+    prev = 0
+    for v in reversed(order):
+        s = madj[v]
+        if len(s) <= prev:
+            if bags:
+                edges.append((bag_of[min(s, key=pos.get)] if s else 0,
+                              len(bags)))
+            bags.append(set(s))
+        bags[-1].add(v)
+        bag_of[v] = len(bags) - 1
+        prev = len(s)
+    return TreeDecomposition(bags, edges)
 
 
 # -- component closures and the low-degree half ------------------------------
@@ -746,8 +805,8 @@ def reference_clique_cutset_atoms(g):
         raise ValueError("clique-cutset decomposition expects a connected "
                          "graph; decompose components separately")
     fill, order = reference_minimal_triangulation(g)
-    madj = reference_madj(g.with_edges(tuple(sorted(e)) for e in fill).adj,
-                          order)
+    madj = reference_madj(
+        with_edges(g, (tuple(sorted(e)) for e in fill)).adj, order)
     removed = set()
     atoms = []
     cuts = []

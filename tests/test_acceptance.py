@@ -20,6 +20,7 @@ from logtw.separators import ramsey
 
 import brute
 import lemmas
+from conftest import hub_layer_cases
 
 
 def _line(text):
@@ -326,3 +327,14 @@ def _c8():
 def test_criterion_8(capfd):
     with capfd.disabled():
         _c8()
+
+
+def test_builds_write_no_bag_inside_its_neighbour():
+    # every build writes a reduced tree: no tree edge joins a bag to one
+    # inside it, whether its atoms are built by min-fill or exact search
+    # or, in the hub-layer cases, by the shrink levels' extensions
+    builds = [(name, td) for _, _, name, td, _ in _decompose_corpus()]
+    builds += [(f"hub layer case {i}", decompose(g, 3)[0])
+               for i, (g, _) in enumerate(hub_layer_cases())]
+    assert [name for name, td in builds if lemmas.nested_tree_edges(td)] \
+        == []

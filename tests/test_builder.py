@@ -1,8 +1,10 @@
 """The end-to-end builder: width-bound formula, gluing, certified builds on
 class members, and the exact small-graph fallback."""
 
+import dataclasses
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -224,7 +226,7 @@ def test_builder_output_is_pinned():
         out.append(([sorted(b) for b in td.bags], td.edges,
                     list(report.as_lines()), report.trace))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "a68d280ef33da75cb182d4997246a68998ec91cbc28d844588a93b1bf9e05a46")
+        "148c3f883eac462d188029d4e00a20ecf16ad108b370e97612a82f87a18daba6")
 
 
 def test_certified_member_builds_are_pinned():
@@ -240,7 +242,7 @@ def test_certified_member_builds_are_pinned():
             out.append(([sorted(b) for b in td.bags], td.edges,
                         list(report.as_lines()), report.trace))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "02666c2ab03c094013f044b8b6615c97af3c7e8cc836242b3705f505826468ff")
+        "d1559c3fb167f7076895c58b2d5fa1444d4d20120c549367b9f3504f19489268")
 
 
 def test_builder_reports_are_pinned():
@@ -279,7 +281,7 @@ def test_builder_bags_are_pinned():
         td, _ = decompose(g, 3, **kwargs)
         out.append([sorted(b) for b in td.bags])
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "6726e09661591c38adaf9c877b55f3d996d19fad07869e8453df816f78b62115")
+        "018fa2d64bcf4accc6fc7491e2f49cb58336bf1542ea6690b45e172ca882f398")
 
 
 def test_cube_atoms_get_their_treewidth():
@@ -444,6 +446,69 @@ def test_failed_output_check_raises_and_exits_invalid(monkeypatch, tmp_path,
     capsys.readouterr()
     assert main(["decompose", "--in", str(gpath), "--t", "3"]) == EXIT_INVALID
     assert "forced failure" in capsys.readouterr().err
+
+
+def _fails_its_check(tmp_path, capsys, g, message):
+    """decompose(g, 3) raises BuildCheckFailed with message, and `logtw
+    decompose` on g exits 3 naming it, under the patches in force."""
+    from logtw.cli import EXIT_INVALID, main
+    from logtw.formats import write_graph
+    with pytest.raises(BuildCheckFailed, match=re.escape(message)):
+        decompose(g, 3)
+    gpath = tmp_path / "g.gr"
+    with open(gpath, "w") as fh:
+        write_graph(g, fh)
+    assert main(["decompose", "--in", str(gpath), "--t", "3"]) == \
+        EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
+def _every_vertex_a_hub_at_shrink_levels(monkeypatch, atom):
+    """Patch detect.hubs so that the search on atom, a whole graph with
+    no clique cutset, is answered truly, and every search on a smaller
+    piece, a central bag at a shrink level, finds every vertex a hub."""
+    real = detect.hubs
+    monkeypatch.setattr(detect, "hubs", lambda g, cap: real(g, cap)
+                        if g.n == atom.n else frozenset(g.vertices()))
+
+
+def test_shrink_rejects_a_consumed_layer_in_the_hub_set(monkeypatch,
+                                                        tmp_path, capsys):
+    # the first shrink level consumes layer 0 = {13}, which lies in the
+    # central bag; a hub search there that returns it again trips the
+    # next level's check
+    g, _ = hub_layer_cases()[1]
+    _every_vertex_a_hub_at_shrink_levels(monkeypatch, g)
+    _fails_its_check(tmp_path, capsys, g,
+                     "depth 0, layer 1: consumed layer 0 meets the "
+                     "surviving hub set")
+
+
+def test_shrink_rejects_a_layer_vertex_of_high_hub_degree(monkeypatch,
+                                                          tmp_path, capsys):
+    # the two adjacent hubs 12 and 13 form the layers {12}, {13} with
+    # delta 2; a partition that claims delta 0 promises that no layer
+    # vertex sees a hub, and 12 sees 13
+    g, _ = hub_layer_cases()[2]
+    real = builder.build_hub_partition
+    monkeypatch.setattr(builder, "build_hub_partition",
+                        lambda g, hub: dataclasses.replace(real(g, hub),
+                                                           delta=0))
+    _fails_its_check(tmp_path, capsys, g,
+                     "depth 0, layer 0: vertex 12 has more than 0 hub "
+                     "neighbours")
+
+
+def test_shrink_rejects_hubs_left_in_the_final_central_bag(monkeypatch,
+                                                           tmp_path, capsys):
+    # one hub layer, {12}: the central bag its shrink level cuts has no
+    # layer left to consume, so any hub the search there finds is left
+    # over
+    g, _ = hub_layer_cases()[0]
+    _every_vertex_a_hub_at_shrink_levels(monkeypatch, g)
+    _fails_its_check(tmp_path, capsys, g,
+                     "depth 0: final central bag of 10 vertices still has "
+                     "hubs")
 
 
 def test_bogus_certificate_is_never_reported(monkeypatch, tmp_path,

@@ -62,8 +62,11 @@ def test_graph_format_rejects_garbage():
             ("", "missing `p tw` header"),
             ("p tw 3 1\n2 2\n", "line 2: self-loop at 2"),
             ("p tw x 1\n", "line 1: expected integers"),
-            ("p tw 3 1\n1 b\n", "line 2: expected integers")):
-        with pytest.raises(FormatError, match=message):
+            ("p tw 3 1\n1 b\n", "line 2: expected integers"),
+            ("p tw -1 0\n", "line 1: negative count in 'p tw -1 0'"),
+            ("c a comment\np tw 3 -1\n",
+             "line 2: negative count in 'p tw 3 -1'")):
+        with pytest.raises(FormatError, match=re.escape(message)):
             read_graph(io.StringIO(text))
 
 
@@ -85,7 +88,11 @@ def test_td_format_rejects_garbage():
             ("s td 1 3 2\nb 1 1 2\n", "header says width 2, bags give 1"),
             ("s td x 1 1\n", "line 1: expected integers"),
             ("s td 1 1 1\nb 1 a\n", "line 2: expected integers"),
-            ("s td 2 1 2\nb 1 1\nb 2 2\n1 z\n", "line 4: expected integers")):
+            ("s td 2 1 2\nb 1 1\nb 2 2\n1 z\n", "line 4: expected integers"),
+            ("s td 1 0 -3\nb 1\n", "line 1: negative count in 's td 1 0 -3'"),
+            ("s td -1 1 1\n", "line 1: negative count in 's td -1 1 1'"),
+            ("s td 1 -1 1\nb 1\n",
+             "line 1: negative count in 's td 1 -1 1'")):
         with pytest.raises(FormatError, match=re.escape(message)):
             read_td(io.StringIO(text))
 
@@ -179,6 +186,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("this is not a graph\n")
     assert main(["detect", "--in", str(bad), "--what", "theta"]) == 2
     capsys.readouterr()
+    # a negative header count is a parse error on its line, for the graph
+    # and for the decomposition
+    bad.write_text("p tw -1 0\n")
+    assert main(["detect", "--in", str(bad), "--what", "theta"]) == 2
+    assert "line 1: negative count in 'p tw -1 0'" in capsys.readouterr().err
+    good = tmp_path / "good.gr"
+    good.write_text("p tw 1 0\n")
+    bad_td = tmp_path / "bad.td"
+    bad_td.write_text("s td 1 0 -3\nb 1\n")
+    assert main(["verify", "--graph", str(good), "--td", str(bad_td)]) == 2
+    assert "line 1: negative count in 's td 1 0 -3'" in \
+        capsys.readouterr().err
 
     theta = tmp_path / "theta.gr"
     main(["gen", "theta", "2", "2", "2", "--out", str(theta)])

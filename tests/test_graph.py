@@ -144,7 +144,7 @@ def test_hole_enumeration_cap():
 def test_is_hole():
     # (graph, sequence, an induced path?, a hole?)
     c5 = cycle(5)
-    chorded = c5.with_edges([(0, 2)])
+    chorded = lemmas.with_edges(c5, [(0, 2)])
     cases = [(c5, (3,), True, False),
              (c5, (), False, False),
              (path(4), (0, 1, 2, 3), True, False),

@@ -144,17 +144,17 @@ def test_a_side_relation_is_a_partial_order():
                 s.append(v)
         stars = {v: central_bag.star_separation(g, v) for v in s}
         for x in s:
-            assert central_bag.leq_A(g, x, x, stars)
+            assert central_bag.leq_A(x, x, stars)
         for x, y in combinations(s, 2):
-            if central_bag.leq_A(g, x, y, stars) and \
-                    central_bag.leq_A(g, y, x, stars):
+            if central_bag.leq_A(x, y, stars) and \
+                    central_bag.leq_A(y, x, stars):
                 assert x == y
         for x in s:
             for y in s:
                 for z in s:
-                    if central_bag.leq_A(g, x, y, stars) and \
-                            central_bag.leq_A(g, y, z, stars):
-                        assert central_bag.leq_A(g, x, z, stars)
+                    if central_bag.leq_A(x, y, stars) and \
+                            central_bag.leq_A(y, z, stars):
+                        assert central_bag.leq_A(x, z, stars)
 
 
 def _stable_unbalanced_sets(g):

@@ -5,12 +5,13 @@ cutsets — each checked against brute force where one exists."""
 import pytest
 
 from logtw import builder, generators, separators, treedec
-from logtw.graph import Graph
+from logtw.graph import BuildCheckFailed, Graph
 from logtw.treedec import TreeDecomposition
 
 import brute
 import lemmas
-from conftest import glued, ladder, random_corpus, search_corpus
+from conftest import (glued, hub_layer_cases, ladder, random_corpus,
+                      search_corpus)
 
 
 def test_ramsey_table_and_fallback():
@@ -68,20 +69,25 @@ def test_minimal_triangulation_is_chordal_and_minimal():
               generators.cycle(8), generators.complete_bipartite(3, 3)]:
         _, madj = separators.minimal_triangulation(g, g.vertices())
         fill = _fill(g, madj)
-        h = g.with_edges(fill)
+        h = lemmas.with_edges(g, fill)
         assert lemmas.is_chordal(h)
         assert not (set(fill) & set(g.edges()))
         # inclusion-minimal: dropping any single fill edge breaks chordality
         for e in fill:
             rest = [f for f in fill if f != e]
-            assert not lemmas.is_chordal(g.with_edges(rest))
+            assert not lemmas.is_chordal(lemmas.with_edges(g, rest))
+
+
+def _chordal_corpus():
+    """Minimal chordal completions of seeded random graphs."""
+    for g in random_corpus(9, 10, p=0.35, seed_base=970):
+        _, madj = separators.minimal_triangulation(g, g.vertices())
+        yield lemmas.with_edges(g, _fill(g, madj))
 
 
 def test_clique_tree_is_valid_decomposition():
-    for g in random_corpus(9, 10, p=0.35, seed_base=970):
-        _, madj = separators.minimal_triangulation(g, g.vertices())
-        h = g.with_edges(_fill(g, madj))
-        t = separators.clique_tree(h)
+    for h in _chordal_corpus():
+        t = lemmas.reference_clique_tree(h)
         assert treedec.validate(h, t) is None
         assert len(set(t.bags)) == len(t.bags)
         for bag in t.bags:
@@ -89,6 +95,30 @@ def test_clique_tree_is_valid_decomposition():
             # maximal: no outside vertex sees the whole bag
             assert not any(bag <= h.adj[v] for v in h.vertices()
                            if v not in bag)
+
+
+def _bag_pairs(t):
+    return {frozenset((t.bags[a], t.bags[b])) for a, b in t.edges}
+
+
+def test_reduced_elimination_tree_is_the_clique_tree():
+    # the reduced elimination tree of a maximum cardinality search order
+    # is the clique tree the Blair-Peyton walk reads off the same search:
+    # the same bags, and the same tree edges taken as bag pairs; the
+    # elimination bags of a PEO are exactly {x} | madj(x), with no fill.
+    # (Across components the walk hangs each off bag 0, where the
+    # reduced tree chains them; these graphs have at most two.)
+    for h in [*_chordal_corpus(), Graph(0), Graph(2, [(0, 1)]),
+              generators.clique(4), generators.path(5)]:
+        want = lemmas.reference_clique_tree(h)
+        order, madj = separators.perfect_elimination_order(h.adj)
+        for got in (treedec._elimination_tree(
+                        order, [madj[x] | {x} for x in order]),
+                    treedec.decomposition_from_elimination(h, order)):
+            assert sorted(map(sorted, got.bags)) == \
+                sorted(map(sorted, want.bags))
+            assert len(set(got.bags)) == len(got.bags)
+            assert _bag_pairs(got) == _bag_pairs(want)
 
 
 def _brute_has_clique_cutset(g):
@@ -179,8 +209,7 @@ def test_clique_cutset_atoms():
 
 def _mcs(g):
     return separators._max_cardinality_search(
-        g, g.vertices(),
-        lambda v, weight, remaining, top: g.adj[v] & remaining)
+        g.vertices(), lambda v, weight, remaining, top: g.adj[v] & remaining)
 
 
 def test_searches_match_their_references():
@@ -190,7 +219,7 @@ def test_searches_match_their_references():
     for g in search_corpus():
         order, madj = separators.minimal_triangulation(g, g.vertices())
         fill, want = lemmas.reference_minimal_triangulation(g)
-        h = g.with_edges(tuple(sorted(e)) for e in fill)
+        h = lemmas.with_edges(g, (tuple(sorted(e)) for e in fill))
         assert order == want
         assert madj == lemmas.reference_madj(h.adj, order)
         assert _fill(g, madj) == {tuple(sorted(e)) for e in fill}
@@ -198,7 +227,7 @@ def test_searches_match_their_references():
             order, madj = _mcs(x)
             assert madj == lemmas.reference_madj(x.adj, order)
             peo = lemmas.reference_perfect_elimination_order(x)
-            got = separators.perfect_elimination_order(x)
+            got = separators.perfect_elimination_order(x.adj)
             assert got == (None if peo is None else (peo, madj))
             if peo is not None:
                 assert order == peo
@@ -225,7 +254,7 @@ def test_searches_match_their_references_on_uncertified_shapes():
         fill, want = lemmas.reference_minimal_triangulation(g)
         assert order == want
         assert madj == lemmas.reference_madj(
-            g.with_edges(tuple(sorted(e)) for e in fill).adj, order)
+            lemmas.with_edges(g, (tuple(sorted(e)) for e in fill)).adj, order)
         assert treedec.greedy_fill_decomposition(g) == \
             treedec.decomposition_from_elimination(
                 g, lemmas.reference_min_fill_order(g))
@@ -267,12 +296,12 @@ def test_split_matches_its_reference_and_glue_hangs_each_atom():
 
 
 def test_split_cuts_in_place(monkeypatch):
-    # the split neither induces a component nor builds a completed graph
+    # the split neither induces a component nor builds a completed graph:
+    # it builds no graph at all
     def never(*args, **kwargs):
         raise AssertionError("the split built a graph")
     want = [builder.split(g) for g in search_corpus()]
-    monkeypatch.setattr(Graph, "induced", never)
-    monkeypatch.setattr(Graph, "with_edges", never)
+    monkeypatch.setattr(Graph, "__init__", never)
     assert [builder.split(g) for g in search_corpus()] == want
 
 
@@ -282,8 +311,29 @@ def test_make_structured_preserves_width_and_gives_pmcs():
         s = separators.make_structured(g, t)
         assert treedec.validate(g, s) is None
         assert s.width <= t.width == w
+        assert lemmas.nested_tree_edges(s) == []
         for bag in s.bags:
             assert lemmas.is_pmc(g, bag)
+
+
+def test_make_structured_rejects_a_completion_that_is_not_chordal(
+        monkeypatch, tmp_path, capsys):
+    # structuring checks the chordality of the completion it shrinks, and
+    # a build that structures a piece exits 3 when that check fails
+    from logtw.cli import EXIT_INVALID, main
+    from logtw.formats import write_graph
+    monkeypatch.setattr(separators, "perfect_elimination_order",
+                        lambda adj: None)
+    g = generators.cycle(5)
+    with pytest.raises(BuildCheckFailed,
+                       match="the minimal completion is not chordal"):
+        separators.make_structured(g, treedec.greedy_fill_decomposition(g))
+    gpath = tmp_path / "g.gr"
+    with open(gpath, "w") as fh:
+        write_graph(hub_layer_cases()[0][0], fh)
+    assert main(["decompose", "--in", str(gpath), "--t", "3"]) == \
+        EXIT_INVALID
+    assert "the minimal completion is not chordal" in capsys.readouterr().err
 
 
 def test_make_structured_fill_is_minimal():
@@ -292,17 +342,20 @@ def test_make_structured_fill_is_minimal():
     for g in [*random_corpus(12, 10, p=0.3, seed_base=1040),
               generators.wall(3), generators.cycle(9)]:
         s = separators.make_structured(g, treedec.greedy_fill_decomposition(g))
+        assert lemmas.nested_tree_edges(s) == []
         fill = {(u, v) for bag in s.bags for u in bag for v in bag
                 if u < v and not g.has_edge(u, v)}
-        assert lemmas.is_chordal(g.with_edges(fill))
+        assert lemmas.is_chordal(lemmas.with_edges(g, fill))
         for e in fill:
-            assert not lemmas.is_chordal(g.with_edges(fill - {e}))
+            assert not lemmas.is_chordal(
+                lemmas.with_edges(g, fill - {e}))
 
 
 def test_perfect_elimination_order():
-    assert separators.perfect_elimination_order(generators.cycle(5)) is None
+    assert separators.perfect_elimination_order(
+        generators.cycle(5).adj) is None
     tree = Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
-    order, madj = separators.perfect_elimination_order(tree)
+    order, madj = separators.perfect_elimination_order(tree.adj)
     assert sorted(order) == list(range(5))
     assert sum(map(len, madj.values())) == tree.m
     assert lemmas.is_chordal(generators.clique(6))

@@ -83,6 +83,35 @@ def test_greedy_fill_decomposition_always_valid():
     assert treedec.greedy_fill_decomposition(generators.cycle(9)).width == 2
 
 
+def test_elimination_trees_are_reduced():
+    # a decomposition read off an elimination order writes exactly the
+    # elimination bags that lie inside no other, each once, and no tree
+    # edge joins nested bags: on min-fill, exact and random orders
+    rng = random.Random(2100)
+    for g in [*split_corpus()[::3], generators.clique(5),
+              generators.wall(4), Graph(5)]:
+        order = list(g.vertices())
+        rng.shuffle(order)
+        built = [(treedec.greedy_fill_decomposition(g),
+                  lemmas.reference_min_fill_order(g)),
+                 (treedec.decomposition_from_elimination(g, order), order)]
+        if g.n <= 10:
+            built.append((treedec.exact_treewidth(g)[1], None))
+        for t, order in built:
+            assert treedec.validate(g, t) is None
+            assert lemmas.nested_tree_edges(t) == []
+            if order is None:
+                continue
+            bags = lemmas.reference_elimination_bags(g, order)
+            assert t.width == max(map(len, bags), default=0) - 1
+            assert sorted(map(sorted, t.bags)) == sorted(
+                sorted(b) for b in set(bags) if not any(b < c for c in bags))
+    # an empty order gives the one-empty-bag decomposition
+    for t in (treedec.decomposition_from_elimination(Graph(0), []),
+              treedec.greedy_fill_decomposition(Graph(0))):
+        assert (t.bags, t.edges) == ((frozenset(),), ())
+
+
 def test_min_fill_order_matches_its_reference():
     # the heap-selected min-fill with local recounts eliminates in the
     # order the first-written full rescan, kept in lemmas, takes
@@ -257,7 +286,7 @@ def test_solver_outputs_are_pinned():
             + [ok, sorted(col.items()) if ok else None,
                treedec.solve_chromatic(g, t)])
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "0d1d4563f3b6533aeb64f7d7786360ad9505c0ad29d09071e0152fc1795fdf1c")
+        "acc60b0c18c6fa91f59a61aa88ee524c4d135fad5088c2d6121a5f2c986d4692")
 
 
 def test_solver_values_are_pinned():
@@ -289,7 +318,7 @@ def test_solver_values_are_pinned():
             out.append([sorted(wit) for _, wit in answers]
                        + [sorted(col.items()) if ok else None])
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "7dd21903f6afd5166abe770e7eba7341cb5cc0a11c7c7344950440ec29f72b48")
+        "3bfb2ab1222f69e842dd3ae3cd92fce326cc5f7b66c4f25d2118765d7de48157")
 
 
 def _rerooted(t, rng):
