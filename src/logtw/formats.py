@@ -72,8 +72,8 @@ def write_td(td, n, fh):
     """`s td <N> <w+1> <n>`, a `b <i> <v...>` line per bag, then the
     tree edges; bag ids and vertices are 1-based."""
     fh.write(f"s td {len(td.bags)} {td.width + 1} {n}\n")
-    for i, bag in enumerate(td.bags):
-        body = " ".join(str(v + 1) for v in sorted(bag))
+    for i, bag in enumerate(td.sorted_bags):
+        body = " ".join(str(v + 1) for v in bag)
         fh.write(f"b {i + 1}{' ' if body else ''}{body}\n")
     for a, b in sorted(td.edges):
         fh.write(f"{a + 1} {b + 1}\n")

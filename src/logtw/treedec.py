@@ -20,11 +20,19 @@ Each public solver validates t, then runs its unchecked body
 (solve_stable_set runs _stable_set, and so on); a caller whose
 decomposition is already validated, as the builder's output is, calls
 the body directly.
+
+A TreeDecomposition computes its shape once, when first read: the tree
+verdict, the breadth-first order and children from bag 0, and each
+vertex's top bags.  validate reads the verdict and the top bags, so
+only its O(n + m) graph checks run per call; _dp reads the order and
+children, and takes its field ranks from the bags, sorted once.  Every
+validate and DP run on one decomposition shares them.
 """
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from . import detect
 from .graph import (BuildCheckFailed, SizeCapExceeded, adjacency_masks,
@@ -36,11 +44,29 @@ EXACT_TW_CAP = 14
 Q_COLORING_CAP = 8
 
 
+class _Shape(NamedTuple):
+    """TreeDecomposition.shape: the first way the bags and tree edges fail
+    to form a tree, or None; then, for a tree rooted at bag 0, its bags
+    breadth-first, each bag's children in t.edges order, and the top bags
+    of each vertex v, those holding v whose parent does not: near maps
+    each vertex id in a bag to the union of its top bags, and split holds
+    the vertices with more than one."""
+    verdict: object
+    order: list = None
+    children: list = None
+    near: dict = None
+    split: set = None
+
+
 @dataclass(frozen=True)
 class TreeDecomposition:
     """Bags indexed 0..N-1 plus undirected tree edges between bag indices.
 
-    A single bag and no edges is the trivial decomposition.
+    A single bag and no edges is the trivial decomposition.  width,
+    sorted_bags and shape depend on the bags and edges alone, so each is
+    computed once, when first read, and stays out of ==, hash and repr:
+    validate reads the shape's verdict and top bags, _dp its order and
+    children and the sorted bags, write_td the sorted bags.
     """
     bags: tuple
     edges: tuple
@@ -50,60 +76,87 @@ class TreeDecomposition:
         object.__setattr__(self, "edges",
                            tuple((min(e), max(e)) for e in edges))
 
-    @property
+    @cached_property
     def width(self):
         return max((len(b) for b in self.bags), default=0) - 1
+
+    @cached_property
+    def sorted_bags(self):
+        return tuple(map(sorted, self.bags))
+
+    @cached_property
+    def shape(self):
+        """The _Shape of the bag tree, rooted at bag 0."""
+        n_nodes = len(self.bags)
+        if n_nodes == 0:
+            return _Shape("no bags")
+        if len(self.edges) != n_nodes - 1:
+            return _Shape(f"not a tree: {n_nodes} bags, "
+                          f"{len(self.edges)} edges")
+        adj = [[] for _ in range(n_nodes)]
+        for a, b in self.edges:
+            if a < 0 or b >= n_nodes:
+                return _Shape(f"tree edge out of range: {a},{b}")
+            adj[a].append(b)
+            adj[b].append(a)
+        order = [0]
+        children = [[] for _ in range(n_nodes)]
+        seen = {0}
+        for i in order:
+            for j in adj[i]:
+                if j not in seen:
+                    seen.add(j)
+                    children[i].append(j)
+                    order.append(j)
+        if len(order) != n_nodes:
+            return _Shape("not a tree: disconnected")
+        near = dict.fromkeys(self.bags[0], self.bags[0])
+        split = set()
+        for i in order:
+            for j in children[i]:
+                for v in self.bags[j] - self.bags[i]:
+                    if v not in near:
+                        near[v] = self.bags[j]
+                    else:
+                        split.add(v)
+                        near[v] |= self.bags[j]
+        return _Shape(None, order, children, near, split)
 
 
 def validate(g, t):
     """None if t is a valid tree decomposition of g, else a string naming
     the first violated condition with a witness.
 
-    One pass over a vertex -> bags index. Once the bag graph is known to
-    be a tree, the bags holding v induce a subforest, whose component
-    count is its node count minus its edge count; so they are connected
-    exactly when (bags holding v) - (tree edges with v in both end bags)
-    equals 1.
+    The bag tree's part is t.shape's verdict, computed once per
+    decomposition; the graph's part reads the shape's top bags, in
+    O(n + m).  Every id in a bag lies in a top bag, so the ids the top
+    bags hold must be vertices of g.  The bags holding v form one
+    subtree per top bag of v, so v is in some bag exactly when it has a
+    top bag, and its bags are connected exactly when it has one.  Two
+    subtrees of a rooted tree meet exactly when the top of one lies in
+    the other (Gavril 1974), so an edge uv lies in a bag exactly when a
+    top bag of u holds v or a top bag of v holds u.
     """
-    n_nodes = len(t.bags)
-    if n_nodes == 0:
-        return "no bags"
-    if len(t.edges) != n_nodes - 1:
-        return f"not a tree: {n_nodes} bags, {len(t.edges)} edges"
-    adj = [[] for _ in range(n_nodes)]
-    for a, b in t.edges:
-        if a < 0 or b >= n_nodes:
-            return f"tree edge out of range: {a},{b}"
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n_nodes:
-        return "not a tree: disconnected"
-    holding = [set() for _ in range(g.n)]
-    for i, b in enumerate(t.bags):
-        if b and (min(b) < 0 or max(b) >= g.n):
-            return f"bag contains non-vertices: {sorted(b)}"
-        for v in b:
-            holding[v].add(i)
+    shape = t.shape
+    if shape.verdict is not None:
+        return shape.verdict
+    near = shape.near
+    if near and (min(near) < 0 or max(near) >= g.n):
+        return next(f"bag contains non-vertices: {b}"
+                    for b in t.sorted_bags
+                    if b and (b[0] < 0 or b[-1] >= g.n))
     for v in g.vertices():
-        if not holding[v]:
+        if v not in near:
             return f"vertex {v} in no bag"
-    for u, v in g.edges():
-        if holding[u].isdisjoint(holding[v]):
-            return f"edge {u},{v} in no bag"
-    inner = [0] * g.n
-    for a, b in t.edges:
-        for v in t.bags[a] & t.bags[b]:
-            inner[v] += 1
-    for v in g.vertices():
-        if len(holding[v]) - inner[v] != 1:
-            return f"bags containing vertex {v} are not connected in the tree"
+    for u in g.vertices():
+        held = near[u]
+        if not g.adj[u] <= held:
+            for v in g.adj[u]:
+                if u < v and v not in held and u not in near[v]:
+                    return f"edge {u},{v} in no bag"
+    if shape.split:
+        return (f"bags containing vertex {min(shape.split)} are not "
+                "connected in the tree")
     return None
 
 
@@ -191,14 +244,13 @@ def exact_treewidth(g):
 
     Treewidth is the maximum over connected components, so each component
     gets its own subset DP and the optimal orders are concatenated;
-    decomposition_from_elimination chains the component roots.
+    decomposition_from_elimination chains the component roots.  The
+    empty graph has treewidth -1, the width of its one empty bag.
     """
     if g.n > EXACT_TW_CAP:
         raise SizeCapExceeded(f"exact treewidth capped at n <= "
                               f"{EXACT_TW_CAP}, got n = {g.n}")
-    if g.n == 0:
-        return 0, TreeDecomposition([frozenset()], [])
-    tw = 0
+    tw = -1
     order = []
     for comp in g.components():
         sub, ids = g.induced(comp)
@@ -375,28 +427,24 @@ def _dp(g, t, k, key, introduce, forget):
     forget with an item, or (_JOIN, left, right) at a join. Only the
     root's chain is walked, iteratively, into the frozenset of its items.
     The caller has validated t.
+
+    The order and children come from t.shape, and the field ranks from
+    t.sorted_bags, both computed once per decomposition: the child bag's
+    vertices are forgotten from its sorted list backwards, so each keeps
+    its index there as its rank, and a parent-only vertex's rank is its
+    index in the parent's sorted list, as every smaller vertex of the
+    parent bag is in the fields by then.
     """
-    adj = [[] for _ in t.bags]
-    for a, b in t.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    order = [0]
-    children = [[] for _ in t.bags]
-    seen = {0}
-    for i in order:
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                children[i].append(j)
-                order.append(j)
+    shape = t.shape
     ones = (1 << k) - 1
     mask = key * sum(1 << r * k for r in range(t.width + 1))  # in every field
 
-    def move(tab, bag, target):
-        ranks = sorted(bag)  # the vertices of tab's fields, in field order
-        for v in sorted(bag - target, reverse=True):
-            r = bisect_left(ranks, v)
-            del ranks[r]
+    def move(tab, bag, ranks, target, target_ranks):
+        # ranks: the vertices of tab's fields, in field order
+        for r in reversed(range(len(ranks))):
+            v = ranks[r]
+            if v in target:
+                continue
             f = r * k
             low = (1 << f) - 1
             outcome = [_UNASKED] * (ones + 1)
@@ -414,8 +462,10 @@ def _dp(g, t, k, key, introduce, forget):
                         out[s2] = (val + gain,
                                    wit if item is None else (item, wit))
             tab = out
-        for v in sorted(target - bag):
-            r = bisect_left(ranks, v)
+        ranks = [v for v in ranks if v in target]
+        for r, v in enumerate(target_ranks):
+            if v in bag:
+                continue
             ranks.insert(r, v)
             f = r * k
             low = (1 << f) - 1
@@ -458,17 +508,17 @@ def _dp(g, t, k, key, introduce, forget):
                     out[s] = (lv + rv, (_JOIN, lw, rw))
         return out
 
+    bags, ranked = t.bags, t.sorted_bags
     tables = {}
-    for i in reversed(order):
-        bag = t.bags[i]
+    for i in reversed(shape.order):
         tab = None
-        for j in children[i]:
-            arm = move(tables.pop(j), t.bags[j], bag)
+        for j in shape.children[i]:
+            arm = move(tables.pop(j), bags[j], ranked[j], bags[i], ranked[i])
             tab = arm if tab is None else join(tab, arm)
         if tab is None:
-            tab = move({0: (0, None)}, frozenset(), bag)
+            tab = move({0: (0, None)}, (), (), bags[i], ranked[i])
         tables[i] = tab
-    root = move(tables[0], t.bags[0], frozenset()).get(0)
+    root = move(tables[0], bags[0], ranked[0], (), ()).get(0)
     if root is None:
         return None
     items = set()

@@ -641,6 +641,56 @@ def is_chordal(g):
     return perfect_elimination_order(g.adj) is not None
 
 
+def reference_validate(g, t):
+    """treedec.validate as first written, from a vertex -> holding bags
+    index: None if t is a valid tree decomposition of g, else the first
+    violated condition with a witness, in the same words.  Once the bag
+    graph is known to be a tree, the bags holding v induce a subforest,
+    whose component count is its node count minus its edge count; so
+    they are connected exactly when (bags holding v) - (tree edges with v
+    in both end bags) equals 1."""
+    n_nodes = len(t.bags)
+    if n_nodes == 0:
+        return "no bags"
+    if len(t.edges) != n_nodes - 1:
+        return f"not a tree: {n_nodes} bags, {len(t.edges)} edges"
+    adj = [[] for _ in range(n_nodes)]
+    for a, b in t.edges:
+        if a < 0 or b >= n_nodes:
+            return f"tree edge out of range: {a},{b}"
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != n_nodes:
+        return "not a tree: disconnected"
+    holding = [set() for _ in range(g.n)]
+    for i, b in enumerate(t.bags):
+        if b and (min(b) < 0 or max(b) >= g.n):
+            return f"bag contains non-vertices: {sorted(b)}"
+        for v in b:
+            holding[v].add(i)
+    for v in g.vertices():
+        if not holding[v]:
+            return f"vertex {v} in no bag"
+    for u, v in g.edges():
+        if holding[u].isdisjoint(holding[v]):
+            return f"edge {u},{v} in no bag"
+    inner = [0] * g.n
+    for a, b in t.edges:
+        for v in t.bags[a] & t.bags[b]:
+            inner[v] += 1
+    for v in g.vertices():
+        if len(holding[v]) - inner[v] != 1:
+            return f"bags containing vertex {v} are not connected in the tree"
+    return None
+
+
 def nested_tree_edges(t):
     """The tree edges of t that join a bag to one inside it."""
     return [(a, b) for a, b in t.edges

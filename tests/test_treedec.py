@@ -3,6 +3,7 @@ the dynamic-programming solvers against brute force."""
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -50,9 +51,90 @@ def test_validate_accepts_and_rejects():
         == "tree edge out of range: 0,5"
     assert treedec.validate(g, TreeDecomposition(three, [(0, 1), (0, -1)])) \
         == "tree edge out of range: -1,0"
+    assert treedec.validate(g, TreeDecomposition([], [])) == "no bags"
     # trivial decompositions
     assert treedec.validate(Graph(0), TreeDecomposition([frozenset()],
                                                         [])) is None
+
+
+def _corrupted(t, n, rng):
+    """Copies of t with one bag vertex dropped, added, or out of range (-1
+    and n), or one tree edge dropped, duplicated, added, or retargeted
+    in range or out of it."""
+    bags = [set(b) for b in t.bags]
+    edges = list(t.edges)
+    nodes = len(bags)
+    out = []
+    for _ in range(3):
+        i = rng.randrange(nodes)
+        if bags[i]:
+            out.append((bags[:i] + [bags[i] - {rng.choice(sorted(bags[i]))}]
+                        + bags[i + 1:], edges))
+        for v in (rng.randrange(n), -1, n):
+            out.append((bags[:i] + [bags[i] | {v}] + bags[i + 1:], edges))
+        out.append((bags, edges + [(rng.randrange(nodes),
+                                    rng.randrange(nodes))]))
+        if edges:
+            e = rng.randrange(len(edges))
+            a, b = edges[e]
+            rest = edges[:e] + edges[e + 1:]
+            out += [(bags, rest), (bags, edges + [edges[e]])]
+            out += [(bags, rest + [(a, c)])
+                    for c in (rng.randrange(nodes), nodes, -1)]
+    return [TreeDecomposition(b, e) for b, e in out]
+
+
+def test_validate_matches_its_reference_on_corrupted_decompositions():
+    # the top-bag checks give the verdict of the holding-set validate,
+    # kept in lemmas, word for word, whichever bag is the root
+    rng = random.Random(3100)
+    graphs = [*split_corpus(), *(generators.wall(k) for k in range(3, 7)),
+              *(generators.random_graph(n, p, seed=31 * n)
+                for n in (12, 25, 50) for p in (2 / n, 4 / n, 0.3))]
+    kinds = set()
+    for g in graphs:
+        t = _rerooted(treedec.greedy_fill_decomposition(g), rng)
+        for bad in [t, *_corrupted(t, g.n, rng)]:
+            verdict = lemmas.reference_validate(g, bad)
+            assert treedec.validate(g, bad) == verdict
+            kinds.add(verdict and " ".join(
+                re.sub(r"-?\d+|[,\[\]]", " ", verdict).split()))
+    assert kinds == {None, "not a tree: bags edges",
+                     "tree edge out of range:", "not a tree: disconnected",
+                     "bag contains non-vertices:", "vertex in no bag",
+                     "edge in no bag",
+                     "bags containing vertex are not connected in the tree"}
+
+
+def test_validate_reads_no_graph_from_the_cached_shape():
+    # one decomposition checked against several graphs gets each graph's
+    # own verdict, in any order: only the bag tree is cached
+    g = generators.wall(4)
+    t = treedec.greedy_fill_decomposition(g)
+    apart = next((u, v) for u in g.vertices() for v in g.vertices()
+                 if not any({u, v} <= b for b in t.bags))
+    graphs = [g, Graph(g.n, list(g.edges())[1:]),
+              Graph(g.n, [*g.edges(), apart]),
+              Graph(g.n + 1, list(g.edges())),
+              Graph(g.n - 1, [e for e in g.edges() if g.n - 1 not in e])]
+    verdicts = [lemmas.reference_validate(h, t) for h in graphs]
+    assert verdicts[:2] == [None, None] and None not in verdicts[2:]
+    for h, verdict in [*zip(graphs, verdicts), *zip(graphs[::-1],
+                                                     verdicts[::-1])]:
+        assert treedec.validate(h, t) == verdict
+
+
+def test_cached_shape_stays_out_of_identity():
+    # width, sorted_bags and shape are cached on first use, outside the
+    # dataclass fields: ==, hash and repr see only bags and edges
+    g = generators.wall(4)
+    t = treedec.greedy_fill_decomposition(g)
+    assert treedec.validate(g, t) is None
+    treedec.solve_dominating_set(g, t)
+    fresh = TreeDecomposition(t.bags, t.edges)
+    assert {"width", "sorted_bags", "shape"} <= set(vars(t))
+    assert "shape" not in vars(fresh)
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
 
 
 def test_exact_treewidth_matches_brute():
@@ -69,6 +151,8 @@ def test_exact_treewidth_named_graphs():
     assert treedec.exact_treewidth(generators.wall(3))[0] == 3
     assert treedec.exact_treewidth(generators.cycle(9))[0] == 2
     assert treedec.exact_treewidth(Graph(3))[0] == 0
+    assert treedec.exact_treewidth(Graph(0)) == (
+        -1, TreeDecomposition([frozenset()], []))
     with pytest.raises(SizeCapExceeded):
         treedec.exact_treewidth(Graph(15))
 
