@@ -107,9 +107,8 @@ def glue_at_clique(bags, starts, glue_tree):
     lies in both atoms, so a valid decomposition of each has such a bag.
     The links make a tree decomposition of the whole component:
 
-    - atom i is comp | clique, and comp is removed before any later atom
-      is cut, so atom i meets every later atom only inside the clique,
-      which lies in atom j;
+    - atom i meets every later atom only inside the clique, which lies
+      in atom j;
     - so the atoms holding a vertex v form a subtree of the atom tree, and
       each link between two of them joins bags that both hold the
       clique, which contains v.

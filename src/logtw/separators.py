@@ -9,7 +9,9 @@ completes, so the clique-cutset atoms read their separators, and the
 structured decompositions their bags, straight off it: no completed graph
 is built, and no component is induced or relabelled.  MCS-M finds the
 vertices each step bumps by a reach over weight levels, as published,
-with no heap of its own."""
+with no heap of its own.  The clique-cutset split cuts each component at
+its cut vertices first, in one depth-first search, so MCS-M runs only
+inside blocks of three or more vertices."""
 
 import heapq
 from math import comb
@@ -43,14 +45,14 @@ def ramsey(t, s):
 
 # -- clique cutsets ----------------------------------------------------------
 
-def _max_cardinality_search(vertices, bump):
-    """Maximum cardinality search over vertices, a union of components of
-    a graph, in its ids: number the heaviest unnumbered vertex, smallest
-    id on ties, then add one to the weight of each vertex that
-    bump(v, weight, remaining, top) returns, where top is the largest
-    weight left among unnumbered vertices.  The next vertex comes off a
-    lazy max-heap of (-weight, id) entries, one pushed per increment;
-    stale entries are dropped as they surface.
+def _max_cardinality_search(vertices, bump, first=None):
+    """Maximum cardinality search over vertices, a vertex set of a graph,
+    in its ids: number first, if given, then each time the heaviest
+    unnumbered vertex, smallest id on ties, and add one to the weight of
+    each vertex that bump(v, weight, remaining, top) returns, where top is
+    the largest weight left among unnumbered vertices.  The next vertex
+    comes off a lazy max-heap of (-weight, id) entries, one pushed per
+    increment; stale entries are dropped as they surface.
 
     Returns (order, madj): order is the numbering reversed, an
     elimination order, and madj[u] is the set of vertices whose numbering
@@ -72,7 +74,7 @@ def _max_cardinality_search(vertices, bump):
 
     while remaining:
         top()
-        v = heapq.heappop(heap)[1]
+        v = first if first in remaining else heapq.heappop(heap)[1]
         remaining.discard(v)
         order.append(v)
         for u in bump(v, weight, remaining, top()):
@@ -83,10 +85,10 @@ def _max_cardinality_search(vertices, bump):
     return order, madj
 
 
-def minimal_triangulation(g, vertices):
-    """An inclusion-minimal chordal completion of g on vertices, a union
-    of its components, by maximum cardinality search with fill tracking
-    (MCS-M, Berry, Blair, Heggernes and Peyton 2004).  Returns
+def minimal_triangulation(g, vertices, first=None):
+    """An inclusion-minimal chordal completion of g[vertices] by maximum
+    cardinality search with fill tracking (MCS-M, Berry, Blair, Heggernes
+    and Peyton 2004), numbering first first when it is given.  Returns
     (order, madj): order is a perfect elimination order of the completion
     and madj[x] the neighbours of x after it there, so the fill is every
     pair {x, y}, y in madj[x], that is not an edge of g.
@@ -123,7 +125,7 @@ def minimal_triangulation(g, vertices):
                         levels[w].append(y)
         return s
 
-    return _max_cardinality_search(vertices, bump)
+    return _max_cardinality_search(vertices, bump, first)
 
 
 def find_clique_cutset(g):
@@ -139,10 +141,83 @@ def find_clique_cutset(g):
     return clique, g.components(removed=clique)
 
 
+def _blocks(g, component):
+    """The blocks of g[component], its maximal 2-connected subgraphs and
+    its bridges, by one depth-first search (Hopcroft and Tarjan 1973)
+    from min(component) that takes neighbours in ascending id.  Yields
+    (head, block) pairs in post-order: block is a vertex set, and head is
+    its vertex the search reached first, the only one of its vertices a
+    block yielded later can hold.  A lone vertex is its own block."""
+    root = min(component)
+    num = {root: 0}
+    low = {root: 0}
+    stack = [root]  # vertices whose block is not yet yielded
+    frames = [(root, iter(sorted(g.adj[root])), 0)]
+    while frames:
+        v, nbrs, at = frames[-1]
+        for w in nbrs:
+            if w not in num:
+                num[w] = low[w] = len(num)
+                frames.append((w, iter(sorted(g.adj[w])), len(stack)))
+                stack.append(w)
+                break
+            if num[w] < low[v]:
+                low[v] = num[w]
+        else:
+            frames.pop()
+            if frames:
+                p = frames[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= num[p]:  # p cuts v's subtree off
+                    block = frozenset([p, *stack[at:]])
+                    del stack[at:]
+                    yield p, block
+    if len(num) == 1:
+        yield root, frozenset(stack)
+
+
+def _cut_block(g, block, head):
+    """The clique minimal separator decomposition of g[block], block
+    2-connected, read off one MCS-M elimination order that numbers head
+    first (Berry, Pogorelcnik and Simonet 2010).  Returns (atoms, cuts):
+    atom i < len(cuts) was cut off along the clique cuts[i], and the last
+    atom, which holds head, was cut off along none.
+
+    x generates the minimal separator madj(x) of the completion when
+    |madj(x)| <= |madj(next vertex)|, the MCS-M weight test. Walking the
+    order, each generator whose separator S is a clique of g cuts off the
+    component of what is left of the block that holds x, together with S,
+    as an atom.  The vertex numbered first is never cut off."""
+    order, madj = minimal_triangulation(g, block, head)
+    removed = set()
+    atoms = []
+    cuts = []
+    for x, y in zip(order, order[1:]):
+        s = madj[x]
+        if len(s) <= len(madj[y]) and g.is_clique(s):
+            # the component of g[block] - removed - s that holds x
+            comp = {x}
+            stack = [x]
+            while stack:
+                for w in g.adj[stack.pop()]:
+                    if (w in block and w not in comp and w not in removed
+                            and w not in s):
+                        comp.add(w)
+                        stack.append(w)
+            atoms.append(frozenset(comp | s))
+            cuts.append(frozenset(s))
+            removed |= comp
+    atoms.append(block - removed)
+    return atoms, cuts
+
+
 def clique_cutset_atoms(g, component):
     """Clique minimal separator decomposition of one component of g, in
-    g's ids, read off one MCS-M elimination order (Berry, Pogorelcnik and
-    Simonet 2010).
+    g's ids: the component is cut at its cut vertices into blocks first,
+    and each block of three or more vertices is cut by _cut_block.  The
+    atoms are unique (Leimer 1993), so they are those of one MCS-M run
+    over the whole component.
 
     Returns (atoms, glue_tree): atoms are vertex sets with no clique
     cutset; glue_tree is a list of (i, j, clique) entries meaning atom i
@@ -152,33 +227,27 @@ def clique_cutset_atoms(g, component):
     clique. Gluing the atoms back along the recorded cliques reproduces
     g[component].
 
-    x generates the minimal separator madj(x) of the completion when
-    |madj(x)| <= |madj(next vertex)|, the MCS-M weight test. Walking the
-    order, each generator whose separator S is a clique of g cuts off the
-    component of what is left that holds x, together with S, as an atom.
-    """
-    order, madj = minimal_triangulation(g, component)
-    removed = set()
+    Blocks come in post-order, so a block meets later blocks only at its
+    head, which lies in its last atom.  Inside a block, atom i hangs off
+    the first later atom that holds its clique; a block's last atom hangs
+    at {head} off the last atom that holds the head, a later one for
+    every block but the last, whose head is the root."""
     atoms = []
-    cuts = []
-    for x, y in zip(order, order[1:]):
-        s = madj[x]
-        if len(s) <= len(madj[y]) and g.is_clique(s):
-            # the component of g - removed - s that holds x
-            comp = {x}
-            stack = [x]
-            while stack:
-                for w in g.adj[stack.pop()]:
-                    if w not in comp and w not in removed and w not in s:
-                        comp.add(w)
-                        stack.append(w)
-            atoms.append(frozenset(comp | s))
-            cuts.append(frozenset(s))
-            removed |= comp
-    atoms.append(frozenset(component) - removed)
-    # atom i hangs off the first later atom that holds its separator
-    glue = [(i, next(j for j in range(i + 1, len(atoms)) if s <= atoms[j]),
-             s) for i, s in enumerate(cuts)]
+    glue = []
+    ends = []  # (a block's last atom, its head)
+    for head, block in _blocks(g, component):
+        if len(block) > 2:
+            first = len(atoms)
+            parts, cuts = _cut_block(g, block, head)
+            atoms += parts
+            glue += [(i, next(j for j in range(i + 1, len(atoms))
+                              if s <= atoms[j]), s)
+                     for i, s in enumerate(cuts, first)]
+        else:
+            atoms.append(block)
+        ends.append((len(atoms) - 1, head))
+    last = {v: k for k, a in enumerate(atoms) for v in a}
+    glue += [(i, last[head], frozenset((head,))) for i, head in ends[:-1]]
     return atoms, glue
 
 

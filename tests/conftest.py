@@ -146,6 +146,37 @@ def caterpillar(spine):
 
 
 @lru_cache(maxsize=None)
+def glued_blocks():
+    """Seeded connected graphs of blocks glued at a vertex or at an edge:
+    cycles, cliques, walls and G(n, p), with pendant trees, in shuffled
+    ids."""
+    shapes = [generators.cycle(k) for k in (3, 4, 5, 8)]
+    shapes += [generators.clique(k) for k in (3, 4, 5)]
+    shapes += [generators.wall(3), generators.wall(4)]
+    shapes += [g for g in (random_graph(k, 0.5, seed=k) for k in range(5, 12))
+               if g.is_connected()]
+    out = []
+    for seed in range(80):
+        rng = random.Random(seed)
+        n, edges = 1, set()
+        for _ in range(rng.randint(2, 7)):
+            h = (random_tree(rng.randint(2, 6), seed=rng.randrange(99))
+                 if rng.random() < 0.3 else rng.choice(shapes))
+            if edges and rng.random() < 0.4:  # glued at an edge
+                at = dict(zip(rng.choice(sorted(h.edges())),
+                              rng.choice(sorted(edges))))
+            else:
+                at = {rng.randrange(h.n): rng.randrange(n)}
+            for v in h.vertices():
+                if v not in at:
+                    at[v] = n
+                    n += 1
+            edges |= {tuple(sorted((at[u], at[v]))) for u, v in h.edges()}
+        out.append(relabelled(Graph(n, edges), seed))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def search_corpus():
     """split_corpus() widened for the searches that run in the input's
     own ids: a relabelled copy of each graph, ladders and caterpillars in

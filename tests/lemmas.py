@@ -6,14 +6,15 @@ cliques, component closures and the low-degree half; the theta,
 pyramid and prism checks as first written, property by property, a
 reference for detect's definition checks; the pinched-prism search over
 holes, its centre-and-hole check and the maximum-clique search as first
-written, references for detect's three-path and direct K_t searches; the
-clique-cutset split, elimination and degeneracy orders and the
-exact-treewidth DP as first written, references for the heap-selected
-and unbucketed versions; the elimination bags and the Blair-Peyton
-clique-tree walk, references for the reduced elimination tree; a graph
-with edges added, for chordal completions; and the table DP with its
-solvers as first written, counting each vertex at introduce, a reference
-for the forget-time counting.  The builder needs none of them; the tests
+written, references for detect's three-path and direct K_t searches; a
+brute-force block test; the clique-cutset split, elimination and
+degeneracy orders and the exact-treewidth DP as first written,
+references for the heap-selected and unbucketed versions; the
+elimination bags and the Blair-Peyton clique-tree walk, references for
+the reduced elimination tree; a graph with edges added, for chordal
+completions; and the table DP with its solvers as first written,
+counting each vertex at introduce, a reference for the forget-time
+counting.  The builder needs none of them; the tests
 import this module the way they import conftest.
 """
 
@@ -778,6 +779,19 @@ def reference_madj(adj, order):
     pos = {v: i for i, v in enumerate(order)}
     return {v: frozenset(w for w in adj[v] if pos[w] > pos[v])
             for v in order}
+
+
+def is_block(g, b):
+    """b is a block of g of at least three vertices, by brute force: g[b]
+    is connected and no one vertex disconnects it, and every component of
+    g minus b has at most one neighbour in b, so no path outside b joins
+    two of its vertices and no larger vertex set is 2-connected."""
+    sub, _ = g.induced(b)
+    return (len(b) >= 3 and sub.is_connected()
+            and all(len(sub.components(removed={x})) == 1
+                    for x in sub.vertices())
+            and all(len(g.open_neighborhood(c) & b) <= 1
+                    for c in g.components(removed=b)))
 
 
 def reference_split(g):

@@ -226,7 +226,7 @@ def test_builder_output_is_pinned():
         out.append(([sorted(b) for b in td.bags], td.edges,
                     list(report.as_lines()), report.trace))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "148c3f883eac462d188029d4e00a20ecf16ad108b370e97612a82f87a18daba6")
+        "c5247ecb8bb00264a727382b4806d3bac992a4fbfadfa564812d1baebee1561c")
 
 
 def test_certified_member_builds_are_pinned():
@@ -242,7 +242,7 @@ def test_certified_member_builds_are_pinned():
             out.append(([sorted(b) for b in td.bags], td.edges,
                         list(report.as_lines()), report.trace))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "d1559c3fb167f7076895c58b2d5fa1444d4d20120c549367b9f3504f19489268")
+        "40ec41fef873a5adea2394cce272ea46cafaa3a85d00f0b069a5e3a6f1ee3e59")
 
 
 def test_builder_reports_are_pinned():
@@ -262,7 +262,7 @@ def test_builder_reports_are_pinned():
         _, report = decompose(g, 3, **kwargs)
         out.append((list(report.as_lines()), report.trace))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "cb9bbeb30a5ffabb8afcacb36e150749f32e946021c0ae394783e3ceb33a115c")
+        "96ff6df98d1fd6e1ec8a207d0ffa530fb90896526a7d4806c402d88b084b5d3e")
 
 
 def test_builder_bags_are_pinned():
@@ -281,7 +281,7 @@ def test_builder_bags_are_pinned():
         td, _ = decompose(g, 3, **kwargs)
         out.append([sorted(b) for b in td.bags])
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "018fa2d64bcf4accc6fc7491e2f49cb58336bf1542ea6690b45e172ca882f398")
+        "10ab75c3f5dcc65cf47014e4a7124a8683973886ce5857ff6c002dbb6f04e2ce")
 
 
 def test_cube_atoms_get_their_treewidth():

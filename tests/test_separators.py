@@ -2,6 +2,8 @@
 potential maximal cliques, minimal triangulation, clique trees and clique
 cutsets — each checked against brute force where one exists."""
 
+import random
+
 import pytest
 
 from logtw import builder, generators, separators, treedec
@@ -10,7 +12,8 @@ from logtw.treedec import TreeDecomposition
 
 import brute
 import lemmas
-from conftest import (glued, hub_layer_cases, ladder, random_corpus,
+from conftest import (caterpillar, class_members, glued, glued_blocks,
+                      hub_layer_cases, ladder, random_corpus, random_tree,
                       search_corpus)
 
 
@@ -261,15 +264,27 @@ def test_searches_match_their_references_on_uncertified_shapes():
 
 
 def test_split_matches_its_reference_and_glue_hangs_each_atom():
-    # the in-place split and its component search per generator give
-    # exactly what the first-written version, kept in lemmas, gives,
-    # disconnected graphs included; the glue links each entry (i, j, s)
-    # at the first bag of atom i's run and of atom j's run holding s, and
-    # the glued decomposition is valid
-    for g in search_corpus():
+    # the split gives the atoms that one MCS-M run over the whole
+    # component gives in the first-written version, kept in lemmas,
+    # disconnected graphs and glued blocks included, in an order of its
+    # own; each glue entry (i, j, s) hangs atom i once off a later atom j,
+    # along a clique s of both, and atom i meets every later atom only
+    # inside s; the glue links each entry at the first bag of atom i's run
+    # and of atom j's run holding s, and the glued decomposition is valid
+    for g in search_corpus() + glued_blocks():
         pieces = builder.split(g)
-        assert pieces == lemmas.reference_split(g)
+        assert [sorted(map(sorted, atoms)) for atoms, _ in pieces] == \
+            [sorted(map(sorted, atoms)) for atoms, _ in
+             lemmas.reference_split(g)]
         for atoms, glue in pieces:
+            assert sorted(i for i, _, _ in glue) == \
+                list(range(len(atoms) - 1))
+            for i, j, s in glue:
+                assert i < j
+                assert g.is_clique(s)
+                assert s <= atoms[i] & atoms[j]
+                for k in range(i + 1, len(atoms)):
+                    assert atoms[i] & atoms[k] <= s
             decomps = []
             for a in atoms:
                 sub, ids = g.induced(a)
@@ -293,6 +308,45 @@ def test_split_matches_its_reference_and_glue_hangs_each_atom():
                     assert s <= got.bags[x]
                     assert not any(s <= got.bags[y]
                                    for y in range(starts[k], x))
+
+
+def test_mcs_m_runs_only_inside_blocks(monkeypatch):
+    # the split cuts at cut vertices first, so MCS-M never runs on a
+    # tree, and every vertex set it searches is a block of three or more
+    # vertices
+    searched = []
+    real = separators.minimal_triangulation
+
+    def recorded(g, vertices, *rest):
+        searched.append((g, frozenset(vertices)))
+        return real(g, vertices, *rest)
+    monkeypatch.setattr(separators, "minimal_triangulation", recorded)
+    for g in (generators.path(300), caterpillar(150),
+              random_tree(300, seed=3)):
+        builder.split(g)
+    assert searched == []
+    for g in search_corpus() + glued_blocks():
+        builder.split(g)
+    assert len(searched) > len(glued_blocks())
+    assert all(lemmas.is_block(g, b) for g, b in searched)
+
+
+def test_split_and_build_do_not_depend_on_edge_order():
+    # a graph built from its edges shuffled and flipped splits and
+    # decomposes as before: the split's depth-first pass takes neighbours
+    # in ascending id, so what it returns depends only on the edge set
+    corpus = [*glued_blocks()[:30], caterpillar(20), generators.wall(4),
+              *class_members(3, 64, 3, p=1.2 / 64)]
+    for k, g in enumerate(corpus):
+        rng = random.Random(k)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                 for u, v in g.edges()]
+        rng.shuffle(edges)
+        h = Graph(g.n, edges)
+        assert builder.split(h) == builder.split(g)
+        want, _ = builder.decompose(g, 3, uncertified_ok=True)
+        got, _ = builder.decompose(h, 3, uncertified_ok=True)
+        assert (got.bags, got.edges) == (want.bags, want.edges)
 
 
 def test_split_cuts_in_place(monkeypatch):

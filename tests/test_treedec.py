@@ -370,7 +370,7 @@ def test_solver_outputs_are_pinned():
             + [ok, sorted(col.items()) if ok else None,
                treedec.solve_chromatic(g, t)])
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "acc60b0c18c6fa91f59a61aa88ee524c4d135fad5088c2d6121a5f2c986d4692")
+        "dd90a8e1ecf3d3eae907a006a0a4a857f0fb613251596896c939d2e1c84c5fb0")
 
 
 def test_solver_values_are_pinned():
