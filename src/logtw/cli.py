@@ -10,12 +10,12 @@ without --uncertified-ok.
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 
 from . import builder, detect, generators, treedec
 from .builder import Caps, ClassViolation, decompose
-from .formats import (FormatError, read_graph, read_td, write_graph,
-                      write_report, write_td)
+from .formats import FormatError, read_graph, read_td, write_graph, write_td
 from .graph import BuildCheckFailed, SizeCapExceeded
 from .treedec import Q_COLORING_CAP, validate
 
@@ -50,6 +50,12 @@ _DETECTORS = {
 def _load_graph(path):
     with open(path) as fh:
         return read_graph(fh)
+
+
+def _output(path):
+    """The file at path opened for writing, or stdout when no path is
+    given."""
+    return open(path, "w") if path else nullcontext(sys.stdout)
 
 
 def _parse_caps(text):
@@ -88,11 +94,8 @@ def cmd_gen(args):
         if len(args.params) != arity:
             raise ValueError(f"{args.family} needs {arity} parameter(s)")
         g = fn(*(int(p) for p in args.params))
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_graph(g, fh)
-    else:
-        write_graph(g, sys.stdout)
+    with _output(args.out) as fh:
+        write_graph(g, fh)
     return EXIT_OK
 
 
@@ -125,13 +128,13 @@ def cmd_decompose(args):
     td, report = decompose(g, args.t, caps=caps,
                            uncertified_ok=args.uncertified_ok)
     if args.out_td:
-        with open(args.out_td, "w") as fh:
+        with _output(args.out_td) as fh:
             write_td(td, g.n, fh)
+    text = "".join(f"{line}\n" for line in report.as_lines())
     if args.out_report:
-        with open(args.out_report, "w") as fh:
-            write_report(report, fh)
-    for line in report.as_lines():
-        print(line)
+        with _output(args.out_report) as fh:
+            fh.write(text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -204,14 +207,10 @@ def cmd_bench(args):
         td, report = decompose(g, args.t, caps=caps, uncertified_ok=True)
         rows.append((n, (n - 1).bit_length(), td.width, report.bound,
                      "yes" if report.certified else "no"))
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        out.write("n\tlog2n\twidth\tbound\tcertified\n")
+    with _output(args.out) as fh:
+        fh.write("n\tlog2n\twidth\tbound\tcertified\n")
         for row in rows:
-            out.write("\t".join(str(x) for x in row) + "\n")
-    finally:
-        if args.out:
-            out.close()
+            fh.write("\t".join(str(x) for x in row) + "\n")
     return EXIT_OK
 
 

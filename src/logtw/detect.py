@@ -285,7 +285,7 @@ def cubes(g):
     enumeration order.  Both centres see three ring vertices, so b1 and b2
     are drawn, ids ascending, from the vertices the walk yields as seeing
     three of the hole."""
-    for hole, _, three in enumerate_holes(g, max_len=6, min_len=6):
+    for hole, three in enumerate_holes(g, max_len=6, min_len=6):
         hset = set(hole)
         centres = []
         while three:
@@ -368,7 +368,7 @@ def hubs(g, hole_cap):
     adj = g.adj
     found = 0
     holes = enumerate_holes(g, min_len=5)
-    for count, (hole, _, three) in enumerate(holes):
+    for count, (hole, three) in enumerate(holes):
         if count >= HUB_BUDGET:
             raise SizeCapExceeded(
                 f"hub search budget of {HUB_BUDGET} holes exhausted")

@@ -87,8 +87,7 @@ def pinched_prism(l1, l2):
     hole_len = 2 + (l1 - 1) + 2 + (l2 - 1)
     g = cycle(hole_len)
     center = hole_len
-    p, q = 0, 1
-    r, s = 1 + l1, 2 + l1
+    p, q, r, s = 0, 1, 1 + l1, 2 + l1
     edges = list(g.edges()) + [(center, x) for x in (p, q, r, s)]
     return Graph(hole_len + 1, edges)
 
@@ -148,13 +147,17 @@ def random_graph(n, p, seed):
     return Graph(n, edges)
 
 
-def random_in_class(n, p, t, seed, max_tries=200):
+# the draws random_in_class makes before it gives up
+MAX_TRIES = 200
+
+
+def random_in_class(n, p, t, seed):
     """Rejection-sample G(n, p) until the graph excludes thetas, pyramids,
     generalized prisms and K_t; returns None when tries are exhausted.
     Each draw is searched whole, with no size cap, atom by atom on the
     builder's class_atoms; in_class_Ct checks the certificate of every
     rejected draw."""
-    for i in range(max_tries):
+    for i in range(MAX_TRIES):
         g = random_graph(n, p, seed * 100003 + i)
         atoms = builder.class_atoms(g, builder.split(g), t)
         ok, _ = detect.in_class_Ct(g, t, caps=g.n, atoms=atoms)

@@ -238,9 +238,9 @@ def adjacency_masks(g):
 
 def enumerate_holes(g, max_len=None, min_len=4):
     """Yield every induced cycle of length >= min_len exactly once, as a
-    triple (hole, mask, three): the hole's vertices, the OR of their bits
-    and the mask of the vertices with at least three neighbours on the
-    hole (never a hole vertex, which sees just its two neighbours).
+    pair (hole, three): the hole's vertices and the mask of the vertices
+    with at least three neighbours on the hole (never a hole vertex,
+    which sees just its two neighbours).
 
     The walk keeps, for the path it is on, the vertices with at least one,
     two and three neighbours on the path (near, two, three); pushing w
@@ -284,28 +284,27 @@ def enumerate_holes(g, max_len=None, min_len=4):
             # The frame of the path on top: its candidates; reach, the
             # vertices closed to a candidate's own candidates (ids <= v0,
             # dead closers, the path past v0 and its neighbours, which
-            # would be chords); its vertex mask; and near, two and three,
-            # the vertices with at least one, two and three neighbours on
-            # the path.  While a longer path is walked the frame is saved
-            # on the stack with its path length, unless it has no
-            # candidate left to return to.  The path [v0] has the one
-            # candidate v1.
+            # would be chords); and near, two and three, the vertices with
+            # at least one, two and three neighbours on the path.  While a
+            # longer path is walked the frame is saved on the stack with
+            # its path length, unless it has no candidate left to return
+            # to.  The path [v0] has the one candidate v1.
             path = [v0]
             stack = []
-            cands, pmask, near, two, three = low, 1 << v0, closers, 0, 0
+            cands, near, two, three = low, closers, 0, 0
             reach = upto_v0 | closers ^ live
             while True:
                 if not cands:
                     if not stack:
                         break
-                    cands, reach, pmask, near, two, three, depth = stack.pop()
+                    cands, reach, near, two, three, depth = stack.pop()
                     del path[depth:]
                     continue
                 bit = cands & -cands
                 cands ^= bit
                 w = bit.bit_length() - 1
                 if bit & live:
-                    yield (*path, w), pmask | bit, three | two & amask[w]
+                    yield (*path, w), three | two & amask[w]
                     continue
                 wmask = amask[w]
                 wreach = reach | wmask
@@ -321,11 +320,9 @@ def enumerate_holes(g, max_len=None, min_len=4):
                     wcands &= ~live
                 if wcands:
                     if cands:
-                        stack.append((cands, reach, pmask, near, two, three,
-                                      depth))
+                        stack.append((cands, reach, near, two, three, depth))
                     path.append(w)
                     cands, reach = wcands, wreach
-                    pmask |= bit
                     three |= two & wmask
                     two |= near & wmask
                     near |= wmask

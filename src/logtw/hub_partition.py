@@ -87,23 +87,17 @@ def build_hub_partition(g, hub):
     delta = strict_degeneracy(sub)
     layers = []
     for t_layer in layered_halving(sub, delta):
-        colors = _greedy_color_classes(sub, t_layer)
-        for cls in colors:
-            layers.append(frozenset(ids[v] for v in cls))
+        # the layer induced in g's ids: the ids ascend, so it is
+        # sub[t_layer] with its vertices in the same order
+        layer, layer_ids = g.induced(ids[v] for v in t_layer)
+        color = greedy_color_by_degeneracy(layer)
+        classes = [set() for _ in range(max(color) + 1)]
+        for v, c in enumerate(color):
+            classes[c].add(layer_ids[v])
+        layers += map(frozenset, classes)
     hp = HubPartition(tuple(layers), delta, hub)
     hp.check(g)
     return hp
-
-
-def _greedy_color_classes(g, vertices):
-    """Color g[vertices] greedily along the reverse degeneracy order;
-    returns the nonempty color classes in color order."""
-    sub, ids = g.induced(vertices)
-    color = greedy_color_by_degeneracy(sub)
-    classes = [set() for _ in range(max(color, default=-1) + 1)]
-    for v, c in enumerate(color):
-        classes[c].add(ids[v])
-    return [frozenset(c) for c in classes]
 
 
 def is_balanced(g, v):

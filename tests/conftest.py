@@ -7,6 +7,7 @@ sampling is seeded, so every run sees the same graphs.
 import random
 from functools import lru_cache
 from itertools import combinations
+from unittest.mock import patch
 
 from logtw import builder, detect, generators
 from logtw.generators import random_graph, random_in_class
@@ -24,11 +25,13 @@ def class_members(t, n, count, p=None, seed_base=0):
         p = min(0.3, 2.2 / n)
     out = []
     seed = seed_base
-    while len(out) < count and seed < seed_base + 12 * count:
-        g = random_in_class(n, p, t, seed=seed, max_tries=30)
-        if g is not None:
-            out.append(g)
-        seed += 1
+    # 30 draws per seed: the corpora are the graphs those draws find
+    with patch.object(generators, "MAX_TRIES", 30):
+        while len(out) < count and seed < seed_base + 12 * count:
+            g = random_in_class(n, p, t, seed=seed)
+            if g is not None:
+                out.append(g)
+            seed += 1
     return tuple(out)
 
 

@@ -132,7 +132,7 @@ def reference_verify_prism(g, roles):
 # check and its direct K_t search.
 
 def reference_find_pinched_prism(g):
-    for hole, _, _ in enumerate_holes(g, min_len=6):
+    for hole, _ in enumerate_holes(g, min_len=6):
         hset = set(hole)
         for c in g.vertices():
             if c in hset:
@@ -263,7 +263,7 @@ def is_valid_wheel(g, wheel):
 
 def wheels_at(g, v):
     """All wheels with hub v, in canonical hole order."""
-    for hole, _, _ in enumerate_holes(g, min_len=5):
+    for hole, _ in enumerate_holes(g, min_len=5):
         if v in hole:
             continue
         w = Wheel(hole, v)

@@ -65,7 +65,13 @@ def test_graph_format_rejects_garbage():
             ("p tw 3 1\n1 b\n", "line 2: expected integers"),
             ("p tw -1 0\n", "line 1: negative count in 'p tw -1 0'"),
             ("c a comment\np tw 3 -1\n",
-             "line 2: negative count in 'p tw 3 -1'")):
+             "line 2: negative count in 'p tw 3 -1'"),
+            # two faults: the first in file order is reported
+            ("p tw 3 1\n1 9\np tw 3 1\n", "line 2: vertex out of range"),
+            # a header after comment and blank lines reads, and line
+            # numbers count the skipped lines
+            ("c one\n\nc two\np tw 2 1\n1 3\n",
+             "line 5: vertex out of range")):
         with pytest.raises(FormatError, match=re.escape(message)):
             read_graph(io.StringIO(text))
 
@@ -92,7 +98,17 @@ def test_td_format_rejects_garbage():
             ("s td 1 0 -3\nb 1\n", "line 1: negative count in 's td 1 0 -3'"),
             ("s td -1 1 1\n", "line 1: negative count in 's td -1 1 1'"),
             ("s td 1 -1 1\nb 1\n",
-             "line 1: negative count in 's td 1 -1 1'")):
+             "line 1: negative count in 's td 1 -1 1'"),
+            # the header comes first: a tree edge before it is rejected,
+            # as a bag is
+            ("1 2\ns td 2 1 2\nb 1 1\nb 2 2\n",
+             "line 1: tree edge before header"),
+            # two faults: the first in file order is reported
+            ("s td 1 1 3\nb 1 9\ns td 1 1 3\n", "line 2: vertex out of range"),
+            # a header after comment and blank lines reads, and line
+            # numbers count the skipped lines
+            ("c one\n\nc two\ns td 1 1 3\nb 1 4\n",
+             "line 5: vertex out of range")):
         with pytest.raises(FormatError, match=re.escape(message)):
             read_td(io.StringIO(text))
 
@@ -430,6 +446,25 @@ def test_cli_verify_rejects_wrong_decomposition(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--graph", str(g2), "--td", str(td)]) == 3
     capsys.readouterr()
+
+
+def test_cli_files_equal_stdout(tmp_path, capsys):
+    # what a command writes to its output file is what it prints without
+    # the option
+    gpath = tmp_path / "g.gr"
+    assert main(["gen", "cycle", "9", "--out", str(gpath)]) == 0
+    for argv, flag in ((["gen", "cycle", "9"], "--out"),
+                       (["decompose", "--in", str(gpath), "--t", "3"],
+                        "--out-report"),
+                       (["bench", "--sizes", "8,12"], "--out")):
+        out = tmp_path / "out.txt"
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main([*argv, flag, str(out)]) == 0
+        assert out.read_text() == printed
+        # decompose prints its report whether or not it writes one
+        assert capsys.readouterr().out == (
+            printed if argv[0] == "decompose" else "")
 
 
 def test_cli_bench_small(tmp_path):

@@ -363,7 +363,7 @@ def test_hubs_match_wheel_definition_under_budget(monkeypatch):
     assert max(len(list(enumerate_holes(g, min_len=5)))
                for g in graphs) > 50
     for g in graphs:
-        holes = [hole for hole, _, _ in enumerate_holes(g, min_len=5)]
+        holes = [hole for hole, _ in enumerate_holes(g, min_len=5)]
         expected = {v for v in g.vertices() if any(
             lemmas.is_valid_wheel(g, lemmas.Wheel(h, v)) for h in holes)}
         # the search counts holes against its own HUB_BUDGET, so the

@@ -90,7 +90,7 @@ def test_random_in_class_edge_cases():
     g = random_in_class(8, 0.0, 3, seed=1)
     assert g is not None and not list(g.edges())
     # K_t can never pass the class check
-    assert random_in_class(3, 1.0, 3, seed=1, max_tries=5) is None
+    assert random_in_class(3, 1.0, 3, seed=1) is None
 
 
 def test_random_in_class_membership():

@@ -90,7 +90,7 @@ def test_clique_and_stable_match_the_pairwise_definition():
 
 def _holes(g, *args, **kwargs):
     """The hole tuples `enumerate_holes` yields, without their masks."""
-    return [hole for hole, _, _ in enumerate_holes(g, *args, **kwargs)]
+    return [hole for hole, _ in enumerate_holes(g, *args, **kwargs)]
 
 
 def test_hole_enumeration_matches_brute_force():
@@ -111,13 +111,10 @@ def test_hole_enumeration_on_named_graphs():
 def test_hole_enumeration_order_matches_reference():
     # the hub search's budget cuts this sequence, so equal sets are not
     # enough: the order must be the same too; each hole comes with the
-    # OR of its vertices' bits and the mask of the vertices that have at
-    # least three neighbours in the hole
-    def masks(g, hole):
-        mask = sum(1 << x for x in hole)
-        three = sum(1 << v for v in g.vertices()
-                    if len(g.adj[v] & set(hole)) >= 3)
-        return mask, three
+    # mask of the vertices that have at least three neighbours in the hole
+    def three_mask(g, hole):
+        return sum(1 << v for v in g.vertices()
+                   if len(g.adj[v] & set(hole)) >= 3)
 
     graphs = list(random_corpus(12, 30, p=0.3, seed_base=1200))
     graphs += [relabelled(wall(k), seed=k) for k in (3, 4, 5)]
@@ -127,17 +124,17 @@ def test_hole_enumeration_order_matches_reference():
     cases.append((relabelled(wall(6), seed=6), 5, None, 5000))
     for g, min_len, max_len, first in cases:
         found = list(islice(enumerate_holes(g, max_len, min_len), first))
-        assert [hole for hole, _, _ in found] == list(
+        assert [hole for hole, _ in found] == list(
             islice(_reference_holes(g, max_len, min_len), first))
-        for hole, mask, three in found:
-            assert (mask, three) == masks(g, hole)
+        for hole, three in found:
+            assert three == three_mask(g, hole)
 
 
 def test_hole_enumeration_cap():
     # the walk has no cap of its own: the hub search checks its hole cap
     # (test_detect.py), so a 70-vertex graph is walked
     assert list(enumerate_holes(Graph(70))) == []
-    assert [hole for hole, _, _ in enumerate_holes(cycle(70))] == [
+    assert [hole for hole, _ in enumerate_holes(cycle(70))] == [
         tuple(range(70))]
 
 
