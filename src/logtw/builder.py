@@ -137,11 +137,29 @@ def glue_at_clique(bags, starts, glue_tree):
 
 def split(g):
     """The clique-cutset split of g: one (atoms, glue) per component of g,
-    in g.components() order, atoms and glue cliques in g's ids.  A
-    component of at most two vertices is its own single atom; every other
-    is cut in place by clique_cutset_atoms once."""
-    return [([c], []) if len(c) <= 2 else clique_cutset_atoms(g, c)
-            for c in g.components()]
+    in g.components() order, atoms and glue cliques in g's ids.
+
+    The vertices are walked in id order, so the first vertex of a
+    component the walk meets is its smallest.  An isolated vertex, or a
+    lone edge (its one neighbour has it as its only neighbour), is its
+    own single atom; every other component is cut in place by one
+    clique_cutset_atoms call from that vertex, whose block search finds
+    the component as it walks it, so no vertex is walked twice."""
+    adj = g.adj
+    pieces = []
+    seen = set()
+    for v in range(g.n):
+        if v in seen:
+            continue
+        nbrs = adj[v]
+        if len(nbrs) > 1 or nbrs and len(adj[min(nbrs)]) > 1:
+            atoms, glue = clique_cutset_atoms(g, v)
+            seen.update(*atoms)
+        else:  # an isolated vertex or a lone edge
+            atoms, glue = [nbrs | {v}], []
+            seen |= nbrs
+        pieces.append((atoms, glue))
+    return pieces
 
 
 def class_atoms(g, pieces, t):

@@ -11,33 +11,40 @@ class FormatError(Exception):
 
 def _lines(fh, key, fmt, size, before):
     """Yield the counts of fh's header, `<key> <fmt>` and then size
-    integers, and after them (line number, fields, text) for each later
-    line; blank lines and `c` comment lines are skipped.  FormatError if
-    the header is missing or is not the first line left, or on a second
-    header, a malformed one or a negative count; before(fields) names
-    what a line before the header holds."""
-    counts = None
-    for lineno, raw in enumerate(fh, 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    integers, and after them (line number, fields, raw line) for each
+    later line; blank lines and lines whose first field starts with `c`
+    are skipped.  Each line is split once; a message that quotes a line
+    quotes raw.strip().  FormatError if the header is missing or is not
+    the first line left, or on a second header, a malformed one or a
+    negative count; before(fields) names what a line before the header
+    holds."""
+    lines = enumerate(fh, 1)
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0][0] == "c":
             continue
-        parts = line.split()
         if parts[0] != key:
-            if counts is None:
-                raise FormatError(
-                    f"line {lineno}: {before(parts)} before header")
-            yield lineno, parts, line
-        elif counts is not None:
-            raise FormatError(f"line {lineno}: duplicate header")
-        elif len(parts) != size + 2 or parts[1] != fmt:
-            raise FormatError(f"line {lineno}: bad header {line!r}")
-        else:
-            counts = _ints(parts[2:], lineno)
-            if min(counts) < 0:
-                raise FormatError(f"line {lineno}: negative count in {line!r}")
-            yield counts
-    if counts is None:
+            raise FormatError(f"line {lineno}: {before(parts)} before header")
+        if len(parts) != size + 2 or parts[1] != fmt:
+            raise FormatError(f"line {lineno}: bad header {raw.strip()!r}")
+        try:
+            counts = list(map(int, parts[2:]))
+        except ValueError as e:
+            raise FormatError(f"line {lineno}: expected integers") from e
+        if min(counts) < 0:
+            raise FormatError(
+                f"line {lineno}: negative count in {raw.strip()!r}")
+        yield counts
+        break
+    else:
         raise FormatError(f"missing `{key} {fmt}` header")
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0][0] == "c":
+            continue
+        if parts[0] == key:
+            raise FormatError(f"line {lineno}: duplicate header")
+        yield lineno, parts, raw
 
 
 def write_graph(g, fh):
@@ -56,11 +63,15 @@ def read_graph(fh):
     n, m = next(lines)
     edges = []
     where = []
-    for lineno, parts, line in lines:
+    for lineno, parts, raw in lines:
         if len(parts) != 2:
-            raise FormatError(f"line {lineno}: bad edge {line!r}")
-        u, v = _ints(parts, lineno)
-        if not (1 <= u <= n and 1 <= v <= n):
+            raise FormatError(f"line {lineno}: bad edge {raw.strip()!r}")
+        try:
+            u = int(parts[0])
+            v = int(parts[1])
+        except ValueError as e:
+            raise FormatError(f"line {lineno}: expected integers") from e
+        if not (0 < u <= n and 0 < v <= n):
             raise FormatError(f"line {lineno}: vertex out of range")
         if u == v:
             raise FormatError(f"line {lineno}: self-loop at {u}")
@@ -93,42 +104,47 @@ def write_td(td, n, fh):
 
 def read_td(fh):
     """(TreeDecomposition, declared n); FormatError on a bad line, a
-    negative count in the header, bag ids other than 1..N, a tree edge
-    out of range or a width other than the header's."""
+    negative count in the header, a bag id or tree-edge end outside
+    1..N, a bag id given twice or missing, or a width other than the
+    header's.  Every fault but the last two is reported with its line,
+    the header's N being known when the first body line is read."""
     lines = _lines(fh, "s", "td", 3,
                    lambda parts: "bag" if parts[0] == "b" else "tree edge")
     count, width_plus_1, n = next(lines)
-    bags = {}
+    bags = [None] * count
     edges = []
-    for lineno, parts, line in lines:
+    for lineno, parts, raw in lines:
         if parts[0] == "b":
             if len(parts) < 2:
                 raise FormatError(f"line {lineno}: bag without an id")
-            i, *verts = _ints(parts[1:], lineno)
-            if i in bags:
+            try:
+                i = int(parts[1])
+                bag = [int(v) - 1 for v in parts[2:]]
+            except ValueError as e:
+                raise FormatError(f"line {lineno}: expected integers") from e
+            if not 0 < i <= count:
+                raise FormatError(f"line {lineno}: bag id out of range")
+            if bags[i - 1] is not None:
                 raise FormatError(f"line {lineno}: duplicate bag {i}")
-            if verts and not 1 <= min(verts) <= max(verts) <= n:
+            if bag and not 0 <= min(bag) <= max(bag) < n:
                 raise FormatError(f"line {lineno}: vertex out of range")
-            bags[i] = frozenset(v - 1 for v in verts)
+            bags[i - 1] = frozenset(bag)
         else:
             if len(parts) != 2:
-                raise FormatError(f"line {lineno}: bad tree edge {line!r}")
-            a, b = _ints(parts, lineno)
+                raise FormatError(
+                    f"line {lineno}: bad tree edge {raw.strip()!r}")
+            try:
+                a = int(parts[0])
+                b = int(parts[1])
+            except ValueError as e:
+                raise FormatError(f"line {lineno}: expected integers") from e
+            if not (0 < a <= count and 0 < b <= count):
+                raise FormatError(f"line {lineno}: tree edge out of range")
             edges.append((a - 1, b - 1))
-    if sorted(bags) != list(range(1, count + 1)):
-        raise FormatError("bag ids must be exactly 1..N")
-    ordered = [bags[i] for i in range(1, count + 1)]
-    if any(not (0 <= a < count and 0 <= b < count) for a, b in edges):
-        raise FormatError("tree edge out of range")
-    td = TreeDecomposition(ordered, edges)
+    if None in bags:
+        raise FormatError(f"bag {bags.index(None) + 1} missing")
+    td = TreeDecomposition(bags, edges)
     if td.width + 1 != width_plus_1:
         raise FormatError(
             f"header says width {width_plus_1 - 1}, bags give {td.width}")
     return td, n
-
-
-def _ints(parts, lineno):
-    try:
-        return list(map(int, parts))
-    except ValueError as e:
-        raise FormatError(f"line {lineno}: expected integers") from e

@@ -10,8 +10,8 @@ structured decompositions their bags, straight off it: no completed graph
 is built, and no component is induced or relabelled.  MCS-M finds the
 vertices each step bumps by a reach over weight levels, as published,
 with no heap of its own.  The clique-cutset split cuts each component at
-its cut vertices first, in one depth-first search, so MCS-M runs only
-inside blocks of three or more vertices."""
+its cut vertices first, in one depth-first search that also finds the
+component, so MCS-M runs only inside blocks of three or more vertices."""
 
 import heapq
 from math import comb
@@ -134,21 +134,21 @@ def find_clique_cutset(g):
     clique of clique_cutset_atoms."""
     if g.n == 0 or not g.is_connected():
         return None
-    _, glue = clique_cutset_atoms(g, g.vertices())
+    _, glue = clique_cutset_atoms(g, 0)
     if not glue:
         return None
     clique = glue[0][2]
     return clique, g.components(removed=clique)
 
 
-def _blocks(g, component):
-    """The blocks of g[component], its maximal 2-connected subgraphs and
-    its bridges, by one depth-first search (Hopcroft and Tarjan 1973)
-    from min(component) that takes neighbours in ascending id.  Yields
-    (head, block) pairs in post-order: block is a vertex set, and head is
-    its vertex the search reached first, the only one of its vertices a
-    block yielded later can hold.  A lone vertex is its own block."""
-    root = min(component)
+def _blocks(g, root):
+    """The blocks of root's component of g, its maximal 2-connected
+    subgraphs and its bridges, by one depth-first search (Hopcroft and
+    Tarjan 1973) from root that takes neighbours in ascending id; the
+    search finds the component as it goes.  Yields (head, block) pairs in
+    post-order: block is a vertex set, and head is its vertex the search
+    reached first, the only one of its vertices a block yielded later can
+    hold.  A lone vertex is its own block."""
     num = {root: 0}
     low = {root: 0}
     stack = [root]  # vertices whose block is not yet yielded
@@ -212,12 +212,13 @@ def _cut_block(g, block, head):
     return atoms, cuts
 
 
-def clique_cutset_atoms(g, component):
-    """Clique minimal separator decomposition of one component of g, in
-    g's ids: the component is cut at its cut vertices into blocks first,
-    and each block of three or more vertices is cut by _cut_block.  The
-    atoms are unique (Leimer 1993), so they are those of one MCS-M run
-    over the whole component.
+def clique_cutset_atoms(g, root):
+    """Clique minimal separator decomposition of the component of g that
+    holds root, in g's ids: _blocks' search from root finds the component
+    and cuts it at its cut vertices into blocks at once, and each block of
+    three or more vertices is cut by _cut_block.  The atoms are unique
+    (Leimer 1993), so they are those of one MCS-M run over the whole
+    component.
 
     Returns (atoms, glue_tree): atoms are vertex sets with no clique
     cutset; glue_tree is a list of (i, j, clique) entries meaning atom i
@@ -225,17 +226,17 @@ def clique_cutset_atoms(g, component):
     last is an i exactly once, j is always later than i, the clique lies
     in both atoms, and atom i meets every later atom only inside its
     clique. Gluing the atoms back along the recorded cliques reproduces
-    g[component].
+    root's component.
 
     Blocks come in post-order, so a block meets later blocks only at its
     head, which lies in its last atom.  Inside a block, atom i hangs off
     the first later atom that holds its clique; a block's last atom hangs
     at {head} off the last atom that holds the head, a later one for
-    every block but the last, whose head is the root."""
+    every block but the last, whose head is root."""
     atoms = []
     glue = []
     ends = []  # (a block's last atom, its head)
-    for head, block in _blocks(g, component):
+    for head, block in _blocks(g, root):
         if len(block) > 2:
             first = len(atoms)
             parts, cuts = _cut_block(g, block, head)

@@ -72,13 +72,13 @@ class TreeDecomposition:
     edges: tuple
 
     def __init__(self, bags, edges):
-        object.__setattr__(self, "bags", tuple(frozenset(b) for b in bags))
-        object.__setattr__(self, "edges",
-                           tuple((min(e), max(e)) for e in edges))
+        object.__setattr__(self, "bags", tuple(map(frozenset, bags)))
+        object.__setattr__(self, "edges", tuple(
+            [(a, b) if a < b else (b, a) for a, b in edges]))
 
     @cached_property
     def width(self):
-        return max((len(b) for b in self.bags), default=0) - 1
+        return max(map(len, self.bags), default=0) - 1
 
     @cached_property
     def sorted_bags(self):

@@ -12,10 +12,11 @@ degeneracy orders and the exact-treewidth DP as first written,
 references for the heap-selected and unbucketed versions; the
 elimination bags and the Blair-Peyton clique-tree walk, references for
 the reduced elimination tree; a graph with edges added, for chordal
-completions; and the table DP with its solvers as first written,
-counting each vertex at introduce, a reference for the forget-time
-counting.  The builder needs none of them; the tests
-import this module the way they import conftest.
+completions; the table DP with its solvers as first written, counting
+each vertex at introduce, a reference for the forget-time counting; and
+the `.gr` and `.td` readers as first written, references for the
+readers that split each line once.  The builder needs none of them; the
+tests import this module the way they import conftest.
 """
 
 import heapq
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from logtw import detect
+from logtw.formats import FormatError
 from logtw.graph import (BuildCheckFailed, Graph, SizeCapExceeded,
                          adjacency_masks, degeneracy_order, enumerate_holes,
                          is_induced_path, strict_degeneracy)
@@ -1195,3 +1197,106 @@ def reference_q_coloring(g, t, q):
         raise BuildCheckFailed(f"{q}-coloring witness is not a proper "
                                "coloring of g")
     return True, wit
+
+
+# -- the .gr and .td readers as first written ---------------------------------
+
+def _reference_lines(fh, key, fmt, size, before):
+    """formats._lines as first written: it strips each line and yields
+    (line number, fields, stripped line) after the header's counts."""
+    counts = None
+    for lineno, raw in enumerate(fh, 1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] != key:
+            if counts is None:
+                raise FormatError(
+                    f"line {lineno}: {before(parts)} before header")
+            yield lineno, parts, line
+        elif counts is not None:
+            raise FormatError(f"line {lineno}: duplicate header")
+        elif len(parts) != size + 2 or parts[1] != fmt:
+            raise FormatError(f"line {lineno}: bad header {line!r}")
+        else:
+            counts = _reference_ints(parts[2:], lineno)
+            if min(counts) < 0:
+                raise FormatError(f"line {lineno}: negative count in {line!r}")
+            yield counts
+    if counts is None:
+        raise FormatError(f"missing `{key} {fmt}` header")
+
+
+def _reference_ints(parts, lineno):
+    try:
+        return list(map(int, parts))
+    except ValueError as e:
+        raise FormatError(f"line {lineno}: expected integers") from e
+
+
+def reference_read_graph(fh):
+    """formats.read_graph as first written, with the same messages."""
+    lines = _reference_lines(fh, "p", "tw", 2, lambda parts: "edge")
+    n, m = next(lines)
+    edges = []
+    where = []
+    for lineno, parts, line in lines:
+        if len(parts) != 2:
+            raise FormatError(f"line {lineno}: bad edge {line!r}")
+        u, v = _reference_ints(parts, lineno)
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise FormatError(f"line {lineno}: vertex out of range")
+        if u == v:
+            raise FormatError(f"line {lineno}: self-loop at {u}")
+        edges.append((u - 1, v - 1))
+        where.append(lineno)
+    if len(edges) != m:
+        raise FormatError(f"header says {m} edges, found {len(edges)}")
+    g = Graph(n, edges)
+    if g.m != m:
+        seen = set()
+        for (u, v), lineno in zip(edges, where):
+            if frozenset((u, v)) in seen:
+                raise FormatError(
+                    f"line {lineno}: repeated edge {u + 1} {v + 1}")
+            seen.add(frozenset((u, v)))
+    return g
+
+
+def reference_read_td(fh):
+    """formats.read_td as first written: bag ids and tree-edge ends are
+    checked against 1..N after the last line, with the messages `bag ids
+    must be exactly 1..N` and `tree edge out of range`, which name no
+    line; every other message is the same."""
+    lines = _reference_lines(
+        fh, "s", "td", 3,
+        lambda parts: "bag" if parts[0] == "b" else "tree edge")
+    count, width_plus_1, n = next(lines)
+    bags = {}
+    edges = []
+    for lineno, parts, line in lines:
+        if parts[0] == "b":
+            if len(parts) < 2:
+                raise FormatError(f"line {lineno}: bag without an id")
+            i, *verts = _reference_ints(parts[1:], lineno)
+            if i in bags:
+                raise FormatError(f"line {lineno}: duplicate bag {i}")
+            if verts and not 1 <= min(verts) <= max(verts) <= n:
+                raise FormatError(f"line {lineno}: vertex out of range")
+            bags[i] = frozenset(v - 1 for v in verts)
+        else:
+            if len(parts) != 2:
+                raise FormatError(f"line {lineno}: bad tree edge {line!r}")
+            a, b = _reference_ints(parts, lineno)
+            edges.append((a - 1, b - 1))
+    if sorted(bags) != list(range(1, count + 1)):
+        raise FormatError("bag ids must be exactly 1..N")
+    ordered = [bags[i] for i in range(1, count + 1)]
+    if any(not (0 <= a < count and 0 <= b < count) for a, b in edges):
+        raise FormatError("tree edge out of range")
+    td = TreeDecomposition(ordered, edges)
+    if td.width + 1 != width_plus_1:
+        raise FormatError(
+            f"header says width {width_plus_1 - 1}, bags give {td.width}")
+    return td, n

@@ -365,15 +365,17 @@ def test_one_clique_cutset_pass_per_component(monkeypatch):
     calls = []
     real = builder.clique_cutset_atoms
 
-    def counted(h, component):
+    def counted(h, root):
         assert h is g
-        calls.append(len(component))
-        return real(h, component)
+        atoms, glue = real(h, root)
+        calls.append((root, len(frozenset().union(*atoms))))
+        return atoms, glue
     monkeypatch.setattr(builder, "clique_cutset_atoms", counted)
     td, report = decompose(g, 4)
     assert report.certified and td.width == 2
     assert len(calls) == sum(len(c) > 2 for c in g.components()) == 3
-    assert sorted(calls) == [4, 5, 6]
+    # each from its component's smallest vertex
+    assert calls == [(0, 5), (5, 6), (11, 4)]
 
 
 def test_each_atom_is_induced_once(monkeypatch):

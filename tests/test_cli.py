@@ -1,6 +1,7 @@
 """File formats and the command-line interface, driven through main()."""
 
 import io
+import random
 import re
 from dataclasses import fields
 
@@ -13,6 +14,7 @@ from logtw.formats import (FormatError, read_graph, read_td, write_graph,
                            write_td)
 from logtw.graph import Graph
 
+import lemmas
 from conftest import hub_layer_cases
 
 
@@ -78,9 +80,15 @@ def test_graph_format_rejects_garbage():
 
 def test_td_format_rejects_garbage():
     for text, message in (
-            ("s td 1 1 3\nb 1 1 2 3\nb 2 1\n", "bag ids must be exactly 1..N"),
+            ("s td 1 1 3\nb 1 1 2 3\nb 2 1\n", "line 3: bag id out of range"),
+            ("s td 1 1 3\nb 0 1\n", "line 2: bag id out of range"),
             ("s td 1 1 3\nb 1 1 2 3 4\n", "line 2: vertex out of range"),
-            ("s td 2 3 3\nb 1 1 2 3\nb 2 1\n3 1\n", "tree edge out of range"),
+            ("s td 2 3 3\nb 1 1 2 3\nb 2 1\n3 1\n",
+             "line 4: tree edge out of range"),
+            ("s td 2 3 3\nb 1 1 2 3\n0 1\nb 2 1\n",
+             "line 3: tree edge out of range"),
+            # a missing bag id is known only after the last line
+            ("s td 3 3 3\nb 1 1 2 3\nb 3 1\n1 2\n2 3\n", "bag 2 missing"),
             ("s td 1 2 2\nb\n", "line 2: bag without an id"),
             ("s td 1 1 1\ns td 1 1 1\nb 1 1\n", "line 2: duplicate header"),
             ("s td 1 1\n", "line 1: bad header 's td 1 1'"),
@@ -111,6 +119,86 @@ def test_td_format_rejects_garbage():
              "line 5: vertex out of range")):
         with pytest.raises(FormatError, match=re.escape(message)):
             read_td(io.StringIO(text))
+
+
+def _mutant(text, rng):
+    """text with one seeded single-token mutation: a token dropped or
+    duplicated, a letter for one of its digits, a blank or `c` line
+    before its line, or a tab or a double space for a blank beside it."""
+    lines = text.splitlines()
+    k = rng.randrange(len(lines))
+    row = re.split(r"(\s+)", lines[k])  # tokens, and the blanks between
+    j = rng.randrange(0, len(row), 2)
+    kind = rng.choice(("drop", "dup", "letter", "line", "blank"))
+    if kind == "drop":
+        del row[max(j - 1, 0):j + 1]
+    elif kind == "dup":
+        row[j:j] = [row[j], " "]
+    elif kind == "letter":
+        digits = [i for i, ch in enumerate(row[j]) if ch.isdigit()]
+        if digits:
+            i = rng.choice(digits)
+            row[j] = row[j][:i] + rng.choice("abcxz") + row[j][i + 1:]
+    elif kind == "line":
+        row[:0] = [rng.choice(("", "  ", "\t", "c", "c 1 2", "cc")), "\n"]
+    else:
+        row.insert(rng.choice((0, j, len(row))), rng.choice(("\t", "  ")))
+    lines[k] = "".join(row)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(read, text):
+    try:
+        return read(io.StringIO(text))
+    except FormatError as e:
+        return str(e)
+
+
+def test_readers_match_their_references_on_mutated_files():
+    # one dropped, duplicated or mistyped token, an extra blank or `c`
+    # line, or a tab or double space inside a line: the readers that
+    # split each line once give the graph, the decomposition or the
+    # message the readers as first written give, quoting the stripped
+    # line; only a bag id or tree-edge end outside 1..N, now reported on
+    # its line, and a missing bag id, now named, read differently
+    moved = re.compile(r"line (\d+): (bag id|tree edge) out of range$"
+                       r"|bag \d+ missing$")
+    graphs = [generators.random_graph(n, p, seed=n) for n in range(2, 14)
+              for p in (0.15, 0.4)]
+    graphs += [generators.path(5), Graph(4, [(0, 1)]), Graph(1)]
+    rng = random.Random(0)
+    seen = set()
+    for g in graphs:
+        gr = io.StringIO()
+        write_graph(g, gr)
+        td = io.StringIO()
+        write_td(treedec.greedy_fill_decomposition(g), g.n, td)
+        for text, read, reference in (
+                (gr.getvalue(), read_graph, lemmas.reference_read_graph),
+                (td.getvalue(), read_td, lemmas.reference_read_td)):
+            # as written, and with tabs and double spaces for its blanks
+            spaced = re.sub(" ", lambda _: rng.choice((" ", "  ", "\t")),
+                            text)
+            for mutant in [_mutant(t, rng) for t in (text, spaced)
+                           for _ in range(20)]:
+                got = _outcome(read, mutant)
+                want = _outcome(reference, mutant)
+                if isinstance(got, str):
+                    seen.add(re.sub(r"\d+", "#", got.split("'")[0]))
+                hit = isinstance(got, str) and moved.match(got)
+                if not hit:
+                    assert got == want, mutant
+                    continue
+                # the reference finds the fault after the last line, or
+                # a fault it checks first on the same line
+                assert want in ("bag ids must be exactly 1..N",
+                                "tree edge out of range") or \
+                    want.startswith(f"line {hit[1]}: "), mutant
+    for message in ("line #: bad edge ", "line #: bad tree edge ",
+                    "line #: bad header ", "line #: expected integers",
+                    "line #: bag id out of range",
+                    "line #: tree edge out of range", "bag # missing"):
+        assert message in seen
 
 
 def test_cli_gen_detect_decompose_verify(tmp_path, capsys):
@@ -482,9 +570,10 @@ def test_cli_failed_glue_exits_invalid(tmp_path, capsys, monkeypatch):
     # build, not a usage error
     real = builder.clique_cutset_atoms
 
-    def unheld(g, component):
-        atoms, glue = real(g, component)
-        return atoms, [(i, j, frozenset(component)) for i, j, _ in glue]
+    def unheld(g, root):
+        atoms, glue = real(g, root)
+        component = frozenset().union(*atoms)
+        return atoms, [(i, j, component) for i, j, _ in glue]
     monkeypatch.setattr(builder, "clique_cutset_atoms", unheld)
     gpath = tmp_path / "p6.gr"
     main(["gen", "path", "6", "--out", str(gpath)])

@@ -14,7 +14,7 @@ import brute
 import lemmas
 from conftest import (caterpillar, class_members, glued, glued_blocks,
                       hub_layer_cases, ladder, random_corpus, random_tree,
-                      search_corpus)
+                      relabelled, search_corpus, split_corpus)
 
 
 def test_ramsey_table_and_fallback():
@@ -178,7 +178,7 @@ def test_clique_cutset_atoms():
               *random_corpus(10, 30, p=0.3, seed_base=1050)]:
         if not g.is_connected():
             continue
-        atoms, glue = separators.clique_cutset_atoms(g, g.vertices())
+        atoms, glue = separators.clique_cutset_atoms(g, 0)
         assert len(set(atoms)) == len(atoms)
         assert set(atoms) == _brute_atoms(g)
         assert not any(a < b for a in atoms for b in atoms)
@@ -357,6 +357,37 @@ def test_split_cuts_in_place(monkeypatch):
     want = [builder.split(g) for g in search_corpus()]
     monkeypatch.setattr(Graph, "__init__", never)
     assert [builder.split(g) for g in search_corpus()] == want
+
+
+def _forest(seed):
+    """A seeded forest of isolated vertices, lone edges and small trees,
+    in shuffled ids."""
+    rng = random.Random(seed)
+    n, edges = 0, []
+    for _ in range(rng.randint(1, 12)):
+        k = rng.choice((1, 1, 2, 2, 3, 6))
+        edges += [(n + u, n + v)
+                  for u, v in random_tree(k, seed=rng.randrange(99)).edges()]
+        n += k
+    return relabelled(Graph(n, edges), seed)
+
+
+def test_split_walks_each_component_once(monkeypatch):
+    # the split finds each component inside the block search that cuts
+    # it, with no components() pass first, and returns the pieces, in
+    # the order and with the glue, of a split over components()
+    graphs = [*split_corpus(), *glued_blocks(),
+              *(_forest(seed) for seed in range(40))]
+    want = [[([c], []) if len(c) <= 2
+             else separators.clique_cutset_atoms(g, min(c))
+             for c in g.components()] for g in graphs]
+    sizes = {len(c) for g in graphs for c in g.components()}
+    assert {1, 2, 3} <= sizes
+
+    def never(*args, **kwargs):
+        raise AssertionError("the split ran a components() pass")
+    monkeypatch.setattr(Graph, "components", never)
+    assert [builder.split(g) for g in graphs] == want
 
 
 def test_make_structured_preserves_width_and_gives_pmcs():
