@@ -13,10 +13,12 @@ definition against the host graph.  A pinched prism is a prism whose two
 triangles share a vertex: that vertex is its third leg, a path of length
 zero.  So the theta, pyramid, prism and pinched-prism finders differ only
 in which ends they try: each is three induced paths between two ends (a
-vertex or a triangle), found by the one search `_three_paths`.  Their
-verifiers check the definition itself, three legs between the given ends
-any two of which close into a hole, a one-vertex leg in a pinched prism
-only, and share no code with that search.
+vertex or a triangle), found by the one search `_three_paths`, whose
+legs come from a depth-first walk on an explicit stack, so no recursion
+limit bounds a leg's length.  Their verifiers check the definition
+itself, three legs between the given ends any two of which close into a
+hole, a one-vertex leg in a pinched prism only, and share no code with
+that search.
 """
 
 from dataclasses import dataclass, field
@@ -129,39 +131,32 @@ _VERIFIERS = {
 
 # -- three-path-configurations ---------------------------------------------
 
-def _induced_paths(g, a, b, banned):
-    """Yield induced a-b paths whose interior avoids `banned`.
-
-    Interior vertices are free to be adjacent to a or b only as the path's
-    own edges dictate (induced).
-    """
-    adj = g.adj
-
-    def extend(path, path_set, blocked):
-        last = path[-1]
-        for w in sorted(adj[last]):
-            if w == b:
-                if len(path) == 1 or b not in blocked:
-                    yield path + [b]
-                continue
-            if w in banned or w in path_set or w in blocked:
-                continue
-            path.append(w)
-            path_set.add(w)
-            yield from extend(path, path_set, blocked | (adj[last] - {w}))
-            path.pop()
-            path_set.remove(w)
-
-    yield from extend([a], {a}, set())
-
-
 def _leg_paths(g, a, b, banned):
+    """Yield the induced a-b paths whose interior avoids `banned`, depth
+    first, each vertex's neighbours tried in ascending id; [a] if a == b.
+
+    The untried paths wait on an explicit stack, each as its last vertex,
+    its depth and the vertices its successors may not take: banned, a and
+    the neighbours of the path before it.  A path whose last vertex sees b
+    ends there, since every longer path through it has a chord to b; so
+    when a sees b, [a, b] is the only path.
+    """
     if a == b:
         yield [a]
-    elif g.has_edge(a, b):
-        yield [a, b]
-    else:
-        yield from _induced_paths(g, a, b, banned)
+        return
+    adj = g.adj
+    path = []
+    stack = [(a, 0, banned | {a})]
+    while stack:
+        v, depth, taken = stack.pop()
+        del path[depth:]
+        path.append(v)
+        if b in adj[v]:
+            yield path + [b]
+            continue
+        below = taken | adj[v]
+        stack += [(w, depth + 1, below)
+                  for w in sorted(adj[v] - taken, reverse=True)]
 
 
 def _three_paths(g, legs):
@@ -173,8 +168,8 @@ def _three_paths(g, legs):
     may be seen by every leg; any other end only by its own leg, so a
     leg's interior avoids the ends, the neighbours of the other legs'
     unshared ends and the closed neighbourhoods of the earlier legs'
-    interiors.  Legs 1 and 2 are enumerated in `_induced_paths` order, leg
-    3 is the shortest path that fits beside them, and the first fit is
+    interiors.  Legs 1 and 2 are enumerated in `_leg_paths` order, leg 3
+    is the shortest path that fits beside them, and the first fit is
     returned.
     """
     ends = {x for leg in legs for x in leg}

@@ -57,12 +57,13 @@ def write_graph(g, fh):
 
 def read_graph(fh):
     """The graph of a .gr file; FormatError on a bad header or edge line,
-    a negative count in the header, an edge count other than the
-    header's, a self-loop or an edge given twice."""
+    a negative count in the header, a self-loop, an edge given twice or
+    an edge count other than the header's.  Each edge is checked on its
+    own line, against the edges before it."""
     lines = _lines(fh, "p", "tw", 2, lambda parts: "edge")
     n, m = next(lines)
     edges = []
-    where = []
+    seen = set()
     for lineno, parts, raw in lines:
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: bad edge {raw.strip()!r}")
@@ -75,20 +76,14 @@ def read_graph(fh):
             raise FormatError(f"line {lineno}: vertex out of range")
         if u == v:
             raise FormatError(f"line {lineno}: self-loop at {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise FormatError(f"line {lineno}: repeated edge {u} {v}")
+        seen.add(key)
         edges.append((u - 1, v - 1))
-        where.append(lineno)
     if len(edges) != m:
         raise FormatError(f"header says {m} edges, found {len(edges)}")
-    g = Graph(n, edges)
-    if g.m != m:
-        # fewer distinct edges than edge lines: name the first repeat
-        seen = set()
-        for (u, v), lineno in zip(edges, where):
-            if frozenset((u, v)) in seen:
-                raise FormatError(
-                    f"line {lineno}: repeated edge {u + 1} {v + 1}")
-            seen.add(frozenset((u, v)))
-    return g
+    return Graph(n, edges)
 
 
 def write_td(td, n, fh):

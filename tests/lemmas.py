@@ -6,7 +6,8 @@ cliques, component closures and the low-degree half; the theta,
 pyramid and prism checks as first written, property by property, a
 reference for detect's definition checks; the pinched-prism search over
 holes, its centre-and-hole check and the maximum-clique search as first
-written, references for detect's three-path and direct K_t searches; a
+written, references for detect's three-path and direct K_t searches;
+the recursive induced-path search, a reference for the leg walk; a
 brute-force block test; the clique-cutset split, elimination and
 degeneracy orders and the exact-treewidth DP as first written,
 references for the heap-selected and unbucketed versions; the
@@ -224,6 +225,47 @@ REFERENCE_VERIFIERS = {
     "Prism": reference_verify_prism,
     "PinchedPrism": reference_verify_pinched_prism_legs,
 }
+
+
+# -- the leg search as first written -----------------------------------------
+#
+# One Python frame per path vertex, and the branches past a vertex that
+# sees b are walked although none of them yields: a reference for
+# detect's leg walk on an explicit stack.
+
+def _reference_induced_paths(g, a, b, banned):
+    """Yield induced a-b paths whose interior avoids `banned`.
+
+    Interior vertices are free to be adjacent to a or b only as the path's
+    own edges dictate (induced).
+    """
+    adj = g.adj
+
+    def extend(path, path_set, blocked):
+        last = path[-1]
+        for w in sorted(adj[last]):
+            if w == b:
+                if len(path) == 1 or b not in blocked:
+                    yield path + [b]
+                continue
+            if w in banned or w in path_set or w in blocked:
+                continue
+            path.append(w)
+            path_set.add(w)
+            yield from extend(path, path_set, blocked | (adj[last] - {w}))
+            path.pop()
+            path_set.remove(w)
+
+    yield from extend([a], {a}, set())
+
+
+def reference_leg_paths(g, a, b, banned):
+    if a == b:
+        yield [a]
+    elif g.has_edge(a, b):
+        yield [a, b]
+    else:
+        yield from _reference_induced_paths(g, a, b, banned)
 
 
 # -- wheels ------------------------------------------------------------------

@@ -55,6 +55,8 @@ def test_graph_format_rejects_garbage():
             ("p tw 3 2\n1 2\n", "header says 2 edges, found 1"),
             ("p tw 3 0\n1 2\n", "header says 0 edges, found 1"),
             ("p tw 3 2\n1 2\n2 1\n", "line 3: repeated edge 2 1"),
+            # a repeat is named on its line, before the edge count is known
+            ("p tw 3 3\n1 2\n2 1\n", "line 3: repeated edge 2 1"),
             ("p tw 2 0\np tw 2 0\n", "line 2: duplicate header"),
             ("p tw 2\n", "line 1: bad header 'p tw 2'"),
             ("p td 2 0\n", "line 1: bad header 'p td 2 0'"),
@@ -70,6 +72,7 @@ def test_graph_format_rejects_garbage():
              "line 2: negative count in 'p tw 3 -1'"),
             # two faults: the first in file order is reported
             ("p tw 3 1\n1 9\np tw 3 1\n", "line 2: vertex out of range"),
+            ("p tw 3 3\n1 2\n2 1\n1 9\n", "line 3: repeated edge 2 1"),
             # a header after comment and blank lines reads, and line
             # numbers count the skipped lines
             ("c one\n\nc two\np tw 2 1\n1 3\n",
@@ -379,6 +382,18 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--cap", "10"]) == 4
     assert "detector capped at n <= 10, got n = 40" in \
         capsys.readouterr().err
+
+
+def test_cli_long_leg_is_no_crash(tmp_path, capsys):
+    # a theta with a leg of 1500 vertices is found, not a RecursionError:
+    # detect reports it and a certified build exits as not in the class
+    theta = tmp_path / "theta.gr"
+    assert main(["gen", "theta", "1500", "2", "2", "--out", str(theta)]) == 0
+    assert main(["detect", "--in", str(theta), "--what", "theta"]) == 0
+    assert "theta: found" in capsys.readouterr().out
+    assert main(["decompose", "--in", str(theta), "--t", "3",
+                 "--caps", "detect=2000,hole=2000"]) == 5
+    capsys.readouterr()
 
 
 def test_cli_gen_bench_verify_and_help_exits(tmp_path, capsys):

@@ -48,6 +48,12 @@ def test_finders_on_named_families():
         (generators.prism(1, 2, 3), "prism"),
         (generators.pinched_prism(2, 2), "pinched_prism"),
         (generators.cube(), "cube"),
+        # a leg of 1500 vertices: the legs are walked on a stack, not one
+        # frame per vertex, so these are found past the recursion limit
+        (generators.theta(1500, 2, 2), "theta"),
+        (generators.pyramid(1500, 2, 2), "pyramid"),
+        (generators.prism(1500, 1, 1), "prism"),
+        (generators.pinched_prism(2, 1500), "pinched_prism"),
     ]
     for g, kind in cases:
         cert = FINDERS[kind](g)
@@ -75,6 +81,32 @@ def test_three_path_certificates_are_pinned():
                        else (cert.kind, sorted(cert.roles.items())))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
         "c7bf269246c05a0f5be26016f6765efcb7807ad9d43f2a24e8f65b97d14f6bc6")
+
+
+def test_leg_walk_matches_reference():
+    # the leg walk on an explicit stack yields the legs the recursive
+    # search as first written yields, in the same order, with either end
+    # inside or outside the banned set, adjacent ends and equal ends
+    rng = random.Random(35)
+    kinds = Counter()
+    for i in range(3000):
+        n = rng.randint(1, 14)
+        g = generators.random_graph(n, rng.choice((0.25, 0.35, 0.5)),
+                                    seed=i)
+        a, b = rng.randrange(n), rng.randrange(n)
+        banned = {v for v in g.vertices() if rng.random() < 0.15}
+        kinds["equal" if a == b else "adjacent" if g.has_edge(a, b)
+              else "apart"] += 1
+        kinds[(a in banned, b in banned)] += 1
+        got = list(detect._leg_paths(g, a, b, banned))
+        assert got == list(lemmas.reference_leg_paths(g, a, b, banned)), \
+            (i, a, b, sorted(banned))
+        kinds["legs"] += len(got)
+        kinds["long legs"] += sum(len(p) > 4 for p in got)
+    assert min(kinds[k] for k in ("equal", "adjacent", "apart")) >= 500
+    assert min(kinds[k] for k in product((False, True), repeat=2)) >= 100
+    assert kinds["legs"] > 4000 and kinds["long legs"] > 500
+
 
 
 def _with_edge(g, u, v):

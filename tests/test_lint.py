@@ -229,3 +229,39 @@ def test_benchmark_only_names_are_pinned():
         "treedec._require_valid", "treedec.solve_chromatic",
         "treedec.solve_dominating_set", "treedec.solve_q_coloring",
         "treedec.solve_stable_set", "treedec.solve_vertex_cover"]
+
+
+def _functions(node, prefix):
+    """(qualified name, node) for every function and method under node,
+    nested ones included, each named through what encloses it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if isinstance(child, ast.FunctionDef):
+                yield name, child
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_recursion_is_pinned():
+    # every function of src/logtw whose body calls its own name, with the
+    # bound on how deep it goes: a search that nests one frame per vertex
+    # of its input dies with RecursionError on a long enough input, so a
+    # new recursive function needs an edit here.  Recursion through other
+    # functions is not seen: builder's _any -> _atom -> _shrink -> _parts
+    # -> _any, and _shrink -> _balanced -> _parts, go one round per hub
+    # layer or balanced level
+    found = set()
+    for path in sorted(Path(logtw.__file__).parent.glob("*.py")):
+        for name, f in _functions(ast.parse(path.read_text()), path.stem):
+            if any(isinstance(n, ast.Call) and
+                   getattr(n.func, "id", None) == f.name
+                   for n in ast.walk(f)):
+                found.add(name)
+    assert found == {
+        "builder._shrink",           # one level per hub layer
+        "detect.has_clique.grow",    # depth at most t
+        "detect._in_host.host",      # role nesting depth 2
+        "oracle._colorable.assign",  # n <= CHROMATIC_CAP
+    }
